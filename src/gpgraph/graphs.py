@@ -9,7 +9,42 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .groups import IndexOutOfRange
+
+# from_edge_list rejects a larger vertex count before allocating anything:
+# the symmetry check packs v * v / 8 bytes.
+MAX_EDGE_LIST_VERTICES = 1 << 14
+
+# The symmetry check unpacks this many adjacency columns at a time, so its
+# working memory is O(v * SYMMETRY_BAND) booleans. A multiple of 8.
+SYMMETRY_BAND = 256
+
+
+def pack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """Bitset rows as a len(rows) x ceil(width/8) uint8 matrix; bit j of a
+    row is bit j % 8 of byte j // 8 (numpy's little bit order)."""
+    nbytes = (width + 7) // 8
+    return np.frombuffer(
+        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+
+
+def _check_symmetric(v: int, rows: list[int]) -> None:
+    """Raise ValueError unless bit j of rows[i] equals bit i of rows[j].
+
+    The packed rows are compared with their transpose one band of columns
+    at a time.
+    """
+    packed = pack_rows(rows, v)
+    for lo in range(0, v, SYMMETRY_BAND):
+        hi = min(lo + SYMMETRY_BAND, v)
+        band = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1,
+                             count=hi - lo, bitorder="little")
+        band_rows = np.unpackbits(packed[lo:hi], axis=1, count=v, bitorder="little")
+        if not np.array_equal(band, band_rows.T):
+            raise ValueError("adjacency is not symmetric")
 
 
 class SimpleGraph:
@@ -24,20 +59,12 @@ class SimpleGraph:
         labels = list(labels) if labels is not None else list(range(v))
         if len(labels) != v:
             raise ValueError(f"expected {v} labels, got {len(labels)}")
-        full = (1 << v) - 1
-        cols = [0] * v
         for i, row in enumerate(rows):
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-            if row & ~full:
+            if row < 0 or row >> v:
                 raise ValueError(f"adjacency row {i} references vertices >= {v}")
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        if cols != rows:
-            raise ValueError("adjacency is not symmetric")
+        _check_symmetric(v, rows)
         self.v = v
         self.rows = rows
         self.labels = labels
@@ -187,13 +214,34 @@ class SimpleGraph:
 
 
 def from_edge_list(text: str) -> SimpleGraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the to_edge_list format; '#' lines and blank lines are skipped.
+
+    Malformed input raises ValueError naming the offending line. The vertex
+    count is checked against MAX_EDGE_LIST_VERTICES before anything is
+    allocated.
+    """
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge-list text")
-    v = int(lines[0])
+    no, header = lines[0]
+    try:
+        v = int(header)
+    except ValueError:
+        raise ValueError(f"line {no}: expected the vertex count, got {header!r}") from None
+    if not 0 <= v <= MAX_EDGE_LIST_VERTICES:
+        raise ValueError(
+            f"line {no}: vertex count {v} is outside [0, {MAX_EDGE_LIST_VERTICES}]"
+        )
     edges = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
+    for no, ln in lines[1:]:
+        try:
+            a, b = (int(tok) for tok in ln.split())
+        except ValueError:
+            raise ValueError(f"line {no}: expected an edge 'a b', got {ln!r}") from None
+        if not (0 <= a < v and 0 <= b < v):
+            raise ValueError(f"line {no}: edge {a} {b} has an endpoint outside [0, {v})")
+        if a == b:
+            raise ValueError(f"line {no}: self-loop at vertex {a}")
+        edges.append((a, b))
     return SimpleGraph.from_edges(v, edges)

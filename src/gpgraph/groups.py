@@ -107,7 +107,8 @@ class FiniteGroup:
     idempotent writes (racing writers compute identical values).
     """
 
-    __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks")
+    __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks",
+                 "_prime_incidence")
 
     identity = 0
 
@@ -118,6 +119,7 @@ class FiniteGroup:
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
         self._masks: Optional[list[int]] = None
+        self._prime_incidence: Optional[np.ndarray] = None
 
     def __repr__(self):
         return f"FiniteGroup(order={self.n})"
@@ -208,6 +210,50 @@ class FiniteGroup:
                 masks.append(m)
             self._masks = masks
         return self._masks
+
+    def prime_subgroup_incidence(self) -> np.ndarray:
+        """Which subgroups of prime order each element's cyclic subgroup contains.
+
+        Row g, column j is the id of the subgroup <g^(m/p)> of order p,
+        where m is the order of g and p the j-th smallest prime dividing the
+        group order; it is -1 when p does not divide m. A subgroup's id is
+        its least non-identity element. Read-only, n x omega(n).
+
+        <x> and <y> meet non-trivially iff their rows share an id: a
+        non-trivial intersection is a cyclic group, so it has a subgroup of
+        prime order, and <x> has exactly one subgroup of each order p | m.
+        """
+        if self._prime_incidence is None:
+            n = self.n
+            table = self.table
+            orders = self.orders
+            primes = sorted(prime_factors(n))
+            inc = np.full((n, len(primes)), -1, dtype=_table_dtype(n))
+            for j, p in enumerate(primes):
+                # Least non-identity element of <h> for every h of order p:
+                # scanning ascending, the first unlabelled element of a
+                # subgroup is its least, and labels all of its powers.
+                least = np.full(n, -1, dtype=np.int64)
+                for h in np.nonzero(orders == p)[0].tolist():
+                    if least[h] < 0:
+                        cur = h
+                        while cur:
+                            least[cur] = h
+                            cur = int(table[cur, h])
+                # g^(m/p) for every g whose order m is divisible by p.
+                elems = np.nonzero(orders % p == 0)[0]
+                base = elems.astype(np.int64)
+                exps = orders[elems] // p
+                power = np.zeros(len(elems), dtype=np.int64)
+                while exps.any():
+                    odd = (exps & 1) == 1
+                    power[odd] = table[power[odd], base[odd]]
+                    base = table[base, base]
+                    exps = exps >> 1
+                inc[elems, j] = least[power]
+            inc.setflags(write=False)
+            self._prime_incidence = inc
+        return self._prime_incidence
 
     def exponent(self) -> int:
         """Least common multiple of all element orders."""

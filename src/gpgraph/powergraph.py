@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 
-from .graphs import SimpleGraph
+import numpy as np
+
+from .graphs import SimpleGraph, pack_rows
 from .groups import FiniteGroup, IndexOutOfRange
 
 
@@ -70,35 +72,40 @@ def gp_adjacent(group: FiniteGroup, x: int, y: int) -> bool:
 def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:
     """GP(G) on the convention's vertex set; labels are element indices.
 
-    The identity, when present (Full / StrictWithIdentity), is kept as a
-    real isolated vertex: <identity> is trivial, so it meets nothing.
+    GP(G) is the union of the cliques C_P = {x : P <= <x>}, one for each
+    subgroup P of prime order, so each row is the OR of its vertex's clique
+    masks (see FiniteGroup.prime_subgroup_incidence). The identity, when
+    present (Full / StrictWithIdentity), is kept as a real isolated vertex:
+    <identity> is trivial, so it lies in no clique.
     """
     verts = vertex_elements(group, convention)
-    masks = group.cyclic_subgroup_masks()
-    vmasks = [masks[g] for g in verts]
-    k = len(verts)
-    rows = [0] * k
-    for i in range(k):
-        mi = vmasks[i]
-        for j in range(i + 1, k):
-            if (mi & vmasks[j]).bit_count() > 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SimpleGraph(k, rows, verts)
+    incidence = group.prime_subgroup_incidence()[verts].tolist()
+    cliques = [0] * group.n  # indexed by subgroup id
+    for i, ids in enumerate(incidence):
+        for s in ids:
+            if s >= 0:
+                cliques[s] |= 1 << i
+    rows = []
+    for i, ids in enumerate(incidence):
+        row = 0
+        for s in ids:
+            if s >= 0:
+                row |= cliques[s]
+        rows.append(row & ~(1 << i))
+    return SimpleGraph(len(verts), rows, verts)
 
 
 def power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:
-    """P(G): x ~ y iff x is a power of y or y is a power of x."""
+    """P(G): x ~ y iff x is a power of y or y is a power of x.
+
+    With M the cyclic-subgroup mask matrix (M[x, y] iff y is in <x>), the
+    adjacency is M or its transpose, restricted to the vertex set.
+    """
     verts = vertex_elements(group, convention)
-    masks = group.cyclic_subgroup_masks()
-    k = len(verts)
-    rows = [0] * k
-    for i in range(k):
-        gi = verts[i]
-        mi = masks[gi]
-        for j in range(i + 1, k):
-            gj = verts[j]
-            if (mi >> gj & 1) or (masks[gj] >> gi & 1):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SimpleGraph(k, rows, verts)
+    packed = pack_rows(group.cyclic_subgroup_masks(), group.n)
+    masks = np.unpackbits(packed, axis=1, count=group.n, bitorder="little")
+    sub = masks[np.ix_(verts, verts)]
+    adj = sub | sub.T
+    np.fill_diagonal(adj, 0)
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return SimpleGraph(len(verts), [int.from_bytes(r.tobytes(), "little") for r in rows], verts)

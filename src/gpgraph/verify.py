@@ -600,6 +600,8 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
     kwargs = {"workers": config.workers, "dedupe": config.dedupe}
     shadow_depth = max(1, int(math.log2(config.max_order)))
+    # Build the shared catalog up front, so its time lands in no check's runtime.
+    catalog_up_to(config.max_order, config.dedupe)
     for convention in config.conventions:
         reports.append(check_completeness_abelian(config.max_order, convention, **kwargs))
         reports.append(check_completeness_nonabelian(config.max_order, convention, **kwargs))

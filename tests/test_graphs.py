@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph
-from gpgraph.graphs import SimpleGraph, from_edge_list
+from gpgraph.graphs import MAX_EDGE_LIST_VERTICES, SimpleGraph, from_edge_list
 from gpgraph.groups import IndexOutOfRange
 
 
@@ -30,6 +30,25 @@ class TestConstruction:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, [0b10, 0b00])
+        # One asymmetric bit (rows[row] has col, rows[col] lacks row), in
+        # every band position of the packed check.
+        for v, row, col in [
+            (9, 8, 0),      # column in the last, partial byte
+            (257, 3, 256),  # the second band holds one column
+            (300, 5, 290),  # only asymmetric bit outside the first band
+            (300, 290, 5),
+            (600, 300, 550),  # both ends outside the first band
+            (600, 520, 590),  # both ends in the last, partial band
+        ]:
+            rows = [0] * v
+            rows[row] = 1 << col
+            with pytest.raises(ValueError, match="not symmetric"):
+                SimpleGraph(v, rows)
+
+    @pytest.mark.parametrize("v", [0, 1, 7, 8, 9, 257])
+    def test_accepts_symmetric(self, v):
+        edges = [(a, b) for a, b in itertools.combinations(range(v), 2) if (a * 7 + b) % 3 == 0]
+        assert SimpleGraph.from_edges(v, edges).edges() == edges
 
     def test_rejects_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -138,3 +157,40 @@ class TestTextFormats:
         again = from_edge_list(g.to_edge_list())
         assert again.v == g.v
         assert again.edges() == g.edges()
+
+    @pytest.mark.parametrize("text, line", [
+        ("x\n", "line 1"),
+        ("-3\n", "line 1"),
+        ("2\n0 5\n", "line 2"),
+        ("3\n0 1 2\n", "line 2"),
+        ("3\n# comment\n\n0 1\n2\n", "line 5"),
+        ("3\n0 b\n", "line 2"),
+        ("3\n1 1\n", "line 2"),
+        ("3\n0 -1\n", "line 2"),
+    ])
+    def test_edge_list_errors_name_the_line(self, text, line):
+        with pytest.raises(ValueError, match=line):
+            from_edge_list(text)
+
+    def test_edge_list_vertex_cap(self):
+        with pytest.raises(ValueError, match="line 1"):
+            from_edge_list(f"{MAX_EDGE_LIST_VERTICES + 1}\n0 1\n")
+
+    # Arbitrary text, and lines close to the format.
+    @given(st.one_of(
+        st.text(max_size=60),
+        st.lists(st.one_of(
+            st.integers(min_value=-3, max_value=12).map(str),
+            st.tuples(st.integers(min_value=-2, max_value=12),
+                      st.integers(min_value=-2, max_value=12)).map(lambda t: f"{t[0]} {t[1]}"),
+            st.sampled_from(["", "# c", "1 2 3", "a b", "99999999999"]),
+        ), max_size=8).map("\n".join),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_edge_list_fuzz(self, text):
+        try:
+            g = from_edge_list(text)
+        except ValueError:
+            return
+        assert 0 <= g.v <= MAX_EDGE_LIST_VERTICES
+        assert from_edge_list(g.to_edge_list()).edges() == g.edges()

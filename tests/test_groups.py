@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpgraph.catalog import build, parse_spec
+from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.groups import (
     IndexOutOfRange,
     NoIdentity,
@@ -20,6 +20,7 @@ from gpgraph.groups import (
     closure_from_permutations,
     format_cayley_table,
     parse_cayley_table,
+    prime_factors,
     validate_and_build,
 )
 
@@ -270,6 +271,24 @@ class TestInvariants:
                 for x in inter:
                     for y in inter:
                         assert g.mul(x, y) in inter
+
+    def test_prime_subgroup_incidence(self):
+        # Oracle: the subgroups of prime order inside <x>, found by set
+        # containment among all subgroups of each prime order.
+        for spec in catalog_up_to(32):
+            g = build(spec)
+            primes = sorted(prime_factors(g.n))
+            inc = g.prime_subgroup_incidence()
+            assert inc.shape == (g.n, len(primes))
+            assert not inc.flags.writeable
+            by_prime = {p: g.subgroups_of_order_p(p) for p in primes}
+            for x in g.elements():
+                cyc = set(g.cyclic_subgroup(x))
+                for j, p in enumerate(primes):
+                    inside = [sub for sub in by_prime[p] if set(sub) <= cyc]
+                    expected = inside[0][1] if inside else -1
+                    assert len(inside) <= 1, (spec, x, p)
+                    assert int(inc[x, j]) == expected, (spec, x, p)
 
     @given(n=st.integers(min_value=1, max_value=60))
     @settings(max_examples=30, deadline=None)

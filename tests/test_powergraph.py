@@ -137,14 +137,21 @@ class TestGeneralizedPowerGraph:
             assert g.degree(0) == 0
 
     def test_brute_force_agreement(self):
-        # Oracle: adjacency recomputed pairwise from cyclic subgroup sets.
-        for spec in ("cyclic:10", "abelian:4,2", "dihedral:5", "gq:16"):
-            group = build(parse_spec(spec))
+        # Oracles, pairwise from cyclic subgroup sets: GP adjacency is a
+        # non-trivial intersection; P adjacency is one subgroup containing
+        # the other's generator.
+        for spec in catalog_up_to(48):
+            group = build(spec)
+            subgroups = [set(group.cyclic_subgroup(x)) for x in range(group.n)]
             for conv in (STRICT, STRICT_ID, PUNCTURED, FULL):
-                g = generalized_power_graph(group, conv)
-                for i, j in itertools.combinations(range(g.v), 2):
-                    expected = gp_adjacent_oracle(group, g.labels[i], g.labels[j])
-                    assert g.has_edge(i, j) == expected
+                verts = vertex_elements(group, conv)
+                gp = generalized_power_graph(group, conv)
+                pg = power_graph(group, conv)
+                assert gp.labels == pg.labels == verts
+                for i, j in itertools.combinations(range(len(verts)), 2):
+                    x, y = verts[i], verts[j]
+                    assert gp.has_edge(i, j) == (len(subgroups[x] & subgroups[y]) > 1), (spec, conv, x, y)
+                    assert pg.has_edge(i, j) == (y in subgroups[x] or x in subgroups[y]), (spec, conv, x, y)
 
 
 class TestPowerGraph:

@@ -105,6 +105,23 @@ class TestRunAll:
             if r.verdict != VERDICT_NOT_APPLICABLE:
                 assert r.census_groups > 0
 
+    def test_catalog_built_before_first_check(self, monkeypatch):
+        # The catalog build is charged to no check's runtime.
+        import gpgraph.verify as verify
+        from gpgraph.catalog import catalog_up_to
+
+        catalog_up_to.cache_clear()
+        cached_at_first_check = []
+        real = verify.check_completeness_abelian
+
+        def spy(*args, **kwargs):
+            cached_at_first_check.append(catalog_up_to.cache_info().currsize)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_completeness_abelian", spy)
+        run_all(VerifyConfig(max_order=12, conventions=(PUNCTURED,)))
+        assert cached_at_first_check == [1]
+
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
         t34 = next(r for r in reports if r.theorem == "T3.4")
