@@ -23,7 +23,6 @@ from gpgraph.verify import (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("verification_report.json"))
     parser.add_argument(
         "--all-conventions", action="store_true",
@@ -34,8 +33,7 @@ def main() -> int:
     conventions = tuple(VertexConvention) if args.all_conventions else (
         VertexConvention.STRICT, VertexConvention.PUNCTURED
     )
-    config = VerifyConfig(max_order=args.max_order, conventions=conventions,
-                          workers=args.workers)
+    config = VerifyConfig(max_order=args.max_order, conventions=conventions)
     reports = run_all(config)
 
     for report in reports:

@@ -1,7 +1,7 @@
 """Power graphs of finite groups: construction, completeness, components,
 planarity, and an exhaustive classification-verification harness."""
 
-from .catalog import GroupSpec, build, build_cached, catalog_up_to, enumerate_abelian_up_to, parse_spec
+from .catalog import GroupSpec, build, catalog_up_to, enumerate_abelian_up_to, parse_spec
 from .graphs import SimpleGraph, from_edge_list
 from .groups import (
     FiniteGroup,
@@ -38,7 +38,6 @@ __all__ = [
     "VertexConvention",
     "biconnected_components",
     "build",
-    "build_cached",
     "catalog_up_to",
     "closure_from_permutations",
     "enumerate_abelian_up_to",

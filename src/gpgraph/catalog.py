@@ -299,12 +299,6 @@ def build(spec: GroupSpec) -> FiniteGroup:
     return validate_and_build(table, trust_associativity=True)
 
 
-@lru_cache(maxsize=512)
-def build_cached(spec: GroupSpec) -> FiniteGroup:
-    """build() with a bounded cache; harness checks reuse the same groups."""
-    return build(spec)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--conventions", default="strict,punctured",
                           help="comma-separated list of conventions (default strict,punctured)")
     p_verify.add_argument("--json", help="write the JSON report here")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="ignored; kept so existing command lines still run")
     p_verify.add_argument("--no-dedupe", action="store_true",
                           help="keep fingerprint-duplicate catalog entries")
     return parser
@@ -123,7 +124,7 @@ def _cmd_check(args) -> int:
     comps = graph.connected_components()
     sizes = sorted((len(c) for c in comps), reverse=True)
     verdict = is_planar(graph)
-    all_complete = all(graph.induced_subgraph(c).is_complete() for c in comps)
+    all_complete = graph.components_complete(comps)
     print(f"group: {spec.to_text()} ({spec.name}, order {group.n})")
     print(f"convention: {convention.value}")
     print(f"vertices: {graph.v}")
@@ -144,7 +145,6 @@ def _cmd_verify(args) -> int:
     config = VerifyConfig(
         max_order=args.max_order,
         conventions=conventions,
-        workers=args.workers,
         dedupe=not args.no_dedupe,
     )
     reports = run_all(config)

@@ -123,6 +123,14 @@ class SimpleGraph:
         full = (1 << self.v) - 1
         return all(self.rows[i] == full ^ (1 << i) for i in range(self.v))
 
+    def components_complete(self, components: Optional[list[list[int]]] = None) -> bool:
+        """True iff every connected component is a clique, i.e. each vertex's
+        degree is its component's size minus one. Pass the result of
+        connected_components() as `components` to avoid recomputing it."""
+        if components is None:
+            components = self.connected_components()
+        return all(self.rows[i].bit_count() == len(c) - 1 for c in components for i in c)
+
     def connected_components(self) -> list[list[int]]:
         """Partition into maximal connected vertex sets, ordered by minimum vertex."""
         unseen = (1 << self.v) - 1

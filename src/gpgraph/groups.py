@@ -101,11 +101,7 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 class FiniteGroup:
-    """Immutable finite group; element 0 is the identity.
-
-    Safe to share across worker threads: the lazy caches are populated by
-    idempotent writes (racing writers compute identical values).
-    """
+    """Immutable finite group; element 0 is the identity."""
 
     __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks",
                  "_prime_incidence")

@@ -1,6 +1,7 @@
 """Acceptance suite: every classification claim reproduced at its stated
 tolerance, with one pass/fail line and a wall-clock budget per criterion."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -17,13 +18,15 @@ from conftest import (
     petersen_graph,
     wheel_graph,
 )
-from gpgraph.catalog import build, build_cached, catalog_up_to, parse_spec
+from gpgraph.catalog import build, catalog_up_to, parse_spec
+from gpgraph.cli import main
 from gpgraph.graphs import SimpleGraph
 from gpgraph.groups import closure_from_permutations, prime_factors, validate_and_build
 from gpgraph.planarity import euler_bound_check, is_planar, is_planar_oracle
 from gpgraph.powergraph import VertexConvention, generalized_power_graph
 from gpgraph.verify import (
     VERDICT_CONFIRMED,
+    FactsTable,
     VerifyConfig,
     check_abelian_planarity_classification,
     check_completeness_abelian,
@@ -66,7 +69,7 @@ def test_criterion_1_abelian_completeness():
             for n in range(2, 65)
         )
         for conv in (STRICT, PUNCTURED):
-            report = check_completeness_abelian(64, conv)
+            report = check_completeness_abelian(FactsTable(64, (conv,)), conv)
             assert report.verdict == VERDICT_CONFIRMED
             assert not report.counterexamples
             assert report.census_groups == expected_census  # 116 classes
@@ -75,35 +78,35 @@ def test_criterion_1_abelian_completeness():
 def test_criterion_2_quaternion_completeness():
     with criterion(2, "complete GP among non-abelian order <= 64 exactly the Q_{2^n}", 5.0):
         for order, clique in ((8, 7), (16, 15), (32, 31)):
-            g = generalized_power_graph(build_cached(parse_spec(f"gq:{order}")), PUNCTURED)
+            g = generalized_power_graph(build(parse_spec(f"gq:{order}")), PUNCTURED)
             assert g.v == clique
             assert g.is_complete()
         for conv in (STRICT, PUNCTURED):
             complete = {
                 s.to_text()
                 for s in nonabelian_specs(64)
-                if generalized_power_graph(build_cached(s), conv).is_complete()
+                if generalized_power_graph(build(s), conv).is_complete()
             }
             assert complete == {"gq:8", "gq:16", "gq:32", "gq:64"}
 
 
 def test_criterion_3_pgroup_components():
     with criterion(3, "p-group GP components complete, count = #subgroups of order p (<= 81)", 10.0):
-        report = check_pgroup_components(81, PUNCTURED)
+        report = check_pgroup_components(FactsTable(81, (PUNCTURED,)), PUNCTURED)
         assert report.verdict == VERDICT_CONFIRMED
         assert not report.counterexamples
 
         # Strict only degenerates on prime-order cyclic groups (empty vertex set).
-        report_strict = check_pgroup_components(81, STRICT)
+        report_strict = check_pgroup_components(FactsTable(81, (STRICT,)), STRICT)
         assert report_strict.verdict == VERDICT_CONFIRMED
 
-        heis = build_cached(parse_spec("heisenberg:3"))
+        heis = build(parse_spec("heisenberg:3"))
         g = generalized_power_graph(heis, PUNCTURED)
         comps = g.connected_components()
         assert len(comps) == 13 == len(heis.subgroups_of_order_p(3))
         assert all(len(c) == 2 for c in comps)
 
-        g33 = build_cached(parse_spec("abelian:3,3"))
+        g33 = build(parse_spec("abelian:3,3"))
         g = generalized_power_graph(g33, PUNCTURED)
         assert len(g.connected_components()) == 4 == len(g33.subgroups_of_order_p(3))
 
@@ -123,14 +126,14 @@ def test_criterion_4_abelian_planarity_classification():
         ]
         planar_punctured = {
             s.to_text() for s in abelian
-            if is_planar(generalized_power_graph(build_cached(s), PUNCTURED)).planar
+            if is_planar(generalized_power_graph(build(s), PUNCTURED)).planar
         }
         assert planar_punctured == expected
 
-        report = check_abelian_planarity_classification(100, PUNCTURED)
+        report = check_abelian_planarity_classification(FactsTable(100, (PUNCTURED,)), PUNCTURED)
         assert report.verdict == VERDICT_CONFIRMED and not report.discrepancies
 
-        report_strict = check_abelian_planarity_classification(100, STRICT)
+        report_strict = check_abelian_planarity_classification(FactsTable(100, (STRICT,)), STRICT)
         assert report_strict.verdict == VERDICT_CONFIRMED
         assert {f.group for f in report_strict.discrepancies} == {
             "cyclic:8", "cyclic:9", "cyclic:10", "cyclic:15", "cyclic:25"
@@ -144,11 +147,11 @@ def test_criterion_5_nonabelian_pgroup_planarity():
         assert len(two_groups) > 10
         planar = {
             s.to_text() for s in two_groups
-            if is_planar(generalized_power_graph(build_cached(s), PUNCTURED)).planar
+            if is_planar(generalized_power_graph(build(s), PUNCTURED)).planar
         }
         assert planar == {"dihedral:4"}
 
-        heis = build_cached(parse_spec("heisenberg:3"))
+        heis = build(parse_spec("heisenberg:3"))
         assert heis.exponent() == 3
         g = generalized_power_graph(heis, PUNCTURED)
         assert is_planar(g).planar
@@ -161,7 +164,7 @@ def test_criterion_5_nonabelian_pgroup_planarity():
 
 def test_criterion_6_prime_divisor_lemmas():
     with criterion(6, "Z_210 (K_5 witness), Z_14, Z_21, D_14 non-planar; Z_10, Z_15 non-planar punctured", 10.0):
-        z210 = build_cached(parse_spec("cyclic:210"))
+        z210 = build(parse_spec("cyclic:210"))
         for conv in (STRICT, PUNCTURED):
             g = generalized_power_graph(z210, conv)
             assert g.v == (161 if conv is STRICT else 209)
@@ -171,12 +174,12 @@ def test_criterion_6_prime_divisor_lemmas():
             assert g.induced_subgraph(list(verdict.witness)).is_complete()
 
         for spec in ("cyclic:14", "cyclic:21", "dihedral:7"):
-            group = build_cached(parse_spec(spec))
+            group = build(parse_spec(spec))
             for conv in (STRICT, PUNCTURED):
                 assert not is_planar(generalized_power_graph(group, conv)).planar
 
         for spec in ("cyclic:10", "cyclic:15"):
-            group = build_cached(parse_spec(spec))
+            group = build(parse_spec(spec))
             assert not is_planar(generalized_power_graph(group, PUNCTURED)).planar
             assert is_planar(generalized_power_graph(group, STRICT)).planar  # the known discrepancy
 
@@ -237,10 +240,16 @@ def test_criterion_8_group_axiom_suite():
             assert revalidated.fingerprint() == g.fingerprint()
 
 
-def test_criterion_9_determinism():
-    with criterion(9, "verify runs with different worker counts emit byte-identical JSON", 60.0):
+def test_criterion_9_determinism(tmp_path, capsys):
+    with criterion(9, "verify runs emit byte-identical, pinned JSON; --workers changes nothing", 60.0):
         base = VerifyConfig(max_order=64, conventions=(STRICT, PUNCTURED))
-        one = reports_to_json(run_all(base))
-        four = reports_to_json(run_all(VerifyConfig(max_order=64, conventions=(STRICT, PUNCTURED), workers=4)))
-        assert one == four
-        assert one.encode("utf-8") == four.encode("utf-8")
+        one = reports_to_json(run_all(base)).encode("utf-8")
+        two = reports_to_json(run_all(base)).encode("utf-8")
+        assert one == two
+        assert hashlib.sha256(one).hexdigest() == (
+            "5393482314021e9090fdba54539cfd6b0649a9eb49ea0251738c9172d925c8c8"
+        )
+        plain, workers = tmp_path / "plain.json", tmp_path / "workers.json"
+        assert main(["verify", "--max-order", "64", "--json", str(plain)]) == 0
+        assert main(["verify", "--max-order", "64", "--json", str(workers), "--workers", "4"]) == 0
+        assert plain.read_bytes() == workers.read_bytes() == one

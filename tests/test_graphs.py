@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph
+from gpgraph.catalog import build, catalog_up_to
 from gpgraph.graphs import MAX_EDGE_LIST_VERTICES, SimpleGraph, from_edge_list
 from gpgraph.groups import IndexOutOfRange
+from gpgraph.powergraph import VertexConvention, generalized_power_graph
 
 
 def random_graph_strategy(max_v=14):
@@ -91,6 +93,32 @@ class TestQueries:
         assert len(flat) == len(set(flat))
         mins = [min(c) for c in comps]
         assert mins == sorted(mins)
+
+    def test_components_complete_examples(self):
+        k3 = [(0, 1), (0, 2), (1, 2)]
+        assert SimpleGraph.from_edges(6, k3 + [(3, 4), (3, 5), (4, 5)]).components_complete()
+        assert not SimpleGraph.from_edges(6, k3 + [(3, 4), (4, 5)]).components_complete()  # K3 + P3
+        assert SimpleGraph.from_edges(0, []).components_complete()
+        assert SimpleGraph.from_edges(4, []).components_complete()
+
+    @given(random_graph_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_components_complete_matches_induced_subgraphs(self, g):
+        comps = g.connected_components()
+        oracle = all(g.induced_subgraph(c).is_complete() for c in comps)
+        assert g.components_complete() == g.components_complete(comps) == oracle
+
+    def test_components_complete_on_group_graphs(self):
+        outcomes = set()
+        for spec in catalog_up_to(48):
+            group = build(spec)
+            for conv in VertexConvention:
+                g = generalized_power_graph(group, conv)
+                comps = g.connected_components()
+                oracle = all(g.induced_subgraph(c).is_complete() for c in comps)
+                assert g.components_complete(comps) == oracle, (spec.to_text(), conv)
+                outcomes.add(oracle)
+        assert outcomes == {True, False}
 
     def test_induced_subgraph(self):
         k5 = complete_graph(5)

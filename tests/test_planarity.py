@@ -129,19 +129,19 @@ class TestAgreement:
         # The graphs this library is for: unions of overlapping cliques with
         # isolated vertices, up to 161 vertices (well under the 200-vertex
         # oracle corpus line).
-        from gpgraph.catalog import build_cached, catalog_up_to, parse_spec
+        from gpgraph.catalog import build, catalog_up_to, parse_spec
         from gpgraph.powergraph import VertexConvention, generalized_power_graph
 
         for spec in catalog_up_to(64):
             if spec.order() < 2:
                 continue
-            group = build_cached(spec)
+            group = build(spec)
             for conv in (VertexConvention.STRICT, VertexConvention.PUNCTURED):
                 graph = generalized_power_graph(group, conv)
                 assert is_planar(graph).planar == is_planar_oracle(graph), spec.to_text()
 
         big = generalized_power_graph(
-            build_cached(parse_spec("cyclic:210")), VertexConvention.STRICT
+            build(parse_spec("cyclic:210")), VertexConvention.STRICT
         )
         assert big.v == 161
         assert is_planar(big).planar is False

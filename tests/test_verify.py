@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
 from gpgraph.catalog import build, parse_spec
+from gpgraph.cli import main
 from gpgraph.powergraph import VertexConvention, generalized_power_graph
 from gpgraph.verify import (
+    DEFAULT_CONVENTIONS,
     ConventionUnsupported,
+    FactsTable,
     VERDICT_CONFIRMED,
     VERDICT_COUNTEREXAMPLES,
     VERDICT_NOT_APPLICABLE,
@@ -26,15 +30,19 @@ PUNCTURED = VertexConvention.PUNCTURED
 FULL = VertexConvention.FULL
 
 
+def facts(max_order, convention):
+    return FactsTable(max_order, (convention,))
+
+
 class TestIndividualChecks:
     def test_t22_confirmed_small(self):
         for conv in (STRICT, PUNCTURED):
-            report = check_completeness_abelian(24, conv)
+            report = check_completeness_abelian(facts(24, conv), conv)
             assert report.verdict == VERDICT_CONFIRMED
             assert report.census_groups > 0
 
     def test_t22_full_convention_reports_broken_direction(self):
-        report = check_completeness_abelian(24, FULL)
+        report = check_completeness_abelian(facts(24, FULL), FULL)
         assert report.verdict == VERDICT_COUNTEREXAMPLES
         # every cyclic prime-power group breaks via the isolated identity
         names = {f.group for f in report.counterexamples}
@@ -42,32 +50,32 @@ class TestIndividualChecks:
         assert any("'if' direction" in n for n in report.notes)
 
     def test_t31_catalog_relative(self):
-        report = check_completeness_nonabelian(32, PUNCTURED)
+        report = check_completeness_nonabelian(facts(32, PUNCTURED), PUNCTURED)
         assert report.verdict == VERDICT_CONFIRMED
         assert report.catalog_relative
 
     def test_t34_raises_on_identity_bearing_conventions(self):
         with pytest.raises(ConventionUnsupported):
-            check_pgroup_components(16, FULL)
+            check_pgroup_components(facts(16, FULL), FULL)
 
     def test_t34_strict_notes_vacuous_primes(self):
-        report = check_pgroup_components(16, STRICT)
+        report = check_pgroup_components(facts(16, STRICT), STRICT)
         assert report.verdict == VERDICT_CONFIRMED
         assert any("vacuous" in n and "cyclic:13" in n for n in report.notes)
 
     def test_lemma_reports(self):
-        l41, l42, l43 = check_planarity_prime_lemmas(20, PUNCTURED)
+        l41, l42, l43 = check_planarity_prime_lemmas(facts(20, PUNCTURED), PUNCTURED)
         assert (l41.theorem, l42.theorem, l43.theorem) == ("L4.1", "L4.2", "L4.3")
         assert all(r.verdict == VERDICT_CONFIRMED for r in (l41, l42, l43))
         assert any("K5 witness for cyclic:210" in n for n in l41.notes)
 
     def test_l43_strict_discrepancies(self):
-        _, _, l43 = check_planarity_prime_lemmas(20, STRICT)
+        _, _, l43 = check_planarity_prime_lemmas(facts(20, STRICT), STRICT)
         assert l43.verdict == VERDICT_CONFIRMED
         assert {f.group for f in l43.discrepancies} == {"cyclic:10", "cyclic:15"}
 
     def test_t44_strict_discrepancies_at_32(self):
-        report = check_abelian_planarity_classification(32, STRICT)
+        report = check_abelian_planarity_classification(facts(32, STRICT), STRICT)
         assert report.verdict == VERDICT_CONFIRMED
         assert {f.group for f in report.discrepancies} == {
             "cyclic:8", "cyclic:9", "cyclic:10", "cyclic:15", "cyclic:25"
@@ -75,19 +83,19 @@ class TestIndividualChecks:
 
     def test_prufer_shadow(self):
         for conv in (STRICT, PUNCTURED):
-            assert check_prufer_shadow(2, 6, conv).verdict == VERDICT_CONFIRMED
-            assert check_prufer_shadow(3, 4, conv).verdict == VERDICT_CONFIRMED
+            assert check_prufer_shadow(facts(2, conv), conv, 2, 6).verdict == VERDICT_CONFIRMED
+            assert check_prufer_shadow(facts(2, conv), conv, 3, 4).verdict == VERDICT_CONFIRMED
 
     def test_prufer_shadow_degenerate_note(self):
-        report = check_prufer_shadow(2, 1, STRICT)
+        report = check_prufer_shadow(facts(2, STRICT), STRICT, 2, 1)
         assert report.verdict == VERDICT_CONFIRMED
         assert any("degenerate" in n for n in report.notes)
 
     def test_prufer_shadow_preconditions(self):
         with pytest.raises(ValueError):
-            check_prufer_shadow(4, 2, PUNCTURED)
+            check_prufer_shadow(facts(2, PUNCTURED), PUNCTURED, 4, 2)
         with pytest.raises(ValueError):
-            check_prufer_shadow(2, 13, PUNCTURED)
+            check_prufer_shadow(facts(2, PUNCTURED), PUNCTURED, 2, 13)
 
 
 class TestRunAll:
@@ -121,6 +129,46 @@ class TestRunAll:
         monkeypatch.setattr(verify, "check_completeness_abelian", spy)
         run_all(VerifyConfig(max_order=12, conventions=(PUNCTURED,)))
         assert cached_at_first_check == [1]
+
+    def test_prufer_cap_fails_before_the_census(self, monkeypatch):
+        import gpgraph.verify as verify
+
+        def no_catalog(*args, **kwargs):
+            raise AssertionError("catalog enumerated before the Prufer cap was checked")
+
+        monkeypatch.setattr(verify, "catalog_up_to", no_catalog)
+        with pytest.raises(ValueError, match="exceeds the 4096 cap"):
+            run_all(VerifyConfig(max_order=8192))
+
+    def test_each_group_and_graph_built_once(self, monkeypatch):
+        import gpgraph.verify as verify
+
+        spec_of = {}  # id(group) -> spec text; the groups are kept alive below
+        built, graphs = [], []
+
+        def counting_build(spec):
+            group = build(spec)
+            built.append((spec.to_text(), group))
+            spec_of[id(group)] = spec.to_text()
+            return group
+
+        def counting_gp(group, convention):
+            graphs.append((spec_of[id(group)], convention))
+            return generalized_power_graph(group, convention)
+
+        monkeypatch.setattr(verify, "build", counting_build)
+        monkeypatch.setattr(verify, "generalized_power_graph", counting_gp)
+        run_all(VerifyConfig(max_order=24))
+        specs = {text for text, _ in built}
+        assert len(built) == len(specs)
+        assert len(graphs) == len(set(graphs))
+        assert set(graphs) == {(s, c) for s in specs for c in DEFAULT_CONVENTIONS}
+
+    def test_facts_are_made_only_under_the_table_conventions(self):
+        table = facts(8, STRICT)
+        assert table(parse_spec("cyclic:8"), PUNCTURED).complete
+        with pytest.raises(ValueError):
+            table(parse_spec("cyclic:8"), FULL)
 
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
@@ -157,15 +205,28 @@ class TestRunAll:
     def test_t44_census_at_8(self):
         # abelian classes of orders 2..8: Z2 Z3 Z4 Z2^2 Z5 Z6 Z7 Z8 Z4xZ2 Z2^3,
         # three of them of order 8
-        report = check_abelian_planarity_classification(8, PUNCTURED)
+        report = check_abelian_planarity_classification(facts(8, PUNCTURED), PUNCTURED)
         assert report.census_groups == 10
 
 
 class TestDeterminismAndJson:
-    def test_worker_counts_produce_identical_json(self):
-        one = reports_to_json(run_all(VerifyConfig(max_order=24, workers=1)))
-        four = reports_to_json(run_all(VerifyConfig(max_order=24, workers=4)))
-        assert one == four
+    def test_worker_counts_produce_identical_json(self, tmp_path, capsys):
+        # --workers is accepted and ignored.
+        paths = [tmp_path / "plain.json", tmp_path / "workers.json"]
+        assert main(["verify", "--max-order", "24", "--json", str(paths[0])]) == 0
+        assert main(["verify", "--max-order", "24", "--json", str(paths[1]),
+                     "--workers", "4"]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("max_order, conventions, sha256", [
+        (24, DEFAULT_CONVENTIONS,
+         "5a91515b2d7a2612ab3fb42c7ef9bd4b56d06e7de10301af2687268227c9a4bd"),
+        (16, tuple(VertexConvention),
+         "33741dbc94367d050006dd114e36d5486e9c0a57b4df72ad0abe104e878fb848"),
+    ])
+    def test_canonical_json_is_pinned(self, max_order, conventions, sha256):
+        text = reports_to_json(run_all(VerifyConfig(max_order=max_order, conventions=conventions)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
     def test_json_schema(self):
         reports = run_all(VerifyConfig(max_order=12))
