@@ -299,6 +299,14 @@ def build(spec: GroupSpec) -> FiniteGroup:
     return validate_and_build(table, trust_associativity=True)
 
 
+@lru_cache(maxsize=512)
+def build_cached(spec: GroupSpec) -> FiniteGroup:
+    """build() with a bounded cache. The verify harness no longer uses it (it
+    builds each group once per run); it stays until perfbench/ stops tracing
+    it as an entry point and a cache counter."""
+    return build(spec)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------

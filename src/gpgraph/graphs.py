@@ -123,12 +123,10 @@ class SimpleGraph:
         full = (1 << self.v) - 1
         return all(self.rows[i] == full ^ (1 << i) for i in range(self.v))
 
-    def components_complete(self, components: Optional[list[list[int]]] = None) -> bool:
+    def components_complete(self, components: list[list[int]]) -> bool:
         """True iff every connected component is a clique, i.e. each vertex's
-        degree is its component's size minus one. Pass the result of
-        connected_components() as `components` to avoid recomputing it."""
-        if components is None:
-            components = self.connected_components()
+        degree is its component's size minus one; `components` is the result
+        of connected_components()."""
         return all(self.rows[i].bit_count() == len(c) - 1 for c in components for i in c)
 
     def connected_components(self) -> list[list[int]]:

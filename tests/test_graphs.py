@@ -95,18 +95,22 @@ class TestQueries:
         assert mins == sorted(mins)
 
     def test_components_complete_examples(self):
+        def components_complete(v, edges):
+            g = SimpleGraph.from_edges(v, edges)
+            return g.components_complete(g.connected_components())
+
         k3 = [(0, 1), (0, 2), (1, 2)]
-        assert SimpleGraph.from_edges(6, k3 + [(3, 4), (3, 5), (4, 5)]).components_complete()
-        assert not SimpleGraph.from_edges(6, k3 + [(3, 4), (4, 5)]).components_complete()  # K3 + P3
-        assert SimpleGraph.from_edges(0, []).components_complete()
-        assert SimpleGraph.from_edges(4, []).components_complete()
+        assert components_complete(6, k3 + [(3, 4), (3, 5), (4, 5)])
+        assert not components_complete(6, k3 + [(3, 4), (4, 5)])  # K3 + P3
+        assert components_complete(0, [])
+        assert components_complete(4, [])
 
     @given(random_graph_strategy())
     @settings(max_examples=60, deadline=None)
     def test_components_complete_matches_induced_subgraphs(self, g):
         comps = g.connected_components()
         oracle = all(g.induced_subgraph(c).is_complete() for c in comps)
-        assert g.components_complete() == g.components_complete(comps) == oracle
+        assert g.components_complete(comps) == oracle
 
     def test_components_complete_on_group_graphs(self):
         outcomes = set()

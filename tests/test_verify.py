@@ -114,21 +114,23 @@ class TestRunAll:
                 assert r.census_groups > 0
 
     def test_catalog_built_before_first_check(self, monkeypatch):
-        # The catalog build is charged to no check's runtime.
+        # The catalog build and the facts are charged to no check's runtime.
         import gpgraph.verify as verify
         from gpgraph.catalog import catalog_up_to
 
         catalog_up_to.cache_clear()
-        cached_at_first_check = []
+        cached_at_first_check, facts_at_first_check = [], []
         real = verify.check_completeness_abelian
 
-        def spy(*args, **kwargs):
+        def spy(table, *args, **kwargs):
             cached_at_first_check.append(catalog_up_to.cache_info().currsize)
-            return real(*args, **kwargs)
+            facts_at_first_check.append(len(table._facts))
+            return real(table, *args, **kwargs)
 
         monkeypatch.setattr(verify, "check_completeness_abelian", spy)
         run_all(VerifyConfig(max_order=12, conventions=(PUNCTURED,)))
         assert cached_at_first_check == [1]
+        assert facts_at_first_check == [sum(s.order() >= 2 for s in catalog_up_to(12, True))]
 
     def test_prufer_cap_fails_before_the_census(self, monkeypatch):
         import gpgraph.verify as verify
@@ -163,12 +165,6 @@ class TestRunAll:
         assert len(built) == len(specs)
         assert len(graphs) == len(set(graphs))
         assert set(graphs) == {(s, c) for s in specs for c in DEFAULT_CONVENTIONS}
-
-    def test_facts_are_made_only_under_the_table_conventions(self):
-        table = facts(8, STRICT)
-        assert table(parse_spec("cyclic:8"), PUNCTURED).complete
-        with pytest.raises(ValueError):
-            table(parse_spec("cyclic:8"), FULL)
 
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
