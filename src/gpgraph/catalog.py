@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import Callable
 
 import numpy as np
 
 from .groups import (
     FiniteGroup,
+    _permutation_table,
     _table_dtype,
     is_prime,
     prime_factors,
@@ -38,6 +40,10 @@ EXTERNAL = "file"
 _ABELIAN_FAMILIES = {CYCLIC, ABELIAN, ELEMENTARY_ABELIAN}
 
 SYMMETRIC_DEGREE_LIMIT = 6
+
+# build() refuses larger orders before making any n^2 table; parse_spec
+# refuses products nested deeper than MAX_GROUP_ORDER.bit_length() levels.
+MAX_GROUP_ORDER = 8192
 
 
 class BadParameters(ValueError):
@@ -144,6 +150,8 @@ def parse_spec(text: str) -> GroupSpec:
                 if depth == 0:
                     start = i + 1
                 depth += 1
+                if depth > MAX_GROUP_ORDER.bit_length():
+                    raise SpecParseError(f"products nested deeper than {MAX_GROUP_ORDER.bit_length()} levels")
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
@@ -231,14 +239,7 @@ def _heisenberg_table(p: int) -> np.ndarray:
 
 def _symmetric_table(deg: int) -> np.ndarray:
     # itertools.permutations is lexicographic, so the identity is index 0.
-    perms = np.array(list(itertools.permutations(range(deg))), dtype=np.int16)
-    n = len(perms)
-    lut = {p.tobytes(): j for j, p in enumerate(perms)}
-    table = np.empty((n, n), dtype=_table_dtype(n))
-    for a in range(n):
-        composed = perms[a][perms]
-        table[a] = [lut[row.tobytes()] for row in composed]
-    return table
+    return _permutation_table(np.array(list(itertools.permutations(range(deg))), dtype=np.int16))
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -248,11 +249,9 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.kron(t1.astype(dt), ones) * n2 + np.tile(t2.astype(dt), (n1, n1))
 
 
-def build(spec: GroupSpec) -> FiniteGroup:
-    """Construct and validate the group described by a spec.
-
-    Raises BadParameters when the family's parameter domain is violated.
-    """
+def _table_maker(spec: GroupSpec) -> Callable[[], np.ndarray]:
+    """Check the parameters of a spec and of its factors (BadParameters)
+    and return a function that makes its Cayley table."""
     f, p = spec.family, spec.params
 
     def need(cond: bool, msg: str):
@@ -261,42 +260,52 @@ def build(spec: GroupSpec) -> FiniteGroup:
 
     if f == CYCLIC:
         need(len(p) == 1 and p[0] >= 1, "cyclic:n needs n >= 1")
-        table = _cyclic_table(p[0])
-    elif f == ABELIAN:
+        return lambda: _cyclic_table(p[0])
+    if f == ABELIAN:
         need(len(p) >= 1 and all(d >= 1 for d in p), "abelian factors must be >= 1")
-        table = _abelian_table(p)
-    elif f == ELEMENTARY_ABELIAN:
+        return lambda: _abelian_table(p)
+    if f == ELEMENTARY_ABELIAN:
         need(len(p) == 2 and is_prime(p[0]) and p[1] >= 1, "elemab:p,k needs prime p and rank k >= 1")
-        table = _abelian_table((p[0],) * p[1])
-    elif f == DIHEDRAL:
+        return lambda: _abelian_table((p[0],) * p[1])
+    if f == DIHEDRAL:
         need(len(p) == 1 and p[0] >= 1, "dihedral:m needs m >= 1")
-        table = _dihedral_table(p[0])
-    elif f == DICYCLIC:
+        return lambda: _dihedral_table(p[0])
+    if f == DICYCLIC:
         need(len(p) == 1 and p[0] >= 2, "dicyclic:m needs m >= 2")
-        table = _dicyclic_table(p[0])
-    elif f == GENERALIZED_QUATERNION:
+        return lambda: _dicyclic_table(p[0])
+    if f == GENERALIZED_QUATERNION:
         need(len(p) == 1, "gq:n needs the group order")
-        n = p[0]
-        need(n >= 8 and n & (n - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
-        table = _dicyclic_table(n // 4)
-    elif f == HEISENBERG:
+        need(p[0] >= 8 and p[0] & (p[0] - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
+        return lambda: _dicyclic_table(p[0] // 4)
+    if f == HEISENBERG:
         need(len(p) == 1 and is_prime(p[0]), "heisenberg:p needs a prime p")
-        table = _heisenberg_table(p[0])
-    elif f == SYMMETRIC:
+        return lambda: _heisenberg_table(p[0])
+    if f == SYMMETRIC:
         need(len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT,
              f"symmetric:n needs 1 <= n <= {SYMMETRIC_DEGREE_LIMIT}")
-        table = _symmetric_table(p[0])
-    elif f == PRODUCT:
+        return lambda: _symmetric_table(p[0])
+    if f == PRODUCT:
         need(len(spec.parts) >= 2, "product needs at least two factors")
-        table = build(spec.parts[0]).table
-        for part in spec.parts[1:]:
-            table = _product_table(table, build(part).table)
-    elif f == EXTERNAL:
-        return read_cayley_table(spec.path)
-    else:
-        raise BadParameters(f"unknown family {f!r}")
+        makers = [_table_maker(part) for part in spec.parts]
+        return lambda: reduce(_product_table, (make() for make in makers))
+    if f == EXTERNAL:
+        return lambda: read_cayley_table(spec.path).table
+    raise BadParameters(f"unknown family {f!r}")
 
-    return validate_and_build(table, trust_associativity=True)
+
+def build(spec: GroupSpec) -> FiniteGroup:
+    """Construct and validate the group described by a spec.
+
+    Raises BadParameters when the family's parameter domain is violated or
+    the order exceeds MAX_GROUP_ORDER, before any table is made.
+    """
+    if spec.family == EXTERNAL:
+        return read_cayley_table(spec.path)
+    make = _table_maker(spec)
+    order = spec.order()
+    if order is not None and order > MAX_GROUP_ORDER:
+        raise BadParameters(f"{spec.to_text()}: order exceeds the cap {MAX_GROUP_ORDER}")
+    return validate_and_build(make(), trust_associativity=True)
 
 
 @lru_cache(maxsize=512)

@@ -22,22 +22,16 @@ MAX_EDGE_LIST_VERTICES = 1 << 14
 SYMMETRY_BAND = 256
 
 
-def pack_rows(rows: Sequence[int], width: int) -> np.ndarray:
-    """Bitset rows as a len(rows) x ceil(width/8) uint8 matrix; bit j of a
-    row is bit j % 8 of byte j // 8 (numpy's little bit order)."""
-    nbytes = (width + 7) // 8
-    return np.frombuffer(
-        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-    ).reshape(len(rows), nbytes)
-
-
 def _check_symmetric(v: int, rows: list[int]) -> None:
     """Raise ValueError unless bit j of rows[i] equals bit i of rows[j].
 
-    The packed rows are compared with their transpose one band of columns
-    at a time.
+    The rows are packed into bytes (bit j is bit j % 8 of byte j // 8,
+    numpy's little bit order) and compared with their transpose one band
+    of columns at a time.
     """
-    packed = pack_rows(rows, v)
+    nbytes = (v + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(v, nbytes)
     for lo in range(0, v, SYMMETRY_BAND):
         hi = min(lo + SYMMETRY_BAND, v)
         band = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1,

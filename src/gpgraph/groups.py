@@ -104,7 +104,7 @@ class FiniteGroup:
     """Immutable finite group; element 0 is the identity."""
 
     __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks",
-                 "_prime_incidence")
+                 "_prime_incidence", "_powers")
 
     identity = 0
 
@@ -112,6 +112,7 @@ class FiniteGroup:
         self.n = n
         self.table = table
         self.inverses = inverses
+        self._powers: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
         self._masks: Optional[list[int]] = None
@@ -137,23 +138,41 @@ class FiniteGroup:
         return range(self.n)
 
     @property
+    def powers(self) -> np.ndarray:
+        """Read-only n x L array with powers[g, k] = g^k, L the largest
+        element order (so never larger than the table). Row g runs through
+        <g> and wraps: powers[g, k] = g^(k mod order(g))."""
+        if self._powers is None:
+            self._fill_powers()
+        return self._powers
+
+    @property
     def orders(self) -> np.ndarray:
-        """Orders of all elements (cached on first full-group query)."""
+        """Orders of all elements, recorded by the powers fill."""
         if self._orders is None:
-            n = self.n
-            idx = np.arange(n)
-            cur = idx.copy()  # cur[g] = g^k
-            orders = np.zeros(n, dtype=np.int64)
-            k = 1
-            while (orders == 0).any():
-                if k > n:  # possible only for a bad table taken on trust
-                    raise CayleyTableError("some element's powers never reach the identity")
-                done = (cur == 0) & (orders == 0)
-                orders[done] = k
-                cur = self.table[cur, idx]
-                k += 1
-            self._orders = orders
+            self._fill_powers()
         return self._orders
+
+    def _fill_powers(self) -> None:
+        # One walk for all g at once, g^(k+1) = table[g^k, g], until every
+        # element has reached the identity, which takes L steps.
+        cur = idx = np.arange(self.n, dtype=self.table.dtype)  # g^k, k = len(cols)
+        cols = [np.zeros_like(idx)]
+        reached = idx == 0
+        while not reached.all():
+            if len(cols) == self.n:  # possible only for a bad table taken on trust
+                raise CayleyTableError("some element's powers never reach the identity")
+            cols.append(cur)
+            cur = self.table[cur, idx]
+            reached |= cur == 0
+        powers = np.stack(cols, axis=1)
+        powers.setflags(write=False)
+        # order(g) is the least k >= 1 with g^k = 0; with g^L = cur as a last
+        # column, every row has one.
+        orders = np.argmax(np.column_stack((powers[:, 1:], cur)) == 0, axis=1) + 1
+        # Each property tests its own attribute, so a concurrent reader never gets None.
+        self._orders = orders
+        self._powers = powers
 
     def order_of(self, g: int) -> int:
         """Smallest k >= 1 with g^k = identity; divides the group order."""
@@ -187,24 +206,17 @@ class FiniteGroup:
             cur = int(self.table[cur, g])
         return sorted(elems)
 
+    def cyclic_membership(self) -> np.ndarray:
+        """Boolean n x n matrix M with M[g, e] true iff e is in <g>."""
+        member = np.zeros((self.n, self.n), dtype=bool)
+        member[np.arange(self.n)[:, None], self.powers] = True
+        return member
+
     def cyclic_subgroup_masks(self) -> list[int]:
         """Bitmask of <g> for every g; mask bit e set iff e is a power of g."""
         if self._masks is None:
-            table = self.table
-            masks = []
-            for g in range(self.n):
-                col = table[:, g].tolist()
-                m = 1  # identity bit
-                cur = g
-                steps = 0
-                while cur != 0:
-                    if steps > self.n:
-                        raise CayleyTableError("some element's powers never reach the identity")
-                    m |= 1 << cur
-                    cur = col[cur]
-                    steps += 1
-                masks.append(m)
-            self._masks = masks
+            packed = np.packbits(self.cyclic_membership(), axis=1, bitorder="little")
+            self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._masks
 
     def prime_subgroup_incidence(self) -> np.ndarray:
@@ -220,33 +232,13 @@ class FiniteGroup:
         prime order, and <x> has exactly one subgroup of each order p | m.
         """
         if self._prime_incidence is None:
-            n = self.n
-            table = self.table
-            orders = self.orders
-            primes = sorted(prime_factors(n))
-            inc = np.full((n, len(primes)), -1, dtype=_table_dtype(n))
+            powers, orders = self.powers, self.orders
+            primes = sorted(prime_factors(self.n))
+            inc = np.full((self.n, len(primes)), -1, dtype=_table_dtype(self.n))
             for j, p in enumerate(primes):
-                # Least non-identity element of <h> for every h of order p:
-                # scanning ascending, the first unlabelled element of a
-                # subgroup is its least, and labels all of its powers.
-                least = np.full(n, -1, dtype=np.int64)
-                for h in np.nonzero(orders == p)[0].tolist():
-                    if least[h] < 0:
-                        cur = h
-                        while cur:
-                            least[cur] = h
-                            cur = int(table[cur, h])
-                # g^(m/p) for every g whose order m is divisible by p.
                 elems = np.nonzero(orders % p == 0)[0]
-                base = elems.astype(np.int64)
-                exps = orders[elems] // p
-                power = np.zeros(len(elems), dtype=np.int64)
-                while exps.any():
-                    odd = (exps & 1) == 1
-                    power[odd] = table[power[odd], base[odd]]
-                    base = table[base, base]
-                    exps = exps >> 1
-                inc[elems, j] = least[power]
+                h = powers[elems, orders[elems] // p]  # of order p
+                inc[elems, j] = powers[h, 1:p].min(axis=1)
             inc.setflags(write=False)
             self._prime_incidence = inc
         return self._prime_incidence
@@ -428,14 +420,20 @@ def closure_from_permutations(
                 index[q] = len(elems)
                 elems.append(q)
 
-    n = len(elems)
-    perms = np.array(elems, dtype=_table_dtype(max(n, degree)))
+    perms = np.array(elems, dtype=_table_dtype(max(len(elems), degree)))
+    return validate_and_build(_permutation_table(perms), trust_associativity=True)
+
+
+def _permutation_table(perms: np.ndarray) -> np.ndarray:
+    """Cayley table of the permutations in the rows of `perms` under
+    composition: table[a, b] is the row index of perms[a] o perms[b]. The
+    rows must be closed under composition."""
+    n = len(perms)
     lut = {p.tobytes(): j for j, p in enumerate(perms)}
     table = np.empty((n, n), dtype=_table_dtype(n))
-    for a in range(n):
-        composed = perms[a][perms]  # row j: elems[a] o elems[j]
-        table[a] = [lut[row.tobytes()] for row in composed]
-    return validate_and_build(table, trust_associativity=True)
+    for a in range(n):  # row j of perms[a][perms] is perms[a] o perms[j]
+        table[a] = [lut[row.tobytes()] for row in perms[a][perms]]
+    return table
 
 
 # ---------------------------------------------------------------------------

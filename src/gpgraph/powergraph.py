@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .graphs import SimpleGraph, pack_rows
+from .graphs import SimpleGraph
 from .groups import FiniteGroup, IndexOutOfRange
 
 
@@ -98,13 +98,11 @@ def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) ->
 def power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:
     """P(G): x ~ y iff x is a power of y or y is a power of x.
 
-    With M the cyclic-subgroup mask matrix (M[x, y] iff y is in <x>), the
-    adjacency is M or its transpose, restricted to the vertex set.
+    With M the cyclic-subgroup membership matrix (M[x, y] iff y is in <x>),
+    the adjacency is M or its transpose, restricted to the vertex set.
     """
     verts = vertex_elements(group, convention)
-    packed = pack_rows(group.cyclic_subgroup_masks(), group.n)
-    masks = np.unpackbits(packed, axis=1, count=group.n, bitorder="little")
-    sub = masks[np.ix_(verts, verts)]
+    sub = group.cyclic_membership()[np.ix_(verts, verts)]
     adj = sub | sub.T
     np.fill_diagonal(adj, 0)
     rows = np.packbits(adj, axis=1, bitorder="little")

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_count
+import gpgraph.catalog as catalog
 from gpgraph.catalog import (
+    MAX_GROUP_ORDER,
     BadParameters,
     SpecParseError,
     abelian_specs_of_order,
@@ -80,6 +82,7 @@ class TestBuild:
     @pytest.mark.parametrize("bad", [
         "cyclic:0", "dihedral:0", "dicyclic:1", "gq:12", "gq:4",
         "heisenberg:4", "symmetric:7", "abelian:", "elemab:4,2",
+        "product:(cyclic:)x(cyclic:2)", "product:(symmetric:99999999)x(cyclic:2)",
     ])
     def test_bad_parameters(self, bad):
         with pytest.raises((BadParameters, SpecParseError)):
@@ -194,8 +197,41 @@ class TestSpecText:
         with pytest.raises(SpecParseError):
             parse_spec(bad)
 
+    def test_nesting_limit(self):
+        def nested(levels: int) -> str:
+            text = "cyclic:2"
+            for _ in range(levels):
+                text = f"product:({text})x(cyclic:1)"
+            return text
+
+        limit = MAX_GROUP_ORDER.bit_length()
+        assert build(parse_spec(nested(limit))).n == 2
+        for levels in (limit + 1, 1200):
+            with pytest.raises(SpecParseError, match="nested deeper"):
+                parse_spec(nested(levels))
+
     def test_orders_without_building(self):
         for text, order in [("cyclic:12", 12), ("dihedral:4", 8), ("dicyclic:3", 12),
                             ("gq:32", 32), ("heisenberg:3", 27), ("symmetric:4", 24),
                             ("elemab:2,3", 8), ("product:(dihedral:4)x(cyclic:3)", 24)]:
             assert parse_spec(text).order() == order
+
+
+class TableMade(Exception):
+    pass
+
+
+def _no_table(*args):
+    raise TableMade
+
+
+class TestOrderCap:
+    def test_cap_is_checked_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_cyclic_table", _no_table)
+        monkeypatch.setattr(catalog, "_product_table", _no_table)
+        for text in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)",
+                     f"cyclic:{MAX_GROUP_ORDER + 1}"):
+            with pytest.raises(BadParameters, match="exceeds the cap"):
+                build(parse_spec(text))
+        with pytest.raises(TableMade):  # the cap itself is allowed
+            build(parse_spec(f"cyclic:{MAX_GROUP_ORDER}"))

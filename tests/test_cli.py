@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import gpgraph.catalog as catalog
 from gpgraph.catalog import build, parse_spec
 from gpgraph.cli import main
 from gpgraph.groups import read_cayley_table
@@ -90,6 +91,20 @@ def test_domain_errors_exit_cleanly(capsys):
     assert main(["check", "file:/nonexistent.tbl", "--convention", "punctured"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_huge_specs_exit_cleanly(monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("a Cayley table was made")
+
+    monkeypatch.setattr(catalog, "_cyclic_table", no_table)
+    monkeypatch.setattr(catalog, "_product_table", no_table)
+    deep = "cyclic:2"
+    for _ in range(1200):
+        deep = f"product:({deep})x(cyclic:2)"
+    for spec in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)", deep):
+        assert main(["check", spec, "--convention", "strict"]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_console_entry_point(tmp_path):

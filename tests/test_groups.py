@@ -17,6 +17,7 @@ from gpgraph.groups import (
     NotPrime,
     OrderCapExceeded,
     CayleyTableError,
+    FiniteGroup,
     closure_from_permutations,
     format_cayley_table,
     parse_cayley_table,
@@ -321,3 +322,56 @@ class TestInvariants:
         for t in threads:
             t.join()
         assert len(set(results)) == 1
+
+
+def _relabelled_file_group(tmp_path, spec: str) -> FiniteGroup:
+    """`spec` written as a `file:` table under a relabelling that moves the
+    identity off index 0, then loaded back."""
+    table = np.array(build(parse_spec(spec)).table)
+    perm = np.random.default_rng(7).permutation(len(table))
+    if perm[0] == 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    relabelled = np.empty_like(table)
+    relabelled[perm[:, None], perm[None, :]] = perm[table]
+    path = tmp_path / "relabelled.tbl"
+    path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, r)) for r in relabelled) + "\n")
+    return build(parse_spec(f"file:{path}"))
+
+
+class TestPowerTable:
+    def test_powers_and_its_readers(self, tmp_path):
+        groups = [build(s) for s in catalog_up_to(32)]
+        groups.append(_relabelled_file_group(tmp_path, "product:(dihedral:3)x(cyclic:4)"))
+        for g in groups:
+            powers = g.powers
+            assert not powers.flags.writeable
+            with pytest.raises(ValueError):
+                powers[0, 0] = 1
+            assert powers.dtype == g.table.dtype
+            assert powers.shape == (g.n, max(len(g.cyclic_subgroup(x)) for x in g.elements()))
+            idx = np.arange(g.n)
+            assert (powers[:, 0] == 0).all()
+            if powers.shape[1] > 1:
+                assert np.array_equal(powers[:, 1], idx)
+            for k in range(1, powers.shape[1]):
+                assert np.array_equal(powers[:, k], g.table[powers[:, k - 1], idx])
+            masks = g.cyclic_subgroup_masks()
+            for x in g.elements():
+                cyc = g.cyclic_subgroup(x)
+                assert int(g.orders[x]) == len(cyc)
+                assert masks[x] == sum(1 << e for e in cyc)
+
+    def test_powers_that_never_reach_the_identity(self):
+        # Element 1 squares to itself, so its powers never reach 0. Taken on
+        # trust (no validation), every reader of the power table must refuse.
+        table = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 2]], dtype=np.int16)
+        inverses = np.array([0, 2, 1], dtype=np.int16)
+        readers = [
+            lambda g: g.orders,
+            lambda g: g.powers,
+            lambda g: g.cyclic_subgroup_masks(),
+            lambda g: g.prime_subgroup_incidence(),
+        ]
+        for read in readers:
+            with pytest.raises(CayleyTableError):
+                read(FiniteGroup(3, table, inverses))
