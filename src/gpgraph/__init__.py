@@ -17,7 +17,6 @@ from .planarity import (
     biconnected_components,
     euler_bound_check,
     is_planar,
-    is_planar_oracle,
 )
 from .powergraph import (
     VertexConvention,
@@ -47,7 +46,6 @@ __all__ = [
     "generalized_power_graph",
     "gp_adjacent",
     "is_planar",
-    "is_planar_oracle",
     "parse_cayley_table",
     "parse_spec",
     "power_graph",

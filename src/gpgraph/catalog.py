@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -258,14 +258,22 @@ def _table_maker(spec: GroupSpec) -> Callable[[], np.ndarray]:
         if not cond:
             raise BadParameters(f"{spec.to_text()}: {msg}")
 
+    def within_cap(cond: bool):
+        need(cond, f"order exceeds the cap {MAX_GROUP_ORDER}")
+
     if f == CYCLIC:
         need(len(p) == 1 and p[0] >= 1, "cyclic:n needs n >= 1")
         return lambda: _cyclic_table(p[0])
     if f == ABELIAN:
         need(len(p) >= 1 and all(d >= 1 for d in p), "abelian factors must be >= 1")
         return lambda: _abelian_table(p)
+    # The cap is checked before is_prime, which trial-divides, and p^k is
+    # formed only when k alone cannot put it over the cap.
     if f == ELEMENTARY_ABELIAN:
-        need(len(p) == 2 and is_prime(p[0]) and p[1] >= 1, "elemab:p,k needs prime p and rank k >= 1")
+        rule = "elemab:p,k needs prime p and rank k >= 1"
+        need(len(p) == 2 and p[0] >= 2 and p[1] >= 1, rule)
+        within_cap(p[1] < MAX_GROUP_ORDER.bit_length() and p[0] ** p[1] <= MAX_GROUP_ORDER)
+        need(is_prime(p[0]), rule)
         return lambda: _abelian_table((p[0],) * p[1])
     if f == DIHEDRAL:
         need(len(p) == 1 and p[0] >= 1, "dihedral:m needs m >= 1")
@@ -278,7 +286,9 @@ def _table_maker(spec: GroupSpec) -> Callable[[], np.ndarray]:
         need(p[0] >= 8 and p[0] & (p[0] - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
         return lambda: _dicyclic_table(p[0] // 4)
     if f == HEISENBERG:
-        need(len(p) == 1 and is_prime(p[0]), "heisenberg:p needs a prime p")
+        need(len(p) == 1, "heisenberg:p needs a prime p")
+        within_cap(p[0] ** 3 <= MAX_GROUP_ORDER)
+        need(is_prime(p[0]), "heisenberg:p needs a prime p")
         return lambda: _heisenberg_table(p[0])
     if f == SYMMETRIC:
         need(len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT,
@@ -404,12 +414,10 @@ def catalog_up_to(max_order: int, dedupe: bool = True) -> tuple[GroupSpec, ...]:
     """Abelian classes plus named non-abelian families and their products.
 
     Products pair each non-abelian family member with each abelian catalog
-    group. With dedupe=True (default), specs whose built groups share an
-    (order, element-order multiset, abelian) fingerprint are collapsed to
-    the first occurrence.
+    group. With dedupe=True (default), the specs that catalog_groups keeps.
     """
-    if max_order < 1:
-        raise BadParameters("max_order must be >= 1")
+    if dedupe:
+        return tuple(spec for spec, _ in catalog_groups(max_order))
     abelian = enumerate_abelian_up_to(max_order)
     nonabelian = _nonabelian_family_specs(max_order)
     products = []
@@ -419,14 +427,21 @@ def catalog_up_to(max_order: int, dedupe: bool = True) -> tuple[GroupSpec, ...]:
             ab_order = ab.order()
             if ab_order >= 2 and base_order * ab_order <= max_order:
                 products.append(GroupSpec(PRODUCT, parts=(base, ab)))
-    specs = abelian + nonabelian + products
-    if not dedupe:
-        return tuple(specs)
+    return tuple(abelian + nonabelian + products)
+
+
+def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupSpec, FiniteGroup]]:
+    """(spec, group) for each catalog spec in order, building each group once.
+
+    With dedupe=True, a spec whose group shares an (order, element-order
+    multiset, abelian) fingerprint with an earlier one is skipped.
+    """
     seen: set = set()
-    out = []
-    for spec in specs:
-        fp = build(spec).fingerprint()
-        if fp not in seen:
+    for spec in catalog_up_to(max_order, False):
+        group = build(spec)
+        if dedupe:
+            fp = group.fingerprint()
+            if fp in seen:
+                continue
             seen.add(fp)
-            out.append(spec)
-    return tuple(out)
+        yield spec, group

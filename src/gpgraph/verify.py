@@ -12,7 +12,8 @@ from both lists.
 
 Facts come first: the claims read a FactsTable, which builds each group
 once and GP(G) once per convention, and keeps only a GroupFacts record of
-small values. Each claim is a predicate over those records.
+small values. Each claim is a census plus a judge over those records, run
+by one evaluator, _claim.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from .catalog import GroupSpec, build, catalog_up_to, parse_spec
+from .catalog import GroupSpec, build, catalog_groups, parse_spec
 from .groups import FiniteGroup, is_prime, prime_factors
 from .planarity import is_planar
 from .powergraph import VertexConvention, generalized_power_graph
@@ -30,11 +32,6 @@ from .powergraph import VertexConvention, generalized_power_graph
 VERDICT_CONFIRMED = "Confirmed"
 VERDICT_COUNTEREXAMPLES = "CounterexamplesFound"
 VERDICT_NOT_APPLICABLE = "NotApplicable"
-
-THEOREM_IDS = (
-    "T2.2", "T3.1", "T3.4", "L4.1", "L4.2", "L4.3", "T4.4", "T5.1", "T5.2",
-    "PruferShadow",
-)
 
 DEFAULT_MAX_ORDER = 64
 DEFAULT_CONVENTIONS = (VertexConvention.STRICT, VertexConvention.PUNCTURED)
@@ -153,10 +150,11 @@ def _is_l41_spec(spec: GroupSpec) -> bool:
 class FactsTable:
     """GroupFacts per (spec, convention) for one harness run.
 
-    fill() or the first lookup of a spec builds its group once and GP(G)
-    once for each convention in (requested | {punctured}); Punctured is always made
-    because discrepancy checks read it. Neither the group nor the graphs
-    are kept.
+    fill() makes the facts of every catalog group of order >= 2 from one
+    catalog pass, which builds each group once; a spec outside the catalog
+    is built on its first lookup. GP(G) is made once for each convention in
+    (requested | {punctured}); Punctured is always made because discrepancy
+    checks read it. Neither the group nor the graphs are kept.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -165,26 +163,32 @@ class FactsTable:
         self.dedupe = dedupe
         self.conventions = tuple(dict.fromkeys((*conventions, VertexConvention.PUNCTURED)))
         self._facts: dict[tuple[GroupSpec, VertexConvention], GroupFacts] = {}
+        self._catalog: list[GroupSpec] | None = None
 
     def fill(self) -> None:
-        """Make the facts of every catalog group now, not on first lookup."""
-        for spec in self.census(lambda s: True):
-            self(spec, self.conventions[0])
+        """Make the facts of every catalog group now, once per table."""
+        if self._catalog is not None:
+            return
+        self._catalog = []
+        for spec, group in catalog_groups(self.max_order, self.dedupe):
+            if group.n >= 2:
+                self._add(spec, group)
+                self._catalog.append(spec)
 
-    def census(self, pred) -> list[GroupSpec]:
-        """Catalog specs of order 2..max_order satisfying pred, in catalog order."""
-        return [
-            s for s in catalog_up_to(self.max_order, self.dedupe)
-            if 2 <= s.order() <= self.max_order and pred(s)
-        ]
+    def census(self, pred, targets: tuple[str, ...] = ()) -> list[GroupSpec]:
+        """Catalog specs of order 2..max_order satisfying pred, in catalog
+        order, then each target spec text that is not among them."""
+        self.fill()
+        specs = [s for s in self._catalog if pred(s)]
+        texts = {s.to_text() for s in specs}
+        return specs + [parse_spec(t) for t in targets if t not in texts]
 
     def __call__(self, spec: GroupSpec, convention: VertexConvention) -> GroupFacts:
         if (spec, convention) not in self._facts:
-            self._add(spec)
+            self._add(spec, build(spec))
         return self._facts[spec, convention]
 
-    def _add(self, spec: GroupSpec) -> None:
-        group = build(spec)
+    def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         invariants = _group_invariants(group)
         probe = _is_l41_spec(spec)
         for convention in self.conventions:
@@ -206,52 +210,52 @@ class FactsTable:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# The claim evaluator
 # ---------------------------------------------------------------------------
 
-
-def _with_targets(specs: list[GroupSpec], targets: list[GroupSpec]) -> list[GroupSpec]:
-    seen = {s.to_text() for s in specs}
-    out = list(specs)
-    for t in targets:
-        if t.to_text() not in seen:
-            seen.add(t.to_text())
-            out.append(t)
-    return out
+_CATALOG_RELATIVE_NOTE = "'only if' direction is catalog-relative: checked against catalog families only"
 
 
-def _vacuous_note(convention: VertexConvention, vacuous: list[GroupSpec]) -> list[str]:
-    if not vacuous:
-        return []
-    names = ", ".join(s.to_text() for s in vacuous)
-    return [
-        f"vacuous under {convention.value}: empty vertex set for {len(vacuous)} "
-        f"group(s) ({names}); excluded from verdicts"
-    ]
-
-
-def _divergence_is_conventional(
-    facts: FactsTable, spec: GroupSpec, convention: VertexConvention, expected_planar: bool
-) -> bool:
-    """A planarity mismatch is a convention discrepancy (not a counterexample)
-    when the Punctured reading of the same group satisfies the claim."""
-    if convention is VertexConvention.PUNCTURED:
-        return False
-    return facts(spec, VertexConvention.PUNCTURED).planar == expected_planar
-
-
-def _make_report(
+def _claim(
     theorem: str,
+    facts: FactsTable,
     convention: VertexConvention,
-    census: int,
-    max_order: int,
-    counterexamples: list[Finding],
-    discrepancies: list[Finding],
-    notes: list[str],
-    t0: float,
+    specs: list[GroupSpec],
+    judge: Callable[[GroupFacts], Iterable[tuple[str, str]]],
+    *,
+    skip_vacuous: bool = False,
+    conventional: bool = False,
+    notes: Iterable[str] = (),
     catalog_relative: bool = False,
+    max_order: int | None = None,
 ) -> TheoremReport:
-    if census == 0:
+    """Judge each spec's facts under the convention and report.
+
+    judge(f) yields an (observed, expected) pair for each way the record f
+    breaks the claim, and nothing when f satisfies it.
+    skip_vacuous: a group with an empty vertex set is noted and not judged.
+    conventional: a break is a convention discrepancy, not a counterexample,
+    when the Punctured record of the same group satisfies the claim.
+    """
+    t0 = time.perf_counter()
+    counterexamples, discrepancies, vacuous = [], [], []
+    for spec in specs:
+        f = facts(spec, convention)
+        if skip_vacuous and f.v == 0:
+            vacuous.append(spec.to_text())
+            continue
+        breaks = [Finding(spec.to_text(), observed, expected) for observed, expected in judge(f)]
+        if breaks and conventional and not any(judge(facts(spec, VertexConvention.PUNCTURED))):
+            discrepancies.extend(breaks)
+        else:
+            counterexamples.extend(breaks)
+    notes = ([_CATALOG_RELATIVE_NOTE] if catalog_relative else []) + list(notes)
+    if vacuous:
+        notes.append(
+            f"vacuous under {convention.value}: empty vertex set for {len(vacuous)} "
+            f"group(s) ({', '.join(vacuous)}); excluded from verdicts"
+        )
+    if not specs:
         verdict = VERDICT_NOT_APPLICABLE
     elif counterexamples:
         verdict = VERDICT_COUNTEREXAMPLES
@@ -260,8 +264,8 @@ def _make_report(
     return TheoremReport(
         theorem=theorem,
         convention=convention.value,
-        census_groups=census,
-        max_order=max_order,
+        census_groups=len(specs),
+        max_order=facts.max_order if max_order is None else max_order,
         verdict=verdict,
         catalog_relative=catalog_relative,
         counterexamples=counterexamples,
@@ -271,101 +275,65 @@ def _make_report(
     )
 
 
+def _iff(prop: str, observed: bool, expected: bool, reason_yes: str, reason_no: str):
+    """The break of `prop iff condition` when observed differs from expected."""
+    if observed != expected:
+        reason = reason_yes if expected else reason_no
+        yield f"{prop}={observed}", f"{prop}={expected} ({reason})"
+
+
 # ---------------------------------------------------------------------------
-# T2.2: torsion abelian completeness (finite case)
+# The claims
 # ---------------------------------------------------------------------------
 
 
 def check_completeness_abelian(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
-    """Abelian G of order 2..N: GP complete iff G is cyclic of prime-power order."""
-    t0 = time.perf_counter()
+    """T2.2, abelian G of order 2..N: GP complete iff G is cyclic of prime-power order."""
+
+    def expected(f):
+        return f.cyclic and f.p is not None
+
     specs = facts.census(lambda s: s.is_abelian_family)
-    counterexamples = []
-    broke_if = broke_only_if = 0
-    for spec in specs:
-        f = facts(spec, convention)
-        expected = f.cyclic and f.p is not None
-        if f.complete != expected:
-            reason = "cyclic of prime-power order" if expected else "not cyclic of prime-power order"
-            counterexamples.append(
-                Finding(spec.to_text(), f"GP complete={f.complete}", f"GP complete={expected} ({reason})")
-            )
-            if expected:
-                broke_if += 1
-            else:
-                broke_only_if += 1
-    notes = []
+    report = _claim("T2.2", facts, convention, specs,
+                    lambda f: _iff("GP complete", f.complete, expected(f),
+                                   "cyclic of prime-power order", "not cyclic of prime-power order"))
+    broke_if = sum(expected(f) and not f.complete for f in (facts(s, convention) for s in specs))
+    broke_only_if = len(report.counterexamples) - broke_if
     if broke_if:
-        notes.append(
+        report.notes.append(
             f"'if' direction broke for {broke_if} group(s): cyclic prime-power "
             "groups whose GP is not complete under this convention"
         )
     if broke_only_if:
-        notes.append(f"'only if' direction broke for {broke_only_if} group(s)")
-    return _make_report("T2.2", convention, len(specs), facts.max_order,
-                        counterexamples, [], notes, t0)
-
-
-# ---------------------------------------------------------------------------
-# T3.1: finite non-abelian completeness
-# ---------------------------------------------------------------------------
+        report.notes.append(f"'only if' direction broke for {broke_only_if} group(s)")
+    return report
 
 
 def check_completeness_nonabelian(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
-    """Non-abelian G of order 2..N: GP complete iff G is generalized quaternion."""
-    t0 = time.perf_counter()
-    specs = facts.census(lambda s: not s.is_abelian_family)
-    counterexamples = []
-    for spec in specs:
-        f = facts(spec, convention)
-        expected = f.generalized_quaternion
-        if f.complete != expected:
-            reason = "generalized quaternion" if expected else "not generalized quaternion"
-            counterexamples.append(
-                Finding(spec.to_text(), f"GP complete={f.complete}", f"GP complete={expected} ({reason})")
-            )
-    notes = ["'only if' direction is catalog-relative: checked against catalog families only"]
-    return _make_report("T3.1", convention, len(specs), facts.max_order,
-                        counterexamples, [], notes, t0, catalog_relative=True)
-
-
-# ---------------------------------------------------------------------------
-# T3.4: p-group component structure
-# ---------------------------------------------------------------------------
+    """T3.1, non-abelian G of order 2..N: GP complete iff G is generalized quaternion."""
+    return _claim(
+        "T3.1", facts, convention, facts.census(lambda s: not s.is_abelian_family),
+        lambda f: _iff("GP complete", f.complete, f.generalized_quaternion,
+                       "generalized quaternion", "not generalized quaternion"),
+        catalog_relative=True,
+    )
 
 
 def check_pgroup_components(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
-    """p-groups: every GP component complete; #components = #subgroups of order p."""
+    """T3.4, p-groups: every GP component complete; #components = #subgroups of order p."""
     if convention in _IDENTITY_BEARING:
         raise ConventionUnsupported("T3.4", convention)
-    t0 = time.perf_counter()
-    specs = facts.census(lambda s: len(_spec_primes(s)) == 1)
-    counterexamples = []
-    vacuous = []
-    for spec in specs:
-        f = facts(spec, convention)
-        if f.v == 0:
-            vacuous.append(spec)
-            continue
+
+    def judge(f):
         if not f.components_complete:
-            counterexamples.append(
-                Finding(spec.to_text(), "some GP component is not complete",
-                        "every component complete")
-            )
+            yield "some GP component is not complete", "every component complete"
         ncomps = len(f.component_sizes)
         if ncomps != f.subgroups_of_order_p:
-            counterexamples.append(
-                Finding(spec.to_text(), f"{ncomps} GP components",
-                        f"{f.subgroups_of_order_p} components (= subgroups of order p)")
-            )
-    notes = _vacuous_note(convention, vacuous)
-    return _make_report("T3.4", convention, len(specs), facts.max_order,
-                        counterexamples, [], notes, t0)
+            yield (f"{ncomps} GP components",
+                   f"{f.subgroups_of_order_p} components (= subgroups of order p)")
 
-
-# ---------------------------------------------------------------------------
-# L4.1 / L4.2 / L4.3: prime-divisor planarity lemmas
-# ---------------------------------------------------------------------------
+    return _claim("T3.4", facts, convention, facts.census(lambda s: len(_spec_primes(s)) == 1),
+                  judge, skip_vacuous=True)
 
 
 def check_planarity_prime_lemmas(
@@ -374,95 +342,50 @@ def check_planarity_prime_lemmas(
     """Three reports: four-prime orders (L4.1), prime divisors >= 7 (L4.2),
     and mixed {2,5} / {3,5} abelian groups (L4.3); all expect non-planar GP."""
 
-    def run_lemma(theorem: str, specs: list[GroupSpec], t0: float,
-                  witness_note: bool = False) -> TheoremReport:
-        counterexamples = []
-        discrepancies = []
-        vacuous = []
-        notes = []
-        for spec in specs:
-            f = facts(spec, convention)
-            if f.v == 0:
-                vacuous.append(spec)
-                continue
-            if witness_note and not f.planar and f.k5_witness is not None:
-                notes.append(f"K5 witness for {spec.to_text()}: elements {list(f.k5_witness)}")
-            if f.planar:
-                finding = Finding(spec.to_text(), "GP planar", "GP not planar")
-                if _divergence_is_conventional(facts, spec, convention, expected_planar=False):
-                    discrepancies.append(finding)
-                else:
-                    counterexamples.append(finding)
-        notes.extend(_vacuous_note(convention, vacuous))
-        return _make_report(theorem, convention, len(specs), facts.max_order,
-                            counterexamples, discrepancies, notes, t0)
+    def judge(f):
+        if f.planar:
+            yield "GP planar", "GP not planar"
+
+    def lemma(theorem, specs, notes=()):
+        return _claim(theorem, facts, convention, specs, judge,
+                      skip_vacuous=True, conventional=True, notes=notes)
 
     # L4.1: abelian order divisible by >= 4 distinct primes; Z_210 targeted
     # (the smallest such order is 210, beyond any realistic bound).
-    t0 = time.perf_counter()
-    specs = _with_targets(facts.census(_is_l41_spec), [parse_spec("cyclic:210")])
-    l41 = run_lemma("L4.1", specs, t0, witness_note=True)
+    specs = facts.census(_is_l41_spec, ("cyclic:210",))
+    l41 = lemma("L4.1", specs, [
+        f"K5 witness for {s.to_text()}: elements {list(w)}"
+        for s in specs if (w := facts(s, convention).k5_witness) is not None
+    ])
 
     # L4.2: any group whose order has a prime divisor >= 7 (stated for all
     # finite groups); Z_14, Z_21 and D_14 targeted.
-    t0 = time.perf_counter()
-    specs = _with_targets(
-        facts.census(lambda s: max(_spec_primes(s)) >= 7),
-        [parse_spec("cyclic:14"), parse_spec("cyclic:21"), parse_spec("dihedral:7")],
-    )
-    l42 = run_lemma("L4.2", specs, t0)
+    l42 = lemma("L4.2", facts.census(lambda s: max(_spec_primes(s)) >= 7,
+                                     ("cyclic:14", "cyclic:21", "dihedral:7")))
 
     # L4.3: abelian {2,5}- and {3,5}-groups of mixed order; Z_10, Z_15 targeted.
-    t0 = time.perf_counter()
-    specs = _with_targets(
-        facts.census(lambda s: s.is_abelian_family and _spec_primes(s) in ({2, 5}, {3, 5})),
-        [parse_spec("cyclic:10"), parse_spec("cyclic:15")],
-    )
-    l43 = run_lemma("L4.3", specs, t0)
+    l43 = lemma("L4.3", facts.census(
+        lambda s: s.is_abelian_family and _spec_primes(s) in ({2, 5}, {3, 5}),
+        ("cyclic:10", "cyclic:15")))
     return [l41, l42, l43]
-
-
-# ---------------------------------------------------------------------------
-# T4.4: abelian planarity classification
-# ---------------------------------------------------------------------------
 
 
 def check_abelian_planarity_classification(
     facts: FactsTable, convention: VertexConvention
 ) -> TheoremReport:
-    """Abelian G: GP planar iff G is elementary abelian (p in {2,3,5}), Z_4 or Z_6."""
-    t0 = time.perf_counter()
-    specs = facts.census(lambda s: s.is_abelian_family)
-    counterexamples = []
-    discrepancies = []
-    vacuous = []
-    for spec in specs:
-        f = facts(spec, convention)
-        if f.v == 0:
-            vacuous.append(spec)
-            continue
-        expected = f.abelian_planar_family
-        if f.planar != expected:
-            reason = "in the planar families" if expected else "outside the planar families"
-            finding = Finding(spec.to_text(), f"GP planar={f.planar}",
-                              f"GP planar={expected} ({reason})")
-            if _divergence_is_conventional(facts, spec, convention, expected_planar=expected):
-                discrepancies.append(finding)
-            else:
-                counterexamples.append(finding)
-    notes = _vacuous_note(convention, vacuous)
-    if discrepancies:
-        notes.append(
-            f"{len(discrepancies)} group(s) planar under {convention.value} but "
+    """T4.4, abelian G: GP planar iff G is elementary abelian (p in {2,3,5}), Z_4 or Z_6."""
+    report = _claim(
+        "T4.4", facts, convention, facts.census(lambda s: s.is_abelian_family),
+        lambda f: _iff("GP planar", f.planar, f.abelian_planar_family,
+                       "in the planar families", "outside the planar families"),
+        skip_vacuous=True, conventional=True,
+    )
+    if report.discrepancies:
+        report.notes.append(
+            f"{len(report.discrepancies)} group(s) planar under {convention.value} but "
             "outside the classification; the Punctured reading agrees with it"
         )
-    return _make_report("T4.4", convention, len(specs), facts.max_order,
-                        counterexamples, discrepancies, notes, t0)
-
-
-# ---------------------------------------------------------------------------
-# T5.1 / T5.2: non-abelian p-group planarity
-# ---------------------------------------------------------------------------
+    return report
 
 
 def check_nonabelian_pgroup_planarity(
@@ -472,62 +395,33 @@ def check_nonabelian_pgroup_planarity(
     into (p^n - 1)/(p - 1) copies of K_{p-1}. T5.2: among non-abelian 2-groups,
     only D_8 has planar GP."""
 
-    def pgroup_prime(s: GroupSpec) -> int | None:
-        primes = _spec_primes(s)
-        return next(iter(primes)) if len(primes) == 1 else None
-
-    # T5.1
-    t0 = time.perf_counter()
-    specs = facts.census(lambda s: not s.is_abelian_family and pgroup_prime(s) in (3, 5))
-    counterexamples = []
-    planar_count = 0
-    for spec in specs:
-        f = facts(spec, convention)
+    def judge_t51(f):
         if not f.planar:
-            continue
-        planar_count += 1
+            return
         p = f.p
-        problems = []
+        expected = "exponent p and (p^n-1)/(p-1) components, each K_{p-1}"
         if f.exponent != p:
-            problems.append(f"exponent {f.exponent} != {p}")
+            yield f"exponent {f.exponent} != {p}", expected
         ncomps = len(f.component_sizes)
         expected_count = (f.order - 1) // (p - 1)
         if ncomps != expected_count:
-            problems.append(f"{ncomps} components != (p^n-1)/(p-1) = {expected_count}")
+            yield f"{ncomps} components != (p^n-1)/(p-1) = {expected_count}", expected
         if any(size != p - 1 for size in f.component_sizes):
-            problems.append(f"some component size != {p - 1}")
+            yield f"some component size != {p - 1}", expected
         if not f.components_complete:
-            problems.append("some component is not complete")
-        for problem in problems:
-            counterexamples.append(
-                Finding(spec.to_text(), problem,
-                        "exponent p and (p^n-1)/(p-1) components, each K_{p-1}")
-            )
-    notes = [f"{planar_count} of {len(specs)} group(s) have planar GP"] if specs else []
-    t51 = _make_report("T5.1", convention, len(specs), facts.max_order,
-                       counterexamples, [], notes, t0)
+            yield "some component is not complete", expected
 
-    # T5.2
-    t0 = time.perf_counter()
-    specs = facts.census(lambda s: not s.is_abelian_family and pgroup_prime(s) == 2)
-    counterexamples = []
-    for spec in specs:
-        f = facts(spec, convention)
-        if f.planar != f.d8:
-            reason = "isomorphic to D_8" if f.d8 else "not isomorphic to D_8"
-            counterexamples.append(
-                Finding(spec.to_text(), f"GP planar={f.planar}",
-                        f"GP planar={f.d8} ({reason})")
-            )
-    notes = ["'only if' direction is catalog-relative: checked against catalog families only"]
-    t52 = _make_report("T5.2", convention, len(specs), facts.max_order,
-                       counterexamples, [], notes, t0, catalog_relative=True)
+    specs = facts.census(lambda s: not s.is_abelian_family and _spec_primes(s) in ({3}, {5}))
+    planar = sum(facts(s, convention).planar for s in specs)
+    t51 = _claim("T5.1", facts, convention, specs, judge_t51,
+                 notes=[f"{planar} of {len(specs)} group(s) have planar GP"] if specs else [])
+    t52 = _claim(
+        "T5.2", facts, convention,
+        facts.census(lambda s: not s.is_abelian_family and _spec_primes(s) == {2}),
+        lambda f: _iff("GP planar", f.planar, f.d8, "isomorphic to D_8", "not isomorphic to D_8"),
+        catalog_relative=True,
+    )
     return [t51, t52]
-
-
-# ---------------------------------------------------------------------------
-# PruferShadow: finite truncations of the Pruefer-group completeness claim
-# ---------------------------------------------------------------------------
 
 
 def _shadow_specs(p: int, depth: int) -> list[GroupSpec]:
@@ -543,24 +437,20 @@ def _shadow_specs(p: int, depth: int) -> list[GroupSpec]:
 def check_prufer_shadow(
     facts: FactsTable, convention: VertexConvention, p: int, depth: int
 ) -> TheoremReport:
-    """GP(Z_{p^k}) is complete for k = 1..depth (finite shadow of Z_{p^inf})."""
+    """PruferShadow: GP(Z_{p^k}) is complete for k = 1..depth (finite shadow of Z_{p^inf})."""
     specs = _shadow_specs(p, depth)
-    t0 = time.perf_counter()
-    counterexamples = []
-    notes = []
-    for spec in specs:
-        f = facts(spec, convention)
-        if f.v == 0:
-            notes.append(
-                f"degenerate: {spec.to_text()} has an empty vertex set under "
-                f"{convention.value} (vacuously complete)"
-            )
+
+    def judge(f):
         if not f.complete:
-            counterexamples.append(
-                Finding(spec.to_text(), "GP not complete", "GP complete (cyclic p-group)")
-            )
-    return _make_report("PruferShadow", convention, len(specs), p ** depth,
-                        counterexamples, [], notes, t0)
+            yield "GP not complete", "GP complete (cyclic p-group)"
+
+    degenerate = [
+        f"degenerate: {s.to_text()} has an empty vertex set under "
+        f"{convention.value} (vacuously complete)"
+        for s in specs if facts(s, convention).v == 0
+    ]
+    return _claim("PruferShadow", facts, convention, specs, judge,
+                  notes=degenerate, max_order=p ** depth)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +475,7 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[TheoremReport]:
         try:
             reports.append(check_pgroup_components(facts, convention))
         except ConventionUnsupported as exc:
-            reports.append(TheoremReport(
-                theorem="T3.4",
-                convention=convention.value,
-                census_groups=0,
-                max_order=config.max_order,
-                verdict=VERDICT_NOT_APPLICABLE,
-                notes=[str(exc)],
-            ))
+            reports.append(_claim("T3.4", facts, convention, [], lambda f: (), notes=[str(exc)]))
         reports.extend(check_planarity_prime_lemmas(facts, convention))
         reports.append(check_abelian_planarity_classification(facts, convention))
         reports.extend(check_nonabelian_pgroup_planarity(facts, convention))

@@ -21,7 +21,7 @@ from conftest import (
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.graphs import SimpleGraph
 from gpgraph.groups import closure_from_permutations, prime_factors, validate_and_build
-from gpgraph.planarity import euler_bound_check, is_planar, is_planar_oracle
+from gpgraph.planarity import euler_bound_check, is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph
 from gpgraph.verify import (
     VERDICT_CONFIRMED,
@@ -33,6 +33,7 @@ from gpgraph.verify import (
     reports_to_json,
     run_all,
 )
+from planarity_oracle import is_planar_oracle
 from test_groups import Q8_PERM_GENERATORS
 
 STRICT = VertexConvention.STRICT
@@ -67,8 +68,9 @@ def test_criterion_1_abelian_completeness():
             math.prod(partition_count(a) for a in prime_factors(n).values())
             for n in range(2, 65)
         )
+        facts = FactsTable(64, (STRICT,))  # carries Punctured too
         for conv in (STRICT, PUNCTURED):
-            report = check_completeness_abelian(FactsTable(64, (conv,)), conv)
+            report = check_completeness_abelian(facts, conv)
             assert report.verdict == VERDICT_CONFIRMED
             assert not report.counterexamples
             assert report.census_groups == expected_census  # 116 classes
@@ -91,12 +93,13 @@ def test_criterion_2_quaternion_completeness():
 
 def test_criterion_3_pgroup_components():
     with criterion(3, "p-group GP components complete, count = #subgroups of order p (<= 81)", 10.0):
-        report = check_pgroup_components(FactsTable(81, (PUNCTURED,)), PUNCTURED)
+        facts = FactsTable(81, (STRICT,))  # carries Punctured too
+        report = check_pgroup_components(facts, PUNCTURED)
         assert report.verdict == VERDICT_CONFIRMED
         assert not report.counterexamples
 
         # Strict only degenerates on prime-order cyclic groups (empty vertex set).
-        report_strict = check_pgroup_components(FactsTable(81, (STRICT,)), STRICT)
+        report_strict = check_pgroup_components(facts, STRICT)
         assert report_strict.verdict == VERDICT_CONFIRMED
 
         heis = build(parse_spec("heisenberg:3"))
@@ -129,10 +132,11 @@ def test_criterion_4_abelian_planarity_classification():
         }
         assert planar_punctured == expected
 
-        report = check_abelian_planarity_classification(FactsTable(100, (PUNCTURED,)), PUNCTURED)
+        facts = FactsTable(100, (STRICT,))  # carries Punctured too
+        report = check_abelian_planarity_classification(facts, PUNCTURED)
         assert report.verdict == VERDICT_CONFIRMED and not report.discrepancies
 
-        report_strict = check_abelian_planarity_classification(FactsTable(100, (STRICT,)), STRICT)
+        report_strict = check_abelian_planarity_classification(facts, STRICT)
         assert report_strict.verdict == VERDICT_CONFIRMED
         assert {f.group for f in report_strict.discrepancies} == {
             "cyclic:8", "cyclic:9", "cyclic:10", "cyclic:15", "cyclic:25"

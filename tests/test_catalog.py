@@ -225,6 +225,10 @@ def _no_table(*args):
     raise TableMade
 
 
+class PrimalityTested(Exception):
+    pass
+
+
 class TestOrderCap:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
         monkeypatch.setattr(catalog, "_cyclic_table", _no_table)
@@ -235,3 +239,24 @@ class TestOrderCap:
                 build(parse_spec(text))
         with pytest.raises(TableMade):  # the cap itself is allowed
             build(parse_spec(f"cyclic:{MAX_GROUP_ORDER}"))
+
+    def test_cap_is_checked_before_primality(self, monkeypatch):
+        # The order of elemab:2,10^9 has 10^9 bits, and trial division of an
+        # 18-digit p takes minutes: neither the order nor the test may run.
+        def tested(p):
+            raise PrimalityTested
+
+        def no_exact_order(spec):
+            raise AssertionError("the exact order was formed")
+
+        monkeypatch.setattr(catalog, "is_prime", tested)
+        monkeypatch.setattr(catalog.GroupSpec, "order", no_exact_order)
+        for text in ("elemab:2,1000000000", "heisenberg:1000000000000000003",
+                     "elemab:2,14", "heisenberg:21",
+                     "product:(cyclic:2)x(elemab:2,1000000000)",
+                     "product:(heisenberg:1000000000000000003)x(cyclic:2)"):
+            with pytest.raises(BadParameters, match="exceeds the cap"):
+                build(parse_spec(text))
+        for text in ("elemab:2,13", "heisenberg:20"):  # orders 8192 and 8000
+            with pytest.raises(PrimalityTested):
+                build(parse_spec(text))

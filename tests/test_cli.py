@@ -102,9 +102,10 @@ def test_huge_specs_exit_cleanly(monkeypatch, capsys):
     deep = "cyclic:2"
     for _ in range(1200):
         deep = f"product:({deep})x(cyclic:2)"
-    for spec in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)", deep):
+    for spec in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)", deep,
+                 "elemab:2,1000000000", "heisenberg:1000000000000000003"):
         assert main(["check", spec, "--convention", "strict"]) == 2
-    assert capsys.readouterr().err.count("error:") == 3
+    assert capsys.readouterr().err.count("error:") == 5
 
 
 def test_console_entry_point(tmp_path):

@@ -16,12 +16,11 @@ from gpgraph.graphs import SimpleGraph
 from gpgraph.planarity import (
     METHOD_EULER_BOUND,
     METHOD_K5_CLIQUE,
-    TooLarge,
     biconnected_components,
     euler_bound_check,
     is_planar,
-    is_planar_oracle,
 )
+from planarity_oracle import TooLarge, is_planar_oracle
 
 NAMED = [
     ("K4", complete_graph(4), True),

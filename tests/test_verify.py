@@ -1,9 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from gpgraph.catalog import build, parse_spec
+from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.cli import main
 from gpgraph.powergraph import VertexConvention, generalized_power_graph
 from gpgraph.verify import (
@@ -138,12 +139,20 @@ class TestRunAll:
         def no_catalog(*args, **kwargs):
             raise AssertionError("catalog enumerated before the Prufer cap was checked")
 
-        monkeypatch.setattr(verify, "catalog_up_to", no_catalog)
+        monkeypatch.setattr(verify, "catalog_groups", no_catalog)
         with pytest.raises(ValueError, match="exceeds the 4096 cap"):
             run_all(VerifyConfig(max_order=8192))
 
     def test_each_group_and_graph_built_once(self, monkeypatch):
+        # Every build in a run is counted: the catalog pass, which builds the
+        # specs that dedupe drops too, and the lookups of off-catalog targets.
+        import gpgraph.catalog as catalog
         import gpgraph.verify as verify
+
+        targets = ["cyclic:210"]  # L4.1's target, the only one above 24
+        kept = [s.to_text() for s in catalog_up_to(24, True) if s.order() >= 2] + targets
+        every = [s.to_text() for s in catalog_up_to(24, False)] + targets
+        catalog_up_to.cache_clear()  # so that a cached catalog hides no build
 
         spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
@@ -158,13 +167,12 @@ class TestRunAll:
             graphs.append((spec_of[id(group)], convention))
             return generalized_power_graph(group, convention)
 
+        monkeypatch.setattr(catalog, "build", counting_build)
         monkeypatch.setattr(verify, "build", counting_build)
         monkeypatch.setattr(verify, "generalized_power_graph", counting_gp)
         run_all(VerifyConfig(max_order=24))
-        specs = {text for text, _ in built}
-        assert len(built) == len(specs)
-        assert len(graphs) == len(set(graphs))
-        assert set(graphs) == {(s, c) for s in specs for c in DEFAULT_CONVENTIONS}
+        assert Counter(text for text, _ in built) == Counter(every)
+        assert Counter(graphs) == Counter((s, c) for s in kept for c in DEFAULT_CONVENTIONS)
 
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
@@ -214,14 +222,17 @@ class TestDeterminismAndJson:
                      "--workers", "4"]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("max_order, conventions, sha256", [
+    @pytest.mark.parametrize("max_order, conventions, sha256, dedupe", [
         (24, DEFAULT_CONVENTIONS,
-         "5a91515b2d7a2612ab3fb42c7ef9bd4b56d06e7de10301af2687268227c9a4bd"),
+         "5a91515b2d7a2612ab3fb42c7ef9bd4b56d06e7de10301af2687268227c9a4bd", True),
         (16, tuple(VertexConvention),
-         "33741dbc94367d050006dd114e36d5486e9c0a57b4df72ad0abe104e878fb848"),
+         "33741dbc94367d050006dd114e36d5486e9c0a57b4df72ad0abe104e878fb848", True),
+        (24, DEFAULT_CONVENTIONS,
+         "d83392ade73d96d4fd9a7beece511b87801ebabaf84d6a33a7c1a47fc32e861e", False),
     ])
-    def test_canonical_json_is_pinned(self, max_order, conventions, sha256):
-        text = reports_to_json(run_all(VerifyConfig(max_order=max_order, conventions=conventions)))
+    def test_canonical_json_is_pinned(self, max_order, conventions, sha256, dedupe):
+        config = VerifyConfig(max_order=max_order, conventions=conventions, dedupe=dedupe)
+        text = reports_to_json(run_all(config))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
     def test_json_schema(self):
