@@ -12,11 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     _permutation_table,
     _table_dtype,
@@ -41,9 +42,16 @@ _ABELIAN_FAMILIES = {CYCLIC, ABELIAN, ELEMENTARY_ABELIAN}
 
 SYMMETRIC_DEGREE_LIMIT = 6
 
-# build() refuses larger orders before making any n^2 table; parse_spec
-# refuses products nested deeper than MAX_GROUP_ORDER.bit_length() levels.
-MAX_GROUP_ORDER = 8192
+# build() refuses orders above MAX_GROUP_ORDER before making any n^2 table;
+# parse_spec refuses products nested deeper than MAX_GROUP_ORDER.bit_length()
+# levels.
+
+# Error messages quote at most this many characters of a spec.
+QUOTE_LIMIT = 80
+
+
+def _quote(text: str) -> str:
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT - 3] + "..."
 
 
 class BadParameters(ValueError):
@@ -134,7 +142,7 @@ def parse_spec(text: str) -> GroupSpec:
     """Parse the one-line GroupSpec text form."""
     text = text.strip()
     if ":" not in text:
-        raise SpecParseError(f"missing ':' in group spec {text!r}")
+        raise SpecParseError(f"missing ':' in group spec {_quote(text)!r}")
     family, rest = text.split(":", 1)
     family = family.lower()
     if family == EXTERNAL:
@@ -155,20 +163,20 @@ def parse_spec(text: str) -> GroupSpec:
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
-                    raise SpecParseError(f"unbalanced ')' in {text!r}")
+                    raise SpecParseError(f"unbalanced ')' in {_quote(text)!r}")
                 if depth == 0:
                     parts.append(parse_spec(rest[start:i]))
             elif depth == 0 and ch != "x":
-                raise SpecParseError(f"unexpected {ch!r} between product factors in {text!r}")
+                raise SpecParseError(f"unexpected {ch!r} between product factors in {_quote(text)!r}")
         if depth != 0:
-            raise SpecParseError(f"unbalanced '(' in {text!r}")
+            raise SpecParseError(f"unbalanced '(' in {_quote(text)!r}")
         if len(parts) < 2:
-            raise SpecParseError(f"product spec needs at least two factors: {text!r}")
+            raise SpecParseError(f"product spec needs at least two factors: {_quote(text)!r}")
         return GroupSpec(PRODUCT, parts=tuple(parts))
     try:
         params = tuple(int(tok) for tok in rest.split(",")) if rest else ()
     except ValueError:
-        raise SpecParseError(f"non-integer parameter in {text!r}")
+        raise SpecParseError(f"non-integer parameter in {_quote(text)!r}")
     if family not in (CYCLIC, ABELIAN, ELEMENTARY_ABELIAN, DIHEDRAL, DICYCLIC,
                       GENERALIZED_QUATERNION, HEISENBERG, SYMMETRIC):
         raise SpecParseError(f"unknown family {family!r}")
@@ -182,21 +190,27 @@ def parse_spec(text: str) -> GroupSpec:
 
 def _cyclic_table(n: int) -> np.ndarray:
     a = np.arange(n, dtype=_table_dtype(n))
-    return (a[:, None] + a[None, :]) % n
+    table = np.add.outer(a, a)
+    table %= n
+    return table
 
 
 def _abelian_table(factors: tuple[int, ...]) -> np.ndarray:
+    # Mixed radix, last factor fastest: index = sum of d_i * stride_i. Each
+    # factor adds (d_i + d'_i) % f_i * stride_i, which is the cyclic table of
+    # f_i broadcast over a 6-axis view of the table, with no n x n temporary.
     n = math.prod(factors)
-    k = len(factors)
-    digits = np.empty((n, k), dtype=np.int64)
-    rem = np.arange(n)
-    for j in range(k - 1, -1, -1):
-        rem, digits[:, j] = np.divmod(rem, factors[j])
-    summed = (digits[:, None, :] + digits[None, :, :]) % np.array(factors)
-    strides = np.ones(k, dtype=np.int64)
-    for j in range(k - 2, -1, -1):
-        strides[j] = strides[j + 1] * factors[j + 1]
-    return (summed @ strides).astype(_table_dtype(n))
+    table = np.zeros((n, n), dtype=_table_dtype(n))
+    high = 1
+    for f in factors:
+        if f == 1:  # adds nothing; a spec may list 10^5 of them
+            continue
+        stride = n // (high * f)
+        term = _cyclic_table(f)
+        term *= stride
+        table.reshape(high, f, stride, high, f, stride)[...] += term[:, None, None, :, None]
+        high *= f
+    return table
 
 
 def _dihedral_table(m: int) -> np.ndarray:
@@ -249,57 +263,79 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.kron(t1.astype(dt), ones) * n2 + np.tile(t2.astype(dt), (n1, n1))
 
 
-def _table_maker(spec: GroupSpec) -> Callable[[], np.ndarray]:
-    """Check the parameters of a spec and of its factors (BadParameters)
-    and return a function that makes its Cayley table."""
+def _table_maker(spec: GroupSpec) -> tuple[int | None, Callable[[], np.ndarray]]:
+    """Check the parameters of a spec and of its factors (BadParameters),
+    refuse an order above MAX_GROUP_ORDER, and return the order (None for a
+    file: factor) with a function that makes the Cayley table.
+
+    No order far above the cap is ever formed: p^k is formed only when k
+    alone cannot put it over the cap, and products stop at the first
+    partial product over it.
+    """
     f, p = spec.family, spec.params
 
     def need(cond: bool, msg: str):
         if not cond:
-            raise BadParameters(f"{spec.to_text()}: {msg}")
+            raise BadParameters(f"{_quote(spec.to_text())}: {msg}")
 
-    def within_cap(cond: bool):
-        need(cond, f"order exceeds the cap {MAX_GROUP_ORDER}")
+    def within_cap(order: int) -> int:
+        need(order <= MAX_GROUP_ORDER, f"order exceeds the cap {MAX_GROUP_ORDER}")
+        return order
+
+    def capped_product(orders: Iterable[int]) -> int:
+        order = 1
+        for factor in orders:
+            order = within_cap(order * factor)
+        return order
 
     if f == CYCLIC:
         need(len(p) == 1 and p[0] >= 1, "cyclic:n needs n >= 1")
-        return lambda: _cyclic_table(p[0])
+        return within_cap(p[0]), lambda: _cyclic_table(p[0])
     if f == ABELIAN:
+        # Factors of 1 are legal, so the factor count alone says nothing.
         need(len(p) >= 1 and all(d >= 1 for d in p), "abelian factors must be >= 1")
-        return lambda: _abelian_table(p)
-    # The cap is checked before is_prime, which trial-divides, and p^k is
-    # formed only when k alone cannot put it over the cap.
+        return capped_product(p), lambda: _abelian_table(p)
+    # The cap is checked before is_prime, which trial-divides.
     if f == ELEMENTARY_ABELIAN:
         rule = "elemab:p,k needs prime p and rank k >= 1"
         need(len(p) == 2 and p[0] >= 2 and p[1] >= 1, rule)
-        within_cap(p[1] < MAX_GROUP_ORDER.bit_length() and p[0] ** p[1] <= MAX_GROUP_ORDER)
+        need(p[1] < MAX_GROUP_ORDER.bit_length(), f"order exceeds the cap {MAX_GROUP_ORDER}")
+        order = within_cap(p[0] ** p[1])
         need(is_prime(p[0]), rule)
-        return lambda: _abelian_table((p[0],) * p[1])
+        return order, lambda: _abelian_table((p[0],) * p[1])
     if f == DIHEDRAL:
         need(len(p) == 1 and p[0] >= 1, "dihedral:m needs m >= 1")
-        return lambda: _dihedral_table(p[0])
+        return within_cap(2 * p[0]), lambda: _dihedral_table(p[0])
     if f == DICYCLIC:
         need(len(p) == 1 and p[0] >= 2, "dicyclic:m needs m >= 2")
-        return lambda: _dicyclic_table(p[0])
+        return within_cap(4 * p[0]), lambda: _dicyclic_table(p[0])
     if f == GENERALIZED_QUATERNION:
         need(len(p) == 1, "gq:n needs the group order")
         need(p[0] >= 8 and p[0] & (p[0] - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
-        return lambda: _dicyclic_table(p[0] // 4)
+        return within_cap(p[0]), lambda: _dicyclic_table(p[0] // 4)
     if f == HEISENBERG:
         need(len(p) == 1, "heisenberg:p needs a prime p")
-        within_cap(p[0] ** 3 <= MAX_GROUP_ORDER)
+        order = within_cap(p[0] ** 3)
         need(is_prime(p[0]), "heisenberg:p needs a prime p")
-        return lambda: _heisenberg_table(p[0])
+        return order, lambda: _heisenberg_table(p[0])
     if f == SYMMETRIC:
         need(len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT,
              f"symmetric:n needs 1 <= n <= {SYMMETRIC_DEGREE_LIMIT}")
-        return lambda: _symmetric_table(p[0])
+        return math.factorial(p[0]), lambda: _symmetric_table(p[0])
     if f == PRODUCT:
         need(len(spec.parts) >= 2, "product needs at least two factors")
-        makers = [_table_maker(part) for part in spec.parts]
-        return lambda: reduce(_product_table, (make() for make in makers))
+        orders, makers = zip(*(_table_maker(part) for part in spec.parts))
+        if None not in orders:
+            return capped_product(orders), lambda: reduce(_product_table, (make() for make in makers))
+
+        def make_with_file_factor() -> np.ndarray:
+            tables = [make() for make in makers]
+            capped_product(len(t) for t in tables)
+            return reduce(_product_table, tables)
+
+        return None, make_with_file_factor
     if f == EXTERNAL:
-        return lambda: read_cayley_table(spec.path).table
+        return None, lambda: read_cayley_table(spec.path).table
     raise BadParameters(f"unknown family {f!r}")
 
 
@@ -307,14 +343,12 @@ def build(spec: GroupSpec) -> FiniteGroup:
     """Construct and validate the group described by a spec.
 
     Raises BadParameters when the family's parameter domain is violated or
-    the order exceeds MAX_GROUP_ORDER, before any table is made.
+    the order exceeds MAX_GROUP_ORDER, before any table is made (for a
+    product with a file: factor, before the product table is made).
     """
     if spec.family == EXTERNAL:
         return read_cayley_table(spec.path)
-    make = _table_maker(spec)
-    order = spec.order()
-    if order is not None and order > MAX_GROUP_ORDER:
-        raise BadParameters(f"{spec.to_text()}: order exceeds the cap {MAX_GROUP_ORDER}")
+    _, make = _table_maker(spec)
     return validate_and_build(make(), trust_associativity=True)
 
 

@@ -22,16 +22,21 @@ MAX_EDGE_LIST_VERTICES = 1 << 14
 SYMMETRY_BAND = 256
 
 
+def _pack(rows: Sequence[int], v: int) -> np.ndarray:
+    """The bitset rows as a len(rows) x ceil(v / 8) uint8 array: bit j is
+    bit j % 8 of byte j // 8, numpy's little bit order."""
+    nbytes = (v + 7) // 8
+    return np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                         dtype=np.uint8).reshape(len(rows), nbytes)
+
+
 def _check_symmetric(v: int, rows: list[int]) -> None:
     """Raise ValueError unless bit j of rows[i] equals bit i of rows[j].
 
-    The rows are packed into bytes (bit j is bit j % 8 of byte j // 8,
-    numpy's little bit order) and compared with their transpose one band
-    of columns at a time.
+    The packed rows are compared with their transpose one band of columns
+    at a time.
     """
-    nbytes = (v + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                           dtype=np.uint8).reshape(v, nbytes)
+    packed = _pack(rows, v)
     for lo in range(0, v, SYMMETRY_BAND):
         hi = min(lo + SYMMETRY_BAND, v)
         band = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1,
@@ -151,21 +156,23 @@ class SimpleGraph:
         return comps
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "SimpleGraph":
-        """Subgraph on the given vertices (sorted), labels inherited."""
+        """Subgraph on the given vertices (sorted, repeats dropped), labels
+        inherited.
+
+        The selected rows are unpacked SYMMETRY_BAND at a time, cut to the
+        selected columns and packed again, so working memory is
+        O(v * SYMMETRY_BAND) booleans.
+        """
         verts = sorted(set(vertices))
         for x in verts:
             if not 0 <= x < self.v:
                 raise IndexOutOfRange(x, self.v)
-        pos = {x: i for i, x in enumerate(verts)}
-        rows = [0] * len(verts)
-        for i, x in enumerate(verts):
-            r = self.rows[x]
-            while r:
-                y = (r & -r).bit_length() - 1
-                r &= r - 1
-                j = pos.get(y)
-                if j is not None:
-                    rows[i] |= 1 << j
+        rows = []
+        for lo in range(0, len(verts), SYMMETRY_BAND):
+            band = _pack([self.rows[x] for x in verts[lo:lo + SYMMETRY_BAND]], self.v)
+            bits = np.unpackbits(band, axis=1, count=self.v, bitorder="little")[:, verts]
+            rows.extend(int.from_bytes(r.tobytes(), "little")
+                        for r in np.packbits(bits, axis=1, bitorder="little"))
         return SimpleGraph(len(verts), rows, [self.labels[x] for x in verts])
 
     def contains_k5_clique(self) -> Optional[list[int]]:

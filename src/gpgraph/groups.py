@@ -12,6 +12,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+# The largest group order accepted anywhere: catalog specs are refused above
+# it before any n^2 table is made, and file: tables before any row is parsed.
+MAX_GROUP_ORDER = 8192
+
 # Associativity is validated up to this order; beyond it the check must be
 # explicitly waived by the caller (trusted constructors, `--trust` loads).
 ASSOCIATIVITY_CHECK_LIMIT = 256
@@ -426,13 +430,28 @@ def closure_from_permutations(
 
 def _permutation_table(perms: np.ndarray) -> np.ndarray:
     """Cayley table of the permutations in the rows of `perms` under
-    composition: table[a, b] is the row index of perms[a] o perms[b]. The
-    rows must be closed under composition."""
+    composition: table[a, b] is the row index of perms[a] o perms[b].
+
+    Each row is one np.void key; the keys are sorted once, and each row of
+    compositions is looked up with one searchsorted. Raises
+    CayleyTableError when the rows are not closed under composition.
+    """
     n = len(perms)
-    lut = {p.tobytes(): j for j, p in enumerate(perms)}
+    # No void key has width 0: the empty permutation stands in as the
+    # identity on one point.
+    perms = np.ascontiguousarray(perms if perms.shape[1] else np.zeros((n, 1), perms.dtype))
+    key = np.dtype((np.void, perms.itemsize * perms.shape[1]))
+    by_key = np.argsort(perms.view(key).ravel())
+    keys = perms[by_key].view(key).ravel()
     table = np.empty((n, n), dtype=_table_dtype(n))
     for a in range(n):  # row j of perms[a][perms] is perms[a] o perms[j]
-        table[a] = [lut[row.tobytes()] for row in perms[a][perms]]
+        comp = perms[a][perms].view(key).ravel()
+        at = np.minimum(np.searchsorted(keys, comp), n - 1)
+        missing = np.nonzero(keys[at] != comp)[0]
+        if len(missing):
+            raise CayleyTableError(
+                f"rows {a} and {int(missing[0])} compose to a permutation outside the rows")
+        table[a] = by_key[at]
     return table
 
 
@@ -454,6 +473,8 @@ def parse_cayley_table(text: str, *, trust_associativity: bool = False) -> Finit
         raise CayleyTableError(f"first line must be the order, got {lines[0]!r}")
     if n < 1:
         raise CayleyTableError(f"order must be >= 1, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise CayleyTableError(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
     if len(lines) != n + 1:
         raise CayleyTableError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []

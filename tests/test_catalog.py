@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_count
+from kernel_oracles import abelian_table_rows
 import gpgraph.catalog as catalog
 from gpgraph.catalog import (
     MAX_GROUP_ORDER,
@@ -87,6 +89,45 @@ class TestBuild:
     def test_bad_parameters(self, bad):
         with pytest.raises((BadParameters, SpecParseError)):
             build(parse_spec(bad))
+
+
+class TestAbelianTable:
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)
+           .filter(lambda fs: math.prod(fs) <= 400))
+    @example([1])
+    @example([1, 1])
+    @example([1, 4, 1, 3])
+    @example([4, 1, 2, 1, 2])
+    @example([2] * 9)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_digit_cube(self, factors):
+        factors = tuple(factors)
+        table = catalog._abelian_table(factors)
+        assert table.dtype == np.int16
+        assert np.array_equal(table, abelian_table_rows(factors, range(len(table))))
+
+    def test_factors_of_one_cost_nothing(self, monkeypatch):
+        cyclic_orders = []
+
+        def counted(n):
+            cyclic_orders.append(n)
+            return cyclic_table(n)
+
+        cyclic_table = catalog._cyclic_table
+        monkeypatch.setattr(catalog, "_cyclic_table", counted)
+        assert build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["4", "2"]))).n == 8
+        assert cyclic_orders == [4, 2]
+
+    def test_at_the_cap(self):
+        factors = (2,) * 13
+        table = catalog._abelian_table(factors)
+        assert table.shape == (MAX_GROUP_ORDER, MAX_GROUP_ORDER)
+        sample = list(range(0, MAX_GROUP_ORDER, 97)) + [MAX_GROUP_ORDER - 1]
+        assert np.array_equal(table[sample], abelian_table_rows(factors, sample))
+        # In Z2^13 the digit sum mod 2 is XOR, so every row has a closed form.
+        idx = np.arange(MAX_GROUP_ORDER)
+        for lo in range(0, MAX_GROUP_ORDER, 256):
+            assert np.array_equal(table[lo:lo + 256], np.bitwise_xor.outer(idx[lo:lo + 256], idx))
 
 
 class TestAbelianEnumeration:
@@ -260,3 +301,31 @@ class TestOrderCap:
         for text in ("elemab:2,13", "heisenberg:20"):  # orders 8192 and 8000
             with pytest.raises(PrimalityTested):
                 build(parse_spec(text))
+
+    def test_long_abelian_specs_are_refused_quickly(self, monkeypatch):
+        # Factors of 1 are legal, so only the partial products can say when
+        # to stop; the exact order of 10^5 factors must never be formed, and
+        # the message must not quote the whole spec.
+        def no_exact_order(spec):
+            raise AssertionError("the exact order was formed")
+
+        monkeypatch.setattr(catalog.GroupSpec, "order", no_exact_order)
+        monkeypatch.setattr(catalog, "_abelian_table", _no_table)
+        long = "abelian:" + ",".join(["2"] * 10**5)
+        for text in (long, f"product:({long})x(cyclic:2)", f"product:(cyclic:2)x({long})"):
+            with pytest.raises(BadParameters, match="exceeds the cap") as err:
+                build(parse_spec(text))
+            assert len(str(err.value)) < 200
+        with pytest.raises(TableMade):
+            build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["2"] * 13)))
+        with pytest.raises(SpecParseError, match="non-integer") as err:
+            parse_spec(long + ",two")
+        assert len(str(err.value)) < 200
+
+    def test_product_with_a_file_factor(self, tmp_path, monkeypatch):
+        path = tmp_path / "z2.tbl"
+        path.write_text("2\n0 1\n1 0\n")
+        assert build(parse_spec(f"product:(file:{path})x(cyclic:3)")).n == 6
+        monkeypatch.setattr(catalog, "_product_table", _no_table)
+        with pytest.raises(BadParameters, match="exceeds the cap"):
+            build(parse_spec(f"product:(file:{path})x(cyclic:{MAX_GROUP_ORDER // 2 + 1})"))

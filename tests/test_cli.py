@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import gpgraph.catalog as catalog
-from gpgraph.catalog import build, parse_spec
+from gpgraph.catalog import MAX_GROUP_ORDER, build, parse_spec
 from gpgraph.cli import main
 from gpgraph.groups import read_cayley_table
 
@@ -106,6 +106,13 @@ def test_huge_specs_exit_cleanly(monkeypatch, capsys):
                  "elemab:2,1000000000", "heisenberg:1000000000000000003"):
         assert main(["check", spec, "--convention", "strict"]) == 2
     assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_huge_file_table_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "huge.tbl"
+    path.write_text(f"{MAX_GROUP_ORDER + 1}\n0\n")
+    assert main(["check", f"file:{path}", "--convention", "strict"]) == 2
+    assert f"exceeds the cap {MAX_GROUP_ORDER}" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

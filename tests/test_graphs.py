@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph
+from kernel_oracles import induced_rows
 from gpgraph.catalog import build, catalog_up_to
 from gpgraph.graphs import MAX_EDGE_LIST_VERTICES, SimpleGraph, from_edge_list
 from gpgraph.groups import IndexOutOfRange
@@ -18,6 +20,19 @@ def random_graph_strategy(max_v=14):
         pairs = list(itertools.combinations(range(v), 2))
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
         return SimpleGraph.from_edges(v, edges)
+
+    return strat()
+
+
+def sparse_graph_strategy(max_v=600):
+    """Graphs wider than one byte, up to more than two SYMMETRY_BANDs of
+    vertices, with about as many edges as vertices."""
+    @st.composite
+    def strat(draw):
+        v = draw(st.integers(min_value=9, max_value=max_v))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pairs = {tuple(sorted(rng.sample(range(v), 2))) for _ in range(rng.randrange(2 * v))}
+        return SimpleGraph.from_edges(v, pairs)
 
     return strat()
 
@@ -136,15 +151,29 @@ class TestQueries:
         with pytest.raises(IndexOutOfRange):
             complete_graph(3).induced_subgraph([0, 9])
 
-    @given(random_graph_strategy())
+    @given(st.one_of(random_graph_strategy(), sparse_graph_strategy()), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_induced_preserves_adjacency(self, g):
-        verts = [x for x in range(g.v) if x % 2 == 0]
+    def test_induced_preserves_adjacency(self, g, data):
+        # Unsorted, with repeats, or empty; wide draws select more rows than
+        # one SYMMETRY_BAND.
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        verts = rng.sample(range(g.v), data.draw(st.integers(0, g.v)))
+        if verts:
+            verts += rng.choices(verts, k=data.draw(st.integers(0, 3)))
+        rng.shuffle(verts)
         sub = g.induced_subgraph(verts)
-        for i, a in enumerate(verts):
-            for j, b in enumerate(verts):
-                if i != j:
-                    assert sub.has_edge(i, j) == g.has_edge(a, b)
+        kept = sorted(set(verts))
+        assert sub.rows == induced_rows(g, verts)
+        assert sub.labels == [g.labels[x] for x in kept]
+        inside = set(kept)
+        assert [(kept[a], kept[b]) for a, b in sub.edges()] == [
+            (a, b) for a, b in g.edges() if a in inside and b in inside]
+
+    def test_induced_selects_several_bands(self):
+        g = SimpleGraph.from_edges(
+            600, [(a, b) for a in range(600) for b in (a * 7 % 600, (a * a + 3) % 600) if a != b])
+        for verts in (range(600), range(599, -1, -3), [5, 599, 5, 300, 8, 7]):
+            assert g.induced_subgraph(verts).rows == induced_rows(g, verts)
 
     def test_k5_clique_examples(self):
         assert complete_graph(5).contains_k5_clique() == [0, 1, 2, 3, 4]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.groups import (
+    MAX_GROUP_ORDER,
     IndexOutOfRange,
     NoIdentity,
     NoInverse,
@@ -18,12 +20,14 @@ from gpgraph.groups import (
     OrderCapExceeded,
     CayleyTableError,
     FiniteGroup,
+    _permutation_table,
     closure_from_permutations,
     format_cayley_table,
     parse_cayley_table,
     prime_factors,
     validate_and_build,
 )
+from kernel_oracles import permutation_closure, permutation_table
 
 # Non-associative loop of order 5 (Latin square with two-sided identity and
 # inverses); witness triple (1, 1, 2).
@@ -217,6 +221,10 @@ class TestClosure:
         g = closure_from_permutations(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
         assert g.order_of(0) == 1
 
+    def test_degree_zero(self):
+        for gens in ([], [()]):
+            assert closure_from_permutations(0, gens).n == 1
+
     def test_order_cap(self):
         with pytest.raises(OrderCapExceeded):
             closure_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=50)
@@ -229,6 +237,19 @@ class TestClosure:
         g = closure_from_permutations(8, Q8_PERM_GENERATORS)
         revalidated = validate_and_build(np.array(g.table))
         assert revalidated.fingerprint() == g.fingerprint()
+
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_permutation_table_matches_dict_loop(self, degree):
+        perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int16)
+        assert np.array_equal(_permutation_table(perms), permutation_table(perms))
+
+    def test_permutation_table_needs_closed_rows(self):
+        s4 = np.array(list(itertools.permutations(range(4))), dtype=np.int16)
+        for rows in (s4[:-1], s4[[0, 1, 3]], np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int16)):
+            with pytest.raises(KeyError):
+                permutation_table(rows)
+            with pytest.raises(CayleyTableError, match="outside the rows"):
+                _permutation_table(rows)
 
 
 class TestTableTextFormat:
@@ -243,6 +264,11 @@ class TestTableTextFormat:
         g = parse_cayley_table(text)
         assert g.identity == 0
         assert g.n == 2
+
+    def test_order_cap_before_rows(self):
+        # The order alone is refused, before the row count is looked at.
+        with pytest.raises(CayleyTableError, match=f"exceeds the cap {MAX_GROUP_ORDER}"):
+            parse_cayley_table(f"{MAX_GROUP_ORDER + 1}\n0\n")
 
     def test_bad_shapes(self):
         with pytest.raises(CayleyTableError):
@@ -308,6 +334,10 @@ class TestInvariants:
         g = closure_from_permutations(degree, [tuple(p) for p in perms])
         revalidated = validate_and_build(np.array(g.table))
         assert revalidated.n == g.n
+        rows = permutation_closure(degree, perms)
+        rows = rows[data.draw(st.permutations(range(len(rows))))]
+        assert len(rows) == g.n
+        assert np.array_equal(_permutation_table(rows), permutation_table(rows))
 
     def test_concurrent_order_cache_is_consistent(self):
         g = build(parse_spec("symmetric:4"))
