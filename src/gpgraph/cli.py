@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = group_sub.add_parser("build", help="construct a group, emit its Cayley table")
     p_build.add_argument("spec", help="group spec, e.g. cyclic:12, gq:16, product:(dihedral:4)x(cyclic:3)")
     p_build.add_argument("--out", help="write the table here instead of stdout")
-    p_build.add_argument("--trust", action="store_true",
-                         help="skip associativity validation for external tables with order > 256")
 
     p_graph = sub.add_parser("graph", help="emit a power graph")
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
@@ -58,19 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
         _add_convention(sp)
         sp.add_argument("--dot", help="write DOT output here")
         sp.add_argument("--edges", help="write edge-list output here")
-        sp.add_argument("--trust", action="store_true",
-                        help="skip associativity validation for external tables with order > 256")
 
     p_check = sub.add_parser("check", help="summary for one group")
     p_check.add_argument("spec")
     _add_convention(p_check)
-    p_check.add_argument("--trust", action="store_true",
-                         help="skip associativity validation for external tables with order > 256")
 
     p_verify = sub.add_parser("verify", help="run the theorem-verification harness")
     p_verify.add_argument("--max-order", type=int, default=64)
     p_verify.add_argument("--conventions", default="strict,punctured",
-                          help="comma-separated list of conventions (default strict,punctured)")
+                          help="comma-separated list of conventions (default strict,punctured; "
+                               "all four: strict,strict-id,punctured,full)")
     p_verify.add_argument("--json", help="write the JSON report here")
     p_verify.add_argument("--workers", type=int, default=1,
                           help="ignored; kept so existing command lines still run")
@@ -79,17 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_group(spec_text: str, trust: bool = False):
-    spec = parse_spec(spec_text)
-    if spec.family == "file" and trust:
-        from .groups import read_cayley_table
-        return spec, read_cayley_table(spec.path, trust_associativity=True)
-    return spec, build(spec)
-
-
 def _cmd_group_build(args) -> int:
-    _, group = _load_group(args.spec, trust=args.trust)
-    text = format_cayley_table(group)
+    text = format_cayley_table(build(parse_spec(args.spec)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -99,7 +85,7 @@ def _cmd_group_build(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _, group = _load_group(args.spec, trust=args.trust)
+    group = build(parse_spec(args.spec))
     convention = VertexConvention.from_flag(args.convention)
     builder = generalized_power_graph if args.graph_command == "gp" else power_graph
     graph = builder(group, convention)
@@ -118,7 +104,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec, group = _load_group(args.spec, trust=args.trust)
+    spec = parse_spec(args.spec)
+    group = build(spec)
     convention = VertexConvention.from_flag(args.convention)
     graph = generalized_power_graph(group, convention)
     comps = graph.connected_components()
@@ -150,6 +137,12 @@ def _cmd_verify(args) -> int:
     reports = run_all(config)
     for report in reports:
         print(format_report_line(report))
+    discrepancies = [(r, f) for r in reports for f in r.discrepancies]
+    if discrepancies:
+        print("\nconvention discrepancies (not counterexamples):")
+        for r, f in discrepancies:
+            print(f"  {r.theorem} [{r.convention}] {f.group}: {f.observed}, "
+                  f"classification says {f.expected}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(reports_to_json(reports))

@@ -13,12 +13,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 # The largest group order accepted anywhere: catalog specs are refused above
-# it before any n^2 table is made, and file: tables before any row is parsed.
+# it before any n^2 table is made, file: tables before any row is parsed, and
+# tables handed to validate_and_build before any check.
 MAX_GROUP_ORDER = 8192
-
-# Associativity is validated up to this order; beyond it the check must be
-# explicitly waived by the caller (trusted constructors, `--trust` loads).
-ASSOCIATIVITY_CHECK_LIMIT = 256
 
 PERMUTATION_CLOSURE_CAP = 2048
 
@@ -105,17 +102,23 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 class FiniteGroup:
-    """Immutable finite group; element 0 is the identity."""
+    """Immutable finite group; element 0 is the identity.
+
+    The constructor wraps the table without checking it, so it is only for
+    tables that are groups by construction (catalog families, products,
+    permutation closures). Tables from outside go through validate_and_build.
+    """
 
     __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks",
                  "_prime_incidence", "_powers")
 
     identity = 0
 
-    def __init__(self, n: int, table: np.ndarray, inverses: np.ndarray):
-        self.n = n
+    def __init__(self, table: np.ndarray):
+        table.setflags(write=False)
+        self.n = table.shape[0]
         self.table = table
-        self.inverses = inverses
+        self.inverses = np.argmax(table == 0, axis=1).astype(table.dtype)
         self._powers: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
@@ -164,7 +167,7 @@ class FiniteGroup:
         cols = [np.zeros_like(idx)]
         reached = idx == 0
         while not reached.all():
-            if len(cols) == self.n:  # possible only for a bad table taken on trust
+            if len(cols) == self.n:  # possible only for a table that is no group
                 raise CayleyTableError("some element's powers never reach the identity")
             cols.append(cur)
             cur = self.table[cur, idx]
@@ -181,16 +184,7 @@ class FiniteGroup:
     def order_of(self, g: int) -> int:
         """Smallest k >= 1 with g^k = identity; divides the group order."""
         self._check_index(g)
-        if self._orders is not None:
-            return int(self._orders[g])
-        cur = g
-        k = 1
-        while cur != 0:
-            if k > self.n:
-                raise CayleyTableError("some element's powers never reach the identity")
-            cur = int(self.table[cur, g])
-            k += 1
-        return k
+        return int(self.orders[g])
 
     @property
     def is_abelian(self) -> bool:
@@ -279,17 +273,6 @@ class FiniteGroup:
                     out.append(sub)
         return sorted(out)
 
-    def center(self) -> list[int]:
-        """Elements commuting with every element of the group."""
-        commutes = self.table == self.table.T
-        return [int(g) for g in np.nonzero(commutes.all(axis=1))[0]]
-
-    def centralizer(self, x: int) -> list[int]:
-        """Elements commuting with x."""
-        self._check_index(x)
-        commutes = self.table[x, :] == self.table[:, x]
-        return [int(g) for g in np.nonzero(commutes)[0]]
-
     def fingerprint(self) -> tuple[int, tuple[int, ...], bool]:
         """(order, sorted element-order multiset, abelian flag).
 
@@ -334,13 +317,12 @@ def _check_associativity(table: np.ndarray) -> None:
             raise NotAssociative(a, s, c)
 
 
-def validate_and_build(table, *, trust_associativity: bool = False) -> FiniteGroup:
-    """Validate a Cayley table and wrap it as a FiniteGroup.
+def validate_and_build(table) -> FiniteGroup:
+    """Validate a Cayley table in full and wrap it as a FiniteGroup.
 
-    Checks closure, a two-sided identity (relabelled to index 0 if needed),
-    two-sided inverses and, for n <= 256, full associativity. Larger tables
-    require trust_associativity=True (catalog constructors are correct by
-    construction; external tables are not).
+    Checks the order cap, closure, a two-sided identity (relabelled to
+    index 0 if needed), two-sided inverses and associativity (Light's test).
+    The table is copied; the caller's array is left as it is.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -348,12 +330,14 @@ def validate_and_build(table, *, trust_associativity: bool = False) -> FiniteGro
     if not np.issubdtype(arr.dtype, np.integer):
         raise CayleyTableError("table entries must be integers")
     n = arr.shape[0]
-    arr = arr.astype(_table_dtype(n), copy=True)
-
+    if n > MAX_GROUP_ORDER:
+        raise CayleyTableError(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
+    # Range first: the cast below would wrap entries off by a multiple of 2^16.
     bad = np.argwhere((arr < 0) | (arr >= n))
     if len(bad):
         r, c = (int(v) for v in bad[0])
         raise NotClosed(r, c, int(arr[r, c]), n)
+    arr = arr.astype(_table_dtype(n), copy=True)
 
     idx = np.arange(n)
     row_ok = (arr == idx[None, :]).all(axis=1)
@@ -373,23 +357,14 @@ def validate_and_build(table, *, trust_associativity: bool = False) -> FiniteGro
         relabelled[perm[:, None], perm[None, :]] = perm[arr]
         arr = relabelled
 
-    inv = np.argmax(arr == 0, axis=1).astype(arr.dtype)
+    group = FiniteGroup(arr)
+    inv = group.inverses
     right_ok = arr[idx, inv] == 0
     left_ok = arr[inv, idx] == 0
     if not (right_ok & left_ok).all():
         raise NoInverse(int(np.nonzero(~(right_ok & left_ok))[0][0]))
-
-    if n <= ASSOCIATIVITY_CHECK_LIMIT:
-        _check_associativity(arr)
-    elif not trust_associativity:
-        raise CayleyTableError(
-            f"order {n} exceeds the associativity check limit "
-            f"({ASSOCIATIVITY_CHECK_LIMIT}); pass trust_associativity=True "
-            "for trusted tables"
-        )
-
-    arr.setflags(write=False)
-    return FiniteGroup(n, arr, inv)
+    _check_associativity(arr)
+    return group
 
 
 def closure_from_permutations(
@@ -425,7 +400,7 @@ def closure_from_permutations(
                 elems.append(q)
 
     perms = np.array(elems, dtype=_table_dtype(max(len(elems), degree)))
-    return validate_and_build(_permutation_table(perms), trust_associativity=True)
+    return FiniteGroup(_permutation_table(perms))
 
 
 def _permutation_table(perms: np.ndarray) -> np.ndarray:
@@ -462,7 +437,8 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parse_cayley_table(text: str, *, trust_associativity: bool = False) -> FiniteGroup:
+def parse_cayley_table(text: str) -> FiniteGroup:
+    """Read the text format and validate the table in full (validate_and_build)."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -485,8 +461,11 @@ def parse_cayley_table(text: str, *, trust_associativity: bool = False) -> Finit
             raise CayleyTableError(f"non-integer entry in row {len(rows)}: {ln!r}")
         if len(row) != n:
             raise CayleyTableError(f"row {len(rows)} has {len(row)} entries, expected {n}")
+        if min(row) < 0 or max(row) >= n:  # before any cast, which could wrap
+            col = next(c for c, v in enumerate(row) if not 0 <= v < n)
+            raise NotClosed(len(rows), col, row[col], n)
         rows.append(row)
-    return validate_and_build(np.array(rows), trust_associativity=trust_associativity)
+    return validate_and_build(np.array(rows, dtype=_table_dtype(n)))
 
 
 def format_cayley_table(group: FiniteGroup) -> str:
@@ -496,9 +475,9 @@ def format_cayley_table(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_cayley_table(path, *, trust_associativity: bool = False) -> FiniteGroup:
+def read_cayley_table(path) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cayley_table(fh.read(), trust_associativity=trust_associativity)
+        return parse_cayley_table(fh.read())
 
 
 def write_cayley_table(group: FiniteGroup, path) -> None:

@@ -222,11 +222,16 @@ def test_criterion_7_planarity_cross_validation():
 
 
 def test_criterion_8_group_axiom_suite():
-    with criterion(8, "all catalog groups <= 256 validate; Lagrange; closure matches constructors", 60.0):
-        specs = catalog_up_to(256)
-        assert len(specs) > 1000
+    with criterion(8, "all catalog tables <= 256 pass full validation unchanged; Lagrange; "
+                      "closure matches constructors", 60.0):
+        specs = catalog_up_to(256, False)
+        assert len(specs) > 1500
         for spec in specs:
-            group = build(spec)  # full identity/inverse/associativity validation
+            group = build(spec)
+            # full closure/identity/inverse/associativity validation
+            checked = validate_and_build(group.table)
+            assert np.array_equal(checked.table, group.table), spec
+            assert np.array_equal(checked.inverses, group.inverses), spec
             orders = np.asarray(group.orders)
             assert (group.n % orders == 0).all()
 
@@ -235,12 +240,6 @@ def test_criterion_8_group_axiom_suite():
         assert s3.fingerprint() == build(parse_spec("symmetric:3")).fingerprint()
         q8 = closure_from_permutations(8, Q8_PERM_GENERATORS)
         assert q8.fingerprint() == build(parse_spec("gq:8")).fingerprint()
-
-        # spot re-validation of emitted tables
-        for text in ("cyclic:256", "dihedral:64", "gq:128", "heisenberg:5"):
-            g = build(parse_spec(text))
-            revalidated = validate_and_build(np.array(g.table))
-            assert revalidated.fingerprint() == g.fingerprint()
 
 
 def test_criterion_9_determinism():

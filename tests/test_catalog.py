@@ -18,7 +18,7 @@ from gpgraph.catalog import (
     enumerate_abelian_up_to,
     parse_spec,
 )
-from gpgraph.groups import prime_factors
+from gpgraph.groups import prime_factors, validate_and_build
 
 
 class TestBuild:
@@ -196,9 +196,15 @@ class TestCatalog:
         assert "dicyclic:2" not in {s.to_text() for s in merged}
 
     def test_every_member_validates(self):
-        for s in catalog_up_to(32):
+        # build wraps family tables unchecked; full validation must give
+        # them back unchanged, duplicates included.
+        for s in catalog_up_to(256, False):
             g = build(s)
+            checked = validate_and_build(g.table)
             assert g.n == s.order()
+            assert checked.table.dtype == g.table.dtype, s
+            assert np.array_equal(checked.table, g.table), s
+            assert np.array_equal(checked.inverses, g.inverses), s
 
     def test_products_bounded_by_max_order(self):
         for s in catalog_up_to(30):

@@ -8,6 +8,7 @@ import gpgraph.catalog as catalog
 from gpgraph.catalog import MAX_GROUP_ORDER, build, parse_spec
 from gpgraph.cli import main
 from gpgraph.groups import read_cayley_table
+from test_groups import WRAPPED_Z2_TEXTS, loop5_times_cyclic
 
 
 def test_group_build_round_trip(tmp_path, capsys):
@@ -80,6 +81,15 @@ def test_verify_single_convention(capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 10
 
 
+def test_verify_lists_discrepancies_after_the_report_lines(capsys):
+    assert main(["verify", "--max-order", "12", "--conventions", "strict,punctured"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    at = lines.index("convention discrepancies (not counterexamples):")
+    assert at == 21 and lines[20] == ""
+    assert "  T4.4 [strict] cyclic:8: GP planar=True, classification says GP planar=False" \
+        " (outside the planar families)" in lines[at + 1:]
+
+
 def test_verify_no_dedupe(capsys):
     assert main(["verify", "--max-order", "12", "--no-dedupe",
                  "--conventions", "punctured"]) == 0
@@ -91,6 +101,36 @@ def test_domain_errors_exit_cleanly(capsys):
     assert main(["check", "file:/nonexistent.tbl", "--convention", "punctured"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_non_group_table_exits_2(tmp_path, capsys):
+    table = loop5_times_cyclic(60)
+    path = tmp_path / "loop300.tbl"
+    path.write_text("300\n" + "\n".join(" ".join(map(str, row)) for row in table) + "\n")
+    assert main(["check", f"file:{path}", "--convention", "punctured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(a*b)*c != a*(b*c) for (a, b, c) = (" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cyclic:4", "--convention", "punctured"],
+    ["graph", "gp", "cyclic:4", "--convention", "punctured"],
+    ["graph", "pg", "cyclic:4", "--convention", "punctured"],
+    ["group", "build", "cyclic:4"],
+])
+def test_trust_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trust"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", WRAPPED_Z2_TEXTS)
+def test_wrapped_entries_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "wrapped.tbl"
+    path.write_text(text)
+    assert main(["check", f"file:{path}", "--convention", "punctured"]) == 2
+    assert "is outside [0, 2)" in capsys.readouterr().err
 
 
 def test_huge_specs_exit_cleanly(monkeypatch, capsys):
