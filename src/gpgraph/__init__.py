@@ -21,7 +21,6 @@ from .planarity import (
 from .powergraph import (
     VertexConvention,
     generalized_power_graph,
-    gp_adjacent,
     power_graph,
     vertex_elements,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "format_cayley_table",
     "from_edge_list",
     "generalized_power_graph",
-    "gp_adjacent",
     "is_planar",
     "parse_cayley_table",
     "parse_spec",

@@ -19,6 +19,10 @@ MAX_GROUP_ORDER = 8192
 
 PERMUTATION_CLOSURE_CAP = 2048
 
+# Light's test compares this many rows of the table at a time, so its working
+# memory is O(n * ASSOCIATIVITY_BAND) entries.
+ASSOCIATIVITY_BAND = 256
+
 
 class CayleyTableError(ValueError):
     """A table failed validation as a group multiplication table."""
@@ -109,8 +113,8 @@ class FiniteGroup:
     permutation closures). Tables from outside go through validate_and_build.
     """
 
-    __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_masks",
-                 "_prime_incidence", "_powers")
+    __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_prime_incidence",
+                 "_powers")
 
     identity = 0
 
@@ -122,7 +126,6 @@ class FiniteGroup:
         self._powers: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
-        self._masks: Optional[list[int]] = None
         self._prime_incidence: Optional[np.ndarray] = None
 
     def __repr__(self):
@@ -195,14 +198,7 @@ class FiniteGroup:
     def cyclic_subgroup(self, g: int) -> list[int]:
         """<g> as a sorted list; its size equals order_of(g)."""
         self._check_index(g)
-        elems = [0]
-        cur = g
-        while cur != 0:
-            if len(elems) > self.n:
-                raise CayleyTableError("some element's powers never reach the identity")
-            elems.append(cur)
-            cur = int(self.table[cur, g])
-        return sorted(elems)
+        return sorted(self.powers[g, :self.orders[g]].tolist())
 
     def cyclic_membership(self) -> np.ndarray:
         """Boolean n x n matrix M with M[g, e] true iff e is in <g>."""
@@ -211,11 +207,12 @@ class FiniteGroup:
         return member
 
     def cyclic_subgroup_masks(self) -> list[int]:
-        """Bitmask of <g> for every g; mask bit e set iff e is a power of g."""
-        if self._masks is None:
-            packed = np.packbits(self.cyclic_membership(), axis=1, bitorder="little")
-            self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._masks
+        """Bitmask of <g> for every g; mask bit e set iff e is a power of g.
+
+        Uncached and unused by gpgraph itself; it stays until perfbench/
+        stops tracing it as an entry point."""
+        packed = np.packbits(self.cyclic_membership(), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def prime_subgroup_incidence(self) -> np.ndarray:
         """Which subgroups of prime order each element's cyclic subgroup contains.
@@ -259,19 +256,19 @@ class FiniteGroup:
         return None
 
     def subgroups_of_order_p(self, p: int) -> list[tuple[int, ...]]:
-        """All distinct subgroups of order p, as sorted element tuples."""
+        """All distinct subgroups of order p, as sorted element tuples.
+
+        Every one is <h> for some h of order p, so its id (its least
+        non-identity element, which generates it) appears in the incidence
+        column of p.
+        """
         if not is_prime(p):
             raise NotPrime(p)
-        orders = self.orders
-        seen: set[tuple[int, ...]] = set()
-        out: list[tuple[int, ...]] = []
-        for g in range(self.n):
-            if int(orders[g]) == p:
-                sub = tuple(self.cyclic_subgroup(g))
-                if sub not in seen:
-                    seen.add(sub)
-                    out.append(sub)
-        return sorted(out)
+        if self.n % p:
+            return []
+        column = sorted(prime_factors(self.n)).index(p)
+        ids = set(self.prime_subgroup_incidence()[:, column].tolist()) - {-1}
+        return sorted(tuple(sorted(row)) for row in self.powers[sorted(ids), :p].tolist())
 
     def fingerprint(self) -> tuple[int, tuple[int, ...], bool]:
         """(order, sorted element-order multiset, abelian flag).
@@ -307,14 +304,17 @@ def _check_associativity(table: np.ndarray) -> None:
 
     It suffices to check triples whose middle element lies in a generating
     set: the elements that associate in the middle position form a closed
-    submagma. O(n^2 * |gens|) instead of the naive O(n^3).
+    submagma. O(n^2 * |gens|) instead of the naive O(n^3). Rows are
+    compared ASSOCIATIVITY_BAND at a time.
     """
     for s in _generating_set(table):
-        left = table[table[:, s], :]    # (a, c) -> (a*s)*c
-        right = table[:, table[s]]      # (a, c) -> a*(s*c)
-        if not np.array_equal(left, right):
-            a, c = (int(v) for v in np.argwhere(left != right)[0])
-            raise NotAssociative(a, s, c)
+        s_times = table[s]
+        for lo in range(0, table.shape[0], ASSOCIATIVITY_BAND):
+            rows = table[lo:lo + ASSOCIATIVITY_BAND]
+            differ = table[rows[:, s], :] != rows[:, s_times]  # (a*s)*c != a*(s*c)
+            if differ.any():
+                a, c = (int(v) for v in np.argwhere(differ)[0])
+                raise NotAssociative(lo + a, s, c)
 
 
 def validate_and_build(table) -> FiniteGroup:

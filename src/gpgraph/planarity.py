@@ -344,7 +344,7 @@ def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerd
         clique = g.contains_k5_clique()
         if clique is not None:
             return PlanarityVerdict(False, METHOD_K5_CLIQUE, tuple(clique))
-    if g.v >= 3 and g.edge_count() > 3 * g.v - 6:
+    if not euler_bound_check(g):
         return PlanarityVerdict(False, METHOD_EULER_BOUND)
     for n, edges in _localized_blocks(g):
         if not _lr_planar_block(n, edges):

@@ -17,7 +17,7 @@ import enum
 import numpy as np
 
 from .graphs import SimpleGraph
-from .groups import FiniteGroup, IndexOutOfRange
+from .groups import FiniteGroup
 
 
 class VertexConvention(enum.Enum):
@@ -39,11 +39,6 @@ class VertexConvention(enum.Enum):
         )
 
 
-class SameElement(ValueError):
-    def __init__(self, x: int):
-        super().__init__(f"adjacency is defined on distinct elements, got x = y = {x}")
-
-
 def vertex_elements(group: FiniteGroup, convention: VertexConvention) -> list[int]:
     """Element indices forming the vertex set, ascending."""
     n = group.n
@@ -55,18 +50,6 @@ def vertex_elements(group: FiniteGroup, convention: VertexConvention) -> list[in
     if convention is VertexConvention.STRICT:
         return [g for g in range(1, n) if int(orders[g]) != n]
     return [g for g in range(n) if int(orders[g]) != n]  # STRICT_WITH_IDENTITY
-
-
-def gp_adjacent(group: FiniteGroup, x: int, y: int) -> bool:
-    """True iff <x> and <y> share more than the identity."""
-    if not 0 <= x < group.n:
-        raise IndexOutOfRange(x, group.n)
-    if not 0 <= y < group.n:
-        raise IndexOutOfRange(y, group.n)
-    if x == y:
-        raise SameElement(x)
-    masks = group.cyclic_subgroup_masks()
-    return (masks[x] & masks[y]).bit_count() > 1
 
 
 def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:

@@ -2,8 +2,10 @@
 
 Each function is the straightforward version of one kernel: a per-bit walk
 for SimpleGraph.induced_subgraph, a dict of row bytes for
-groups._permutation_table, and an n x n x k digit cube for
-catalog._abelian_table. The kernels must agree with them on every input.
+groups._permutation_table, an n x n x k digit cube for
+catalog._abelian_table, and one element's power walk over the Cayley table
+for every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
+order, GP adjacency). The kernels must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gpgraph.graphs import SimpleGraph
+from gpgraph.groups import FiniteGroup
 
 
 def induced_rows(g: SimpleGraph, vertices: Iterable[int]) -> list[int]:
@@ -76,3 +79,35 @@ def abelian_table_rows(factors: tuple[int, ...], rows: Sequence[int]) -> np.ndar
     for j in range(k - 2, -1, -1):
         strides[j] = strides[j + 1] * factors[j + 1]
     return summed @ strides
+
+
+def _walk(rows: list[list[int]], g: int) -> list[int]:
+    """<g> as a sorted list, by multiplying by g until the identity (element
+    0) comes back."""
+    elems = [0]
+    cur = g
+    while cur != 0:
+        if len(elems) == len(rows):
+            raise ValueError(f"the powers of {g} never reach the identity")
+        elems.append(cur)
+        cur = rows[cur][g]
+    return sorted(elems)
+
+
+def cyclic_subgroups(group: FiniteGroup) -> list[list[int]]:
+    """<g> for every g, each walked over the Cayley table."""
+    rows = group.table.tolist()
+    return [_walk(rows, g) for g in range(group.n)]
+
+
+def subgroups_of_order_p(walks: list[list[int]], p: int) -> list[tuple[int, ...]]:
+    """The distinct walked <g> (from cyclic_subgroups) with exactly p
+    elements, as sorted tuples."""
+    return sorted({tuple(cyc) for cyc in walks if len(cyc) == p})
+
+
+def gp_adjacent(group: FiniteGroup, x: int, y: int) -> bool:
+    """GP(G) adjacency by its definition: <x> and <y> share more than the
+    identity."""
+    rows = group.table.tolist()
+    return len(set(_walk(rows, x)) & set(_walk(rows, y))) > 1

@@ -230,6 +230,8 @@ def test_criterion_8_group_axiom_suite():
             group = build(spec)
             # full closure/identity/inverse/associativity validation
             checked = validate_and_build(group.table)
+            assert group.n == spec.order(), spec
+            assert checked.table.dtype == group.table.dtype, spec
             assert np.array_equal(checked.table, group.table), spec
             assert np.array_equal(checked.inverses, group.inverses), spec
             orders = np.asarray(group.orders)

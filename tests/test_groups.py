@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.groups import (
+    ASSOCIATIVITY_BAND,
     MAX_GROUP_ORDER,
     IndexOutOfRange,
     NoIdentity,
@@ -27,6 +28,7 @@ from gpgraph.groups import (
     prime_factors,
     validate_and_build,
 )
+import kernel_oracles as oracle
 from kernel_oracles import permutation_closure, permutation_table
 
 # Non-associative loop of order 5 (Latin square with two-sided identity and
@@ -148,6 +150,19 @@ class TestValidateAndBuild:
         # Above the cap, refused before any check (a broadcast view: no memory).
         with pytest.raises(CayleyTableError, match=f"exceeds the cap {MAX_GROUP_ORDER}"):
             validate_and_build(np.broadcast_to(np.int16(0), (MAX_GROUP_ORDER + 1,) * 2))
+
+    def test_witness_beyond_the_first_band(self):
+        # Rows 0..m-1 of LOOP5 x Z_m have the loop's identity as their loop
+        # part, so they associate; the first failing row lies in a later band.
+        table = loop5_times_cyclic(ASSOCIATIVITY_BAND + 1)
+        with pytest.raises(NotAssociative) as exc:
+            validate_and_build(table)
+        a, s, c = exc.value.witness
+        assert a > ASSOCIATIVITY_BAND
+        # The first (a, c) of the whole comparison for that middle element.
+        differ = table[table[:, s], :] != table[:, table[s]]
+        assert (a, c) == tuple(int(v) for v in np.argwhere(differ)[0])
+        assert table[table[a, s], c] != table[a, table[s, c]]
 
     @pytest.mark.parametrize("text", WRAPPED_Z2_TEXTS)
     def test_range_checked_before_the_cast(self, text):
@@ -354,16 +369,18 @@ class TestInvariants:
 
     def test_prime_subgroup_incidence(self):
         # Oracle: the subgroups of prime order inside <x>, found by set
-        # containment among all subgroups of each prime order.
+        # containment among all subgroups of each prime order, every set
+        # walked over the table.
         for spec in catalog_up_to(32):
             g = build(spec)
             primes = sorted(prime_factors(g.n))
             inc = g.prime_subgroup_incidence()
             assert inc.shape == (g.n, len(primes))
             assert not inc.flags.writeable
-            by_prime = {p: g.subgroups_of_order_p(p) for p in primes}
-            for x in g.elements():
-                cyc = set(g.cyclic_subgroup(x))
+            walks = oracle.cyclic_subgroups(g)
+            by_prime = {p: oracle.subgroups_of_order_p(walks, p) for p in primes}
+            for x, walk in enumerate(walks):
+                cyc = set(walk)
                 for j, p in enumerate(primes):
                     inside = [sub for sub in by_prime[p] if set(sub) <= cyc]
                     expected = inside[0][1] if inside else -1
@@ -432,7 +449,8 @@ class TestPowerTable:
             with pytest.raises(ValueError):
                 powers[0, 0] = 1
             assert powers.dtype == g.table.dtype
-            assert powers.shape == (g.n, max(len(g.cyclic_subgroup(x)) for x in g.elements()))
+            walks = oracle.cyclic_subgroups(g)
+            assert powers.shape == (g.n, max(map(len, walks)))
             idx = np.arange(g.n)
             assert (powers[:, 0] == 0).all()
             if powers.shape[1] > 1:
@@ -440,10 +458,21 @@ class TestPowerTable:
             for k in range(1, powers.shape[1]):
                 assert np.array_equal(powers[:, k], g.table[powers[:, k - 1], idx])
             masks = g.cyclic_subgroup_masks()
-            for x in g.elements():
-                cyc = g.cyclic_subgroup(x)
+            for x, cyc in enumerate(walks):
+                assert g.cyclic_subgroup(x) == cyc
                 assert int(g.orders[x]) == len(cyc)
                 assert masks[x] == sum(1 << e for e in cyc)
+            for p in prime_factors(g.n):
+                assert g.subgroups_of_order_p(p) == oracle.subgroups_of_order_p(walks, p)
+
+    def test_readers_match_the_walks_on_the_catalog(self):
+        for spec in catalog_up_to(256, False):
+            g = build(spec)
+            walks = oracle.cyclic_subgroups(g)
+            for x, walk in enumerate(walks):
+                assert g.cyclic_subgroup(x) == walk, (spec, x)
+            for p in prime_factors(g.n):
+                assert g.subgroups_of_order_p(p) == oracle.subgroups_of_order_p(walks, p), (spec, p)
 
     def test_powers_that_never_reach_the_identity(self):
         # Element 1 squares to itself, so its powers never reach 0. Wrapped
@@ -455,6 +484,8 @@ class TestPowerTable:
             lambda g: g.powers,
             lambda g: g.cyclic_subgroup_masks(),
             lambda g: g.prime_subgroup_incidence(),
+            lambda g: g.cyclic_subgroup(1),
+            lambda g: g.subgroups_of_order_p(3),
         ]
         for read in readers:
             with pytest.raises(CayleyTableError):

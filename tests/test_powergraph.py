@@ -1,17 +1,14 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracles as oracle
 from gpgraph.catalog import build, catalog_up_to, parse_spec
-from gpgraph.groups import IndexOutOfRange
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import (
-    SameElement,
     VertexConvention,
     generalized_power_graph,
-    gp_adjacent,
     power_graph,
     vertex_elements,
 )
@@ -22,30 +19,23 @@ PUNCTURED = VertexConvention.PUNCTURED
 FULL = VertexConvention.FULL
 
 
-def gp_adjacent_oracle(group, x, y):
-    """Set-based adjacency, independent of the bitmask path."""
-    inter = set(group.cyclic_subgroup(x)) & set(group.cyclic_subgroup(y))
-    return len(inter) > 1
-
-
 class TestAdjacency:
+    # Under FULL the vertex index is the element index.
     def test_z12_examples(self):
         z12 = build(parse_spec("cyclic:12"))
-        assert not gp_adjacent(z12, 3, 4)   # {0,3,6,9} meets {0,4,8} only at 0
-        assert gp_adjacent(z12, 2, 3)       # both subgroups contain 6
+        gp = generalized_power_graph(z12, FULL)
+        assert not gp.has_edge(3, 4)   # {0,3,6,9} meets {0,4,8} only at 0
+        assert gp.has_edge(2, 3)       # both subgroups contain 6
+        assert not oracle.gp_adjacent(z12, 3, 4)
+        assert oracle.gp_adjacent(z12, 2, 3)
 
     def test_identity_never_adjacent(self):
         for spec in ("cyclic:6", "dihedral:4", "gq:8"):
             g = build(parse_spec(spec))
+            gp = generalized_power_graph(g, FULL)
             for y in range(1, g.n):
-                assert not gp_adjacent(g, 0, y)
-
-    def test_errors(self):
-        z6 = build(parse_spec("cyclic:6"))
-        with pytest.raises(SameElement):
-            gp_adjacent(z6, 2, 2)
-        with pytest.raises(IndexOutOfRange):
-            gp_adjacent(z6, 0, 6)
+                assert not gp.has_edge(0, y)
+                assert not oracle.gp_adjacent(g, 0, y)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -54,11 +44,12 @@ class TestAdjacency:
             ["cyclic:12", "cyclic:16", "abelian:4,2", "dihedral:6", "gq:16",
              "heisenberg:3", "symmetric:4"]))
         g = build(parse_spec(spec))
+        gp = generalized_power_graph(g, FULL)
         x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         y = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         if x == y:
             return
-        assert gp_adjacent(g, x, y) == gp_adjacent(g, y, x) == gp_adjacent_oracle(g, x, y)
+        assert gp.has_edge(x, y) == gp.has_edge(y, x) == oracle.gp_adjacent(g, x, y)
 
 
 class TestCyclicNumberTheoryOracle:
@@ -137,12 +128,12 @@ class TestGeneralizedPowerGraph:
             assert g.degree(0) == 0
 
     def test_brute_force_agreement(self):
-        # Oracles, pairwise from cyclic subgroup sets: GP adjacency is a
-        # non-trivial intersection; P adjacency is one subgroup containing
-        # the other's generator.
+        # Oracles, pairwise from cyclic subgroup sets walked over the table:
+        # GP adjacency is a non-trivial intersection; P adjacency is one
+        # subgroup containing the other's generator.
         for spec in catalog_up_to(48):
             group = build(spec)
-            subgroups = [set(group.cyclic_subgroup(x)) for x in range(group.n)]
+            subgroups = [set(cyc) for cyc in oracle.cyclic_subgroups(group)]
             for conv in (STRICT, STRICT_ID, PUNCTURED, FULL):
                 verts = vertex_elements(group, conv)
                 gp = generalized_power_graph(group, conv)
