@@ -1,9 +1,10 @@
-"""Planarity decisions: a linear-time left-right test per biconnected block.
+"""Planarity decisions: one linear-time left-right pass over the whole graph.
 
 The left-right test follows Brandes' formulation (DFS orientation, then
-conflict-pair constraints on back edges); only the verdict is computed, no
-embedding. The test suite cross-checks it against an independent quadratic
-oracle (tests/planarity_oracle.py).
+conflict-pair constraints on back edges). It needs no block decomposition:
+each connected component is oriented and tested from its own DFS root. Only
+the verdict is computed, no embedding. The test suite cross-checks it
+against an independent quadratic oracle (tests/planarity_oracle.py).
 """
 
 from __future__ import annotations
@@ -121,14 +122,18 @@ class _NotPlanar(Exception):
 
 
 class _LRTest:
-    """One biconnected (or merely connected) graph, adjacency lists in."""
+    """Left-right state for a whole graph, adjacency lists in.
+
+    Call test(root) once per connected component, from a vertex it has not
+    yet reached; each vertex is oriented once. Edges of different components
+    never meet, so the per-edge tables are shared by all roots, and a
+    component that passes leaves the conflict-pair stack empty.
+    """
 
     def __init__(self, n: int, adj: list[list[int]]):
-        self.n = n
         self.adj = adj
         self.height = [-1] * n
         self.parent_edge: list[Optional[tuple[int, int]]] = [None] * n
-        self.dfs_order: list[int] = []
         self.oriented: list[list[int]] = [[] for _ in range(n)]  # tree children + back targets
         self.lowpt: dict[tuple[int, int], int] = {}
         self.lowpt2: dict[tuple[int, int], int] = {}
@@ -142,9 +147,10 @@ class _LRTest:
 
     # -- phase 1: orientation ------------------------------------------------
 
-    def orient(self, root: int) -> None:
+    def orient(self, root: int) -> int:
+        """Orient root's component; return its number of vertices."""
         self.height[root] = 0
-        self.dfs_order.append(root)
+        dfs_order = [root]
         stack = [(root, 0)]
         while stack:
             x, i = stack[-1]
@@ -157,7 +163,7 @@ class _LRTest:
                 if self.height[y] == -1:
                     self.parent_edge[y] = (x, y)
                     self.height[y] = self.height[x] + 1
-                    self.dfs_order.append(y)
+                    dfs_order.append(y)
                     self.oriented[x].append(y)
                     stack.append((y, 0))
                 elif self.height[y] < self.height[x]:
@@ -166,7 +172,7 @@ class _LRTest:
                 stack.pop()
 
         # lowpt/lowpt2 per oriented edge, children before parents.
-        for x in reversed(self.dfs_order):
+        for x in reversed(dfs_order):
             for y in self.oriented[x]:
                 e = (x, y)
                 if self.parent_edge[y] == e:  # tree edge: fold child edges
@@ -186,10 +192,11 @@ class _LRTest:
                 self.lowpt2[e] = lp2
                 self.nesting[e] = 2 * lp + (1 if lp2 < self.height[x] else 0)
 
-        for x in range(self.n):
+        for x in dfs_order:
             self.ordered[x] = sorted(
                 ((x, y) for y in self.oriented[x]), key=lambda e: self.nesting[e]
             )
+        return len(dfs_order)
 
     # -- phase 2: testing ------------------------------------------------------
 
@@ -263,7 +270,9 @@ class _LRTest:
             self.S.append(pair)
 
     def test(self, root: int) -> bool:
-        self.orient(root)
+        """Orient and test root's component."""
+        if self.orient(root) <= 4:
+            return True  # every graph on at most 4 vertices is planar
         ENTER, INTEGRATE = 0, 1
         stack: list[tuple[int, int, int]] = [(ENTER, root, 0)]
         try:
@@ -312,33 +321,11 @@ class _LRTest:
         return True
 
 
-def _lr_planar_block(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n <= 3:
-        return True
-    m = len(edges)
-    if m > 3 * n - 6:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return _LRTest(n, adj).test(0)
-
-
-def _localized_blocks(g: SimpleGraph):
-    """Blocks relabelled to 0..k-1, skipping trivially planar ones."""
-    for verts, edges in biconnected_components(g):
-        if len(verts) <= 3 or len(edges) <= 3:
-            continue  # any graph on <= 3 vertices is planar
-        pos = {x: i for i, x in enumerate(verts)}
-        yield len(verts), [(pos[a], pos[b]) for a, b in edges]
-
-
 def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerdict:
     """Planarity verdict for an arbitrary simple graph.
 
     Pipeline: optional K_5-clique probe (only when a witness is requested),
-    Euler edge-count bound, then the left-right test per biconnected block.
+    Euler edge-count bound, then one left-right pass over the whole graph.
     """
     if find_k5_witness:
         clique = g.contains_k5_clique()
@@ -346,7 +333,8 @@ def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerd
             return PlanarityVerdict(False, METHOD_K5_CLIQUE, tuple(clique))
     if not euler_bound_check(g):
         return PlanarityVerdict(False, METHOD_EULER_BOUND)
-    for n, edges in _localized_blocks(g):
-        if not _lr_planar_block(n, edges):
+    lr = _LRTest(g.v, g.adjacency_lists())
+    for root in range(g.v):
+        if lr.height[root] == -1 and lr.adj[root] and not lr.test(root):
             return PlanarityVerdict(False, METHOD_LEFT_RIGHT)
     return PlanarityVerdict(True, METHOD_LEFT_RIGHT)

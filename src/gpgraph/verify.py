@@ -462,14 +462,17 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[TheoremReport]:
     """All checks for each requested convention, deterministically ordered."""
     if config.max_order < 2:
         raise ValueError("max_order must be >= 2")
+    conventions = tuple(dict.fromkeys(config.conventions))  # first occurrence wins
+    if not conventions:
+        raise ValueError("at least one convention is required")
     shadow_depth = max(1, int(math.log2(config.max_order)))
     _shadow_specs(2, shadow_depth)  # fail on the cap before enumerating anything
     # Build the catalog and its facts up front, so a check's runtime is its
     # predicate time only.
-    facts = FactsTable(config.max_order, config.conventions, config.dedupe)
+    facts = FactsTable(config.max_order, conventions, config.dedupe)
     facts.fill()
     reports: list[TheoremReport] = []
-    for convention in config.conventions:
+    for convention in conventions:
         reports.append(check_completeness_abelian(facts, convention))
         reports.append(check_completeness_nonabelian(facts, convention))
         try:

@@ -2,8 +2,9 @@
 
 A Demoucron-style algorithm (Demoucron, Malgrange and Pertuiset, 1964):
 grow a plane subgraph face by face, always embedding a path from a fragment
-with the fewest admissible faces. Like is_planar it works per biconnected
-block, and it must agree with is_planar on every input.
+with the fewest admissible faces. It splits the graph into biconnected
+blocks itself, with the public biconnected_components, and embeds each block
+separately; is_planar makes no such split. The two must agree on every input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 from typing import Optional
 
 from gpgraph.graphs import SimpleGraph
-from gpgraph.planarity import _localized_blocks
+from gpgraph.planarity import biconnected_components
 
 ORACLE_VERTEX_LIMIT = 2000
 
@@ -178,7 +179,8 @@ def is_planar_oracle(g: SimpleGraph) -> bool:
     """
     if g.v > ORACLE_VERTEX_LIMIT:
         raise TooLarge(g.v)
-    for n, edges in _localized_blocks(g):
-        if not _demoucron_block(n, edges):
+    for verts, edges in biconnected_components(g):
+        pos = {x: i for i, x in enumerate(verts)}
+        if not _demoucron_block(len(verts), [(pos[a], pos[b]) for a, b in edges]):
             return False
     return True

@@ -8,6 +8,7 @@ import gpgraph.catalog as catalog
 from gpgraph.catalog import MAX_GROUP_ORDER, build, parse_spec
 from gpgraph.cli import main
 from gpgraph.groups import read_cayley_table
+from gpgraph.verify import VerifyConfig, run_all
 from test_groups import WRAPPED_Z2_TEXTS, loop5_times_cyclic
 
 
@@ -88,6 +89,26 @@ def test_verify_lists_discrepancies_after_the_report_lines(capsys):
     assert at == 21 and lines[20] == ""
     assert "  T4.4 [strict] cyclic:8: GP planar=True, classification says GP planar=False" \
         " (outside the planar families)" in lines[at + 1:]
+
+
+def test_verify_refuses_an_empty_convention_list(tmp_path, capsys):
+    with pytest.raises(ValueError, match="at least one convention"):
+        run_all(VerifyConfig(max_order=12, conventions=()))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--max-order", "12", "--conventions", ",", "--json", str(report)]) == 2
+    assert "at least one convention" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_verify_reports_a_repeated_convention_once(tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["verify", "--max-order", "12", "--conventions", "strict",
+                 "--json", str(once)]) == 0
+    printed_once = capsys.readouterr().out
+    assert main(["verify", "--max-order", "12", "--conventions", "strict,strict",
+                 "--json", str(twice)]) == 0
+    assert capsys.readouterr().out == printed_once
+    assert twice.read_bytes() == once.read_bytes()
 
 
 def test_verify_no_dedupe(capsys):

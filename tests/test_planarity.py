@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,19 +160,63 @@ class TestClosureProperties:
             assert is_planar(g.induced_subgraph(verts)).planar
 
     def test_disjoint_union(self):
+        # Every input has several DFS roots. The one-vertex sum glues g2's
+        # vertex 0 onto vertex c of g1. The last input's only non-planar
+        # component has the highest ids, so it is the last root tested,
+        # after a grid whose test fills the conflict-pair stack.
         rng = random.Random(172)
-        for _ in range(40):
+        non_planar = [complete_graph(5), complete_bipartite(3, 3), petersen_graph()]
+        for i in range(40):
             g1 = random_graph(rng, max_v=12)
             g2 = random_graph(rng, max_v=12)
-            edges = g1.edges() + [(a + g1.v, b + g1.v) for a, b in g2.edges()]
-            union = SimpleGraph.from_edges(g1.v + g2.v, edges)
-            assert is_planar(union).planar == (is_planar(g1).planar and is_planar(g2).planar)
+            both = is_planar(g1).planar and is_planar(g2).planar
+            union = SimpleGraph.from_edges(
+                g1.v + g2.v, g1.edges() + [(a + g1.v, b + g1.v) for a, b in g2.edges()]
+            )
+            c = rng.randrange(g1.v)
+            glue = [c] + list(range(g1.v, g1.v + g2.v - 1))
+            one_vertex_sum = SimpleGraph.from_edges(
+                g1.v + g2.v - 1, g1.edges() + [(glue[a], glue[b]) for a, b in g2.edges()]
+            )
+            parts = [g for g in (g1, g2) if is_planar(g).planar]
+            parts += [grid_graph(3, 3), non_planar[i % 3]]
+            edges, offset = [], 0
+            for part in parts:
+                edges += [(a + offset, b + offset) for a, b in part.edges()]
+                offset += part.v
+            last_root_non_planar = SimpleGraph.from_edges(offset, edges)
+            for graph, expected in (
+                (union, both),
+                (one_vertex_sum, both),
+                (last_root_non_planar, False),
+            ):
+                assert is_planar(graph).planar == expected
+                assert is_planar_oracle(graph) == expected
 
 
 class TestOracleLimits:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             is_planar_oracle(SimpleGraph.from_edges(2001, []))
+
+    def test_oracles_import_no_private_names(self):
+        # An oracle that borrows a private helper from the code it checks
+        # shares that helper's bugs, so the two would agree on wrong answers.
+        for path in sorted(Path(__file__).parent.glob("*oracle*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                private = [
+                    name for name in names
+                    if name.split(".")[0] == "gpgraph"
+                    and any(part.startswith("_") for part in name.split("."))
+                ]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"
 
 
 class TestBiconnected:
