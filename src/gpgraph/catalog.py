@@ -151,7 +151,7 @@ def parse_spec(text: str) -> GroupSpec:
             raise SpecParseError("file spec needs a path")
         return GroupSpec(EXTERNAL, path=rest)
     if family == PRODUCT:
-        parts = []
+        factors = []
         depth = 0
         start = None
         for i, ch in enumerate(rest):
@@ -166,14 +166,15 @@ def parse_spec(text: str) -> GroupSpec:
                 if depth < 0:
                     raise SpecParseError(f"unbalanced ')' in {_quote(text)!r}")
                 if depth == 0:
-                    parts.append(parse_spec(rest[start:i]))
-            elif depth == 0 and ch != "x":
-                raise SpecParseError(f"unexpected {ch!r} between product factors in {_quote(text)!r}")
+                    factors.append(rest[start:i])
         if depth != 0:
             raise SpecParseError(f"unbalanced '(' in {_quote(text)!r}")
-        if len(parts) < 2:
+        if rest != "x".join(f"({f})" for f in factors):
+            raise SpecParseError(
+                f"product factors must be parenthesised and joined by single 'x': {_quote(text)!r}")
+        if len(factors) < 2:
             raise SpecParseError(f"product spec needs at least two factors: {_quote(text)!r}")
-        return GroupSpec(PRODUCT, parts=tuple(parts))
+        return GroupSpec(PRODUCT, parts=tuple(parse_spec(f) for f in factors))
     try:
         params = tuple(int(tok) for tok in rest.split(",")) if rest else ()
     except ValueError:

@@ -14,63 +14,40 @@ import numpy as np
 from .groups import IndexOutOfRange
 
 # from_edge_list rejects a larger vertex count before allocating anything:
-# the symmetry check packs v * v / 8 bytes.
+# the graph keeps one v-bit row per vertex, so the stated count alone sizes a
+# list of v rows, and a dense graph on v vertices takes v * v / 8 bytes.
 MAX_EDGE_LIST_VERTICES = 1 << 14
 
-# The symmetry check unpacks this many adjacency columns at a time, so its
-# working memory is O(v * SYMMETRY_BAND) booleans. A multiple of 8.
-SYMMETRY_BAND = 256
-
-
-def _pack(rows: Sequence[int], v: int) -> np.ndarray:
-    """The bitset rows as a len(rows) x ceil(v / 8) uint8 array: bit j is
-    bit j % 8 of byte j // 8, numpy's little bit order."""
-    nbytes = (v + 7) // 8
-    return np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                         dtype=np.uint8).reshape(len(rows), nbytes)
-
-
-def _check_symmetric(v: int, rows: list[int]) -> None:
-    """Raise ValueError unless bit j of rows[i] equals bit i of rows[j].
-
-    The packed rows are compared with their transpose one band of columns
-    at a time.
-    """
-    packed = _pack(rows, v)
-    for lo in range(0, v, SYMMETRY_BAND):
-        hi = min(lo + SYMMETRY_BAND, v)
-        band = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1,
-                             count=hi - lo, bitorder="little")
-        band_rows = np.unpackbits(packed[lo:hi], axis=1, count=v, bitorder="little")
-        if not np.array_equal(band, band_rows.T):
-            raise ValueError("adjacency is not symmetric")
+# induced_subgraph unpacks this many selected rows at a time, so its working
+# memory is O(v * INDUCED_BAND) booleans.
+INDUCED_BAND = 256
 
 
 class SimpleGraph:
-    """Immutable simple graph; labels map vertices back to group elements."""
+    """Immutable simple graph; labels map vertices back to group elements.
+
+    SimpleGraph(rows, labels) wraps rows without checks: each rows[i] must be
+    a bitset over range(len(rows)) with bit i clear and bit j set iff bit i
+    of rows[j] is set, and labels, if given, has one entry per row. GP(G),
+    P(G) and induced subgraphs are simple by construction; from_edges and
+    from_edge_list check graphs that come from outside.
+    """
 
     __slots__ = ("v", "rows", "labels")
 
-    def __init__(self, v: int, rows: Sequence[int], labels: Optional[Sequence[int]] = None):
-        rows = list(rows)
-        if len(rows) != v:
-            raise ValueError(f"expected {v} adjacency rows, got {len(rows)}")
-        labels = list(labels) if labels is not None else list(range(v))
-        if len(labels) != v:
-            raise ValueError(f"expected {v} labels, got {len(labels)}")
-        for i, row in enumerate(rows):
-            if row >> i & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-            if row < 0 or row >> v:
-                raise ValueError(f"adjacency row {i} references vertices >= {v}")
-        _check_symmetric(v, rows)
-        self.v = v
-        self.rows = rows
-        self.labels = labels
+    def __init__(self, rows: Sequence[int], labels: Optional[Sequence[int]] = None):
+        self.rows = list(rows)
+        self.v = len(self.rows)
+        self.labels = list(labels) if labels is not None else list(range(self.v))
 
     @classmethod
     def from_edges(cls, v: int, edges: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[int]] = None) -> "SimpleGraph":
+        """The graph on range(v) with the given edges. Raises IndexOutOfRange
+        for an endpoint outside range(v) and ValueError for a self-loop or a
+        label count other than v."""
+        if labels is not None and len(labels) != v:
+            raise ValueError(f"expected {v} labels, got {len(labels)}")
         rows = [0] * v
         for a, b in edges:
             if not (0 <= a < v and 0 <= b < v):
@@ -79,7 +56,7 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {a}")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return cls(v, rows, labels)
+        return cls(rows, labels)
 
     def __repr__(self):
         return f"SimpleGraph(v={self.v}, e={self.edge_count()})"
@@ -159,21 +136,24 @@ class SimpleGraph:
         """Subgraph on the given vertices (sorted, repeats dropped), labels
         inherited.
 
-        The selected rows are unpacked SYMMETRY_BAND at a time, cut to the
-        selected columns and packed again, so working memory is
-        O(v * SYMMETRY_BAND) booleans.
+        The selected rows are packed into bytes and unpacked INDUCED_BAND at
+        a time, cut to the selected columns and packed again, so working
+        memory is O(v * INDUCED_BAND) booleans.
         """
         verts = sorted(set(vertices))
         for x in verts:
             if not 0 <= x < self.v:
                 raise IndexOutOfRange(x, self.v)
+        nbytes = (self.v + 7) // 8
         rows = []
-        for lo in range(0, len(verts), SYMMETRY_BAND):
-            band = _pack([self.rows[x] for x in verts[lo:lo + SYMMETRY_BAND]], self.v)
+        for lo in range(0, len(verts), INDUCED_BAND):
+            chunk = verts[lo:lo + INDUCED_BAND]
+            band = np.frombuffer(b"".join(self.rows[x].to_bytes(nbytes, "little") for x in chunk),
+                                 dtype=np.uint8).reshape(len(chunk), nbytes)
             bits = np.unpackbits(band, axis=1, count=self.v, bitorder="little")[:, verts]
             rows.extend(int.from_bytes(r.tobytes(), "little")
                         for r in np.packbits(bits, axis=1, bitorder="little"))
-        return SimpleGraph(len(verts), rows, [self.labels[x] for x in verts])
+        return SimpleGraph(rows, [self.labels[x] for x in verts])
 
     def contains_k5_clique(self) -> Optional[list[int]]:
         """Some 5-clique as a sorted vertex list, or None.

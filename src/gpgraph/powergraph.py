@@ -75,7 +75,7 @@ def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) ->
             if s >= 0:
                 row |= cliques[s]
         rows.append(row & ~(1 << i))
-    return SimpleGraph(len(verts), rows, verts)
+    return SimpleGraph(rows, verts)
 
 
 def power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:
@@ -89,4 +89,4 @@ def power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph
     adj = sub | sub.T
     np.fill_diagonal(adj, 0)
     rows = np.packbits(adj, axis=1, bitorder="little")
-    return SimpleGraph(len(verts), [int.from_bytes(r.tobytes(), "little") for r in rows], verts)
+    return SimpleGraph([int.from_bytes(r.tobytes(), "little") for r in rows], verts)

@@ -3,9 +3,10 @@
 Each function is the straightforward version of one kernel: a per-bit walk
 for SimpleGraph.induced_subgraph, a dict of row bytes for
 groups._permutation_table, an n x n x k digit cube for
-catalog._abelian_table, and one element's power walk over the Cayley table
-for every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
-order, GP adjacency). The kernels must agree with them on every input.
+catalog._abelian_table, one element's power walk over the Cayley table for
+every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
+order, GP adjacency), and the closure of a set under all products for
+groups._generating_set. The kernels must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -111,3 +112,17 @@ def gp_adjacent(group: FiniteGroup, x: int, y: int) -> bool:
     identity."""
     rows = group.table.tolist()
     return len(set(_walk(rows, x)) & set(_walk(rows, y))) > 1
+
+
+def magma_closure(table: np.ndarray, elements: Iterable[int]) -> np.ndarray:
+    """Sorted indices of the identity (element 0), the given elements and
+    every product of them in either order, by multiplying the whole found
+    set by itself until it stops growing."""
+    found = np.zeros(len(table), dtype=bool)
+    found[0] = True
+    found[list(elements)] = True
+    while True:
+        idx = np.flatnonzero(found)
+        found[table[np.ix_(idx, idx)]] = True
+        if found.sum() == len(idx):
+            return idx

@@ -85,6 +85,9 @@ class TestBuild:
         "cyclic:0", "dihedral:0", "dicyclic:1", "gq:12", "gq:4",
         "heisenberg:4", "symmetric:7", "abelian:", "elemab:4,2",
         "product:(cyclic:)x(cyclic:2)", "product:(symmetric:99999999)x(cyclic:2)",
+        "product:x(cyclic:2)xx(cyclic:3)x", "product:(cyclic:2)(cyclic:3)",
+        "product:(cyclic:2)xx(cyclic:3)", "product:x(cyclic:2)x(cyclic:3)",
+        "product:(cyclic:2)x(cyclic:3)x", "product:(cyclic:2)x(cyclic:3)y",
     ])
     def test_bad_parameters(self, bad):
         with pytest.raises((BadParameters, SpecParseError)):

@@ -21,6 +21,7 @@ from gpgraph.groups import (
     OrderCapExceeded,
     CayleyTableError,
     FiniteGroup,
+    _generating_set,
     _permutation_table,
     closure_from_permutations,
     format_cayley_table,
@@ -174,6 +175,13 @@ class TestValidateAndBuild:
         dtype = np.uint64 if max(map(max, rows)) >= 2**63 else np.int64
         with pytest.raises(NotClosed):
             validate_and_build(np.array(rows, dtype=dtype))
+
+    def test_generating_set_generates_the_whole_table(self):
+        tables = [build(spec).table for spec in catalog_up_to(256, False)]
+        tables += [np.array(LOOP5), loop5_times_cyclic(4)]
+        for table in tables:
+            gens = _generating_set(table)
+            assert len(oracle.magma_closure(table, gens)) == len(table)
 
     def test_input_is_copied_and_group_table_is_read_only(self):
         table = np.array([[0, 1], [1, 0]])
