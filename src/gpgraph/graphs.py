@@ -44,8 +44,10 @@ class SimpleGraph:
     def from_edges(cls, v: int, edges: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[int]] = None) -> "SimpleGraph":
         """The graph on range(v) with the given edges. Raises IndexOutOfRange
-        for an endpoint outside range(v) and ValueError for a self-loop or a
-        label count other than v."""
+        for an endpoint outside range(v) and ValueError for a negative v, a
+        self-loop or a label count other than v."""
+        if v < 0:
+            raise ValueError(f"vertex count {v} is negative")
         if labels is not None and len(labels) != v:
             raise ValueError(f"expected {v} labels, got {len(labels)}")
         rows = [0] * v

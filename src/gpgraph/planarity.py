@@ -5,6 +5,14 @@ conflict-pair constraints on back edges). It needs no block decomposition:
 each connected component is oriented and tested from its own DFS root. Only
 the verdict is computed, no embedding. The test suite cross-checks it
 against an independent quadratic oracle (tests/planarity_oracle.py).
+
+The test's state is flat lists of ints. Orientation numbers each oriented
+edge as it creates it (an edge id), and src[e], dst[e] are its endpoints.
+lowpt, lowpt2, nesting, ref, lowpt_edge and stack_bottom are indexed by edge
+id; parent_edge (an edge id) and the out-edge list are kept per vertex. A
+conflict pair is a 4-slot list [left.low, left.high, right.low, right.high].
+-1 means "none": no parent edge at a DFS root, no ref, an empty slot of an
+interval.
 """
 
 from __future__ import annotations
@@ -92,233 +100,202 @@ def biconnected_components(g: SimpleGraph) -> list[tuple[list[int], list[tuple[i
 # ---------------------------------------------------------------------------
 
 
-class _Interval:
-    __slots__ = ("low", "high")
+def _left_right_planar(adj: list[list[int]]) -> bool:
+    """Left-right verdict for the graph with these adjacency lists.
 
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-
-class _ConflictPair:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left=None, right=None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-
-class _NotPlanar(Exception):
-    pass
-
-
-class _LRTest:
-    """Left-right state for a whole graph, adjacency lists in.
-
-    Call test(root) once per connected component, from a vertex it has not
-    yet reached; each vertex is oriented once. Edges of different components
-    never meet, so the per-edge tables are shared by all roots, and a
-    component that passes leaves the conflict-pair stack empty.
+    Each connected component is oriented and tested from its own DFS root,
+    its lowest vertex id. Edges of different components never meet, so all
+    roots share the per-edge lists, and a component that passes leaves the
+    conflict-pair stack empty.
     """
+    n = len(adj)
+    size = sum(map(len, adj)) // 2  # each edge is oriented once
+    height = [-1] * n
+    parent_edge = [-1] * n
+    out: list[list[int]] = [[] for _ in range(n)]  # tree edges and back edges
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt = [0] * size
+    lowpt2 = [0] * size
+    nesting = [0] * size
+    ref = [-1] * size
+    lowpt_edge = [-1] * size
+    stack_bottom: list[Optional[list[int]]] = [None] * size
+    resume = [0] * n  # position in out[x] of the tree edge being descended
+    S: list[list[int]] = []  # conflict pairs [left.low, left.high, right.low, right.high]
 
-    def __init__(self, n: int, adj: list[list[int]]):
-        self.adj = adj
-        self.height = [-1] * n
-        self.parent_edge: list[Optional[tuple[int, int]]] = [None] * n
-        self.oriented: list[list[int]] = [[] for _ in range(n)]  # tree children + back targets
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting: dict[tuple[int, int], int] = {}
-        self.ordered: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        # Testing phase state
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple[int, int], Optional[_ConflictPair]] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.ref: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    for root in range(n):
+        if height[root] != -1 or not adj[root]:
+            continue
 
-    # -- phase 1: orientation ------------------------------------------------
-
-    def orient(self, root: int) -> int:
-        """Orient root's component; return its number of vertices."""
-        self.height[root] = 0
-        dfs_order = [root]
-        stack = [(root, 0)]
+        # -- phase 1: orientation ----------------------------------------------
+        height[root] = 0
+        order = [root]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            x, i = stack[-1]
-            if i < len(self.adj[x]):
-                stack[-1] = (x, i + 1)
-                y = self.adj[x][i]
-                pe = self.parent_edge[x]
-                if pe is not None and y == pe[0]:
-                    continue  # the tree edge to the parent, already oriented
-                if self.height[y] == -1:
-                    self.parent_edge[y] = (x, y)
-                    self.height[y] = self.height[x] + 1
-                    dfs_order.append(y)
-                    self.oriented[x].append(y)
-                    stack.append((y, 0))
-                elif self.height[y] < self.height[x]:
-                    self.oriented[x].append(y)  # back edge to an ancestor
+            x, p, nbrs = stack[-1]
+            hx = height[x]
+            for y in nbrs:
+                if height[y] == -1:
+                    e = len(src)
+                    src.append(x)
+                    dst.append(y)
+                    out[x].append(e)
+                    parent_edge[y] = e
+                    height[y] = hx + 1
+                    order.append(y)
+                    stack.append((y, x, iter(adj[y])))
+                    break
+                if height[y] < hx and y != p:  # back edge to an ancestor
+                    out[x].append(len(src))
+                    src.append(x)
+                    dst.append(y)
             else:
                 stack.pop()
+        if len(order) <= 4:
+            continue  # every graph on at most 4 vertices is planar
 
         # lowpt/lowpt2 per oriented edge, children before parents.
-        for x in reversed(dfs_order):
-            for y in self.oriented[x]:
-                e = (x, y)
-                if self.parent_edge[y] == e:  # tree edge: fold child edges
-                    lp = lp2 = self.height[x]
-                    for z in self.oriented[y]:
-                        clp, clp2 = self.lowpt[(y, z)], self.lowpt2[(y, z)]
+        for x in reversed(order):
+            hx = height[x]
+            for e in out[x]:
+                y = dst[e]
+                if parent_edge[y] == e:  # tree edge: fold child edges
+                    lp = lp2 = hx
+                    for f in out[y]:
+                        clp = lowpt[f]
                         if clp < lp:
-                            lp2 = min(lp, clp2)
+                            lp2 = lp if lp < lowpt2[f] else lowpt2[f]
                             lp = clp
                         elif clp > lp:
-                            lp2 = min(lp2, clp)
-                        else:
-                            lp2 = min(lp2, clp2)
+                            if clp < lp2:
+                                lp2 = clp
+                        elif lowpt2[f] < lp2:
+                            lp2 = lowpt2[f]
                 else:
-                    lp, lp2 = self.height[y], self.height[x]
-                self.lowpt[e] = lp
-                self.lowpt2[e] = lp2
-                self.nesting[e] = 2 * lp + (1 if lp2 < self.height[x] else 0)
+                    lp, lp2 = height[y], hx
+                lowpt[e] = lp
+                lowpt2[e] = lp2
+                nesting[e] = 2 * lp + (lp2 < hx)
+        by_nesting = nesting.__getitem__
+        for x in order:
+            out[x].sort(key=by_nesting)
 
-        for x in dfs_order:
-            self.ordered[x] = sorted(
-                ((x, y) for y in self.oriented[x]), key=lambda e: self.nesting[e]
-            )
-        return len(dfs_order)
-
-    # -- phase 2: testing ------------------------------------------------------
-
-    def _conflicting(self, interval: _Interval, b: tuple[int, int]) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _lowest(self, pair: _ConflictPair) -> int:
-        if pair.left.empty():
-            return self.lowpt[pair.right.low]
-        if pair.right.empty():
-            return self.lowpt[pair.left.low]
-        return min(self.lowpt[pair.left.low], self.lowpt[pair.right.low])
-
-    def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> None:
-        pair = _ConflictPair()
-        # Merge return edges of ei into pair.right (at least one conflict
-        # pair lies above stack_bottom[ei] whenever ei has a return edge).
+        # -- phase 2: testing --------------------------------------------------
+        # The walk keeps no stack: a finished vertex returns along its parent
+        # edge, and resume[] says where its parent's out-edge scan stopped.
+        x, i = root, 0
         while True:
-            q = self.S.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                raise _NotPlanar()
-            if self.lowpt[q.right.low] > self.lowpt[e]:
-                if pair.right.empty():
-                    pair.right.high = q.right.high
-                else:
-                    self.ref[pair.right.low] = q.right.high
-                pair.right.low = q.right.low
+            ox = out[x]
+            if i < len(ox):
+                ei = ox[i]
+                stack_bottom[ei] = S[-1] if S else None
+                y = dst[ei]
+                if parent_edge[y] == ei:  # tree edge: descend, integrate ei on return
+                    resume[x] = i
+                    x, i = y, 0
+                    continue
+                lowpt_edge[ei] = ei  # back edge: its own conflict pair
+                S.append([-1, -1, ei, ei])
             else:
-                # Align with the parent edge's lowpoint edge.
-                self.ref[q.right.low] = self.lowpt_edge[e]
-            if (self.S[-1] if self.S else None) is self.stack_bottom[ei]:
-                break
-        # Merge conflicting return edges of earlier siblings into pair.left.
-        while self.S and (
-            self._conflicting(self.S[-1].left, ei) or self._conflicting(self.S[-1].right, ei)
-        ):
-            q = self.S.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                raise _NotPlanar()
-            self.ref[pair.right.low] = q.right.high
-            if q.right.low is not None:
-                pair.right.low = q.right.low
-            if pair.left.empty():
-                pair.left.high = q.left.high
-            else:
-                self.ref[pair.left.low] = q.left.high
-            pair.left.low = q.left.low
-        if not (pair.left.empty() and pair.right.empty()):
-            self.S.append(pair)
+                ei = parent_edge[x]
+                if ei == -1:
+                    break  # the root is finished
+                u = src[ei]
+                hu = height[u]
+                # Trim back edges ending at u: drop conflict pairs whose
+                # lowest return point is u, then cut u out of the top pair.
+                while S:
+                    ql, qh, rl, rh = S[-1]
+                    if ql == -1:
+                        low = lowpt[rl]
+                    elif rl == -1:
+                        low = lowpt[ql]
+                    else:
+                        low = min(lowpt[ql], lowpt[rl])
+                    if low != hu:
+                        break
+                    S.pop()
+                if S:
+                    q = S[-1]
+                    ql, qh, rl, rh = q
+                    while qh != -1 and dst[qh] == u:
+                        qh = ref[qh]
+                    if qh == -1 and ql != -1:
+                        ref[ql] = rl
+                        ql = -1
+                    while rh != -1 and dst[rh] == u:
+                        rh = ref[rh]
+                    if rh == -1 and rl != -1:
+                        ref[rl] = ql
+                        rl = -1
+                    q[:] = ql, qh, rl, rh
+                if lowpt[ei] < hu:  # ei has a return edge
+                    qh = rh = -1
+                    if S:
+                        qh, rh = S[-1][1], S[-1][3]
+                    if qh != -1 and (rh == -1 or lowpt[qh] > lowpt[rh]):
+                        ref[ei] = qh
+                    else:
+                        ref[ei] = rh
+                x, i = u, resume[u]
 
-    def _trim_back_edges(self, u: int) -> None:
-        # Drop conflict pairs whose lowest return point is u.
-        while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            self.S.pop()
-        if self.S:
-            pair = self.S.pop()
-            while pair.left.high is not None and pair.left.high[1] == u:
-                pair.left.high = self.ref.get(pair.left.high)
-            if pair.left.high is None and pair.left.low is not None:
-                self.ref[pair.left.low] = pair.right.low
-                pair.left.low = None
-            while pair.right.high is not None and pair.right.high[1] == u:
-                pair.right.high = self.ref.get(pair.right.high)
-            if pair.right.high is None and pair.right.low is not None:
-                self.ref[pair.right.low] = pair.left.low
-                pair.right.low = None
-            self.S.append(pair)
-
-    def test(self, root: int) -> bool:
-        """Orient and test root's component."""
-        if self.orient(root) <= 4:
-            return True  # every graph on at most 4 vertices is planar
-        ENTER, INTEGRATE = 0, 1
-        stack: list[tuple[int, int, int]] = [(ENTER, root, 0)]
-        try:
-            while stack:
-                kind, x, i = stack[-1]
-                if kind == ENTER:
-                    if i >= len(self.ordered[x]):
-                        stack.pop()
-                        pe = self.parent_edge[x]
-                        if pe is not None:
-                            u = pe[0]
-                            self._trim_back_edges(u)
-                            if self.lowpt[pe] < self.height[u]:  # pe has a return edge
-                                top = self.S[-1] if self.S else _ConflictPair()
-                                hl, hr = top.left.high, top.right.high
-                                if hl is not None and (
-                                    hr is None or self.lowpt[hl] > self.lowpt[hr]
-                                ):
-                                    self.ref[pe] = hl
-                                else:
-                                    self.ref[pe] = hr
-                        continue
-                    ei = self.ordered[x][i]
-                    self.stack_bottom[ei] = self.S[-1] if self.S else None
-                    stack[-1] = (ENTER, x, i + 1)
-                    y = ei[1]
-                    if self.parent_edge[y] == ei:  # tree edge: recurse, then integrate
-                        stack.append((INTEGRATE, x, i))
-                        stack.append((ENTER, y, 0))
-                    else:  # back edge: push its own conflict pair, then integrate
-                        self.lowpt_edge[ei] = ei
-                        self.S.append(_ConflictPair(right=_Interval(ei, ei)))
-                        stack.append((INTEGRATE, x, i))
+            # Integrate ei, the i-th out-edge of x.
+            if lowpt[ei] < height[x]:  # ei has a return edge, so x is no root
+                pe = parent_edge[x]
+                if i == 0:
+                    lowpt_edge[pe] = lowpt_edge[ei]
                 else:
-                    stack.pop()
-                    ei = self.ordered[x][i]
-                    if self.lowpt[ei] < self.height[x]:  # ei has a return edge
-                        pe = self.parent_edge[x]
-                        if i == 0:
-                            if pe is not None:
-                                self.lowpt_edge[pe] = self.lowpt_edge[ei]
-                        else:
-                            self._add_constraints(ei, pe)
-        except _NotPlanar:
-            return False
-        return True
+                    # Add constraints: merge the return edges of ei into the
+                    # right interval of a new pair P ...
+                    pll = plh = prl = prh = -1
+                    bottom = stack_bottom[ei]
+                    lpe = lowpt[pe]
+                    while True:
+                        ql, qh, rl, rh = S.pop()
+                        if ql != -1 or qh != -1:
+                            if rl != -1 or rh != -1:
+                                return False
+                            ql, qh, rl, rh = rl, rh, ql, qh
+                        if lowpt[rl] > lpe:
+                            if prl == -1 and prh == -1:
+                                prh = rh
+                            else:
+                                ref[prl] = rh
+                            prl = rl
+                        else:  # align with the parent edge's lowpoint edge
+                            ref[rl] = lowpt_edge[pe]
+                        if (S[-1] if S else None) is bottom:
+                            break
+                    # ... and the conflicting return edges of earlier
+                    # siblings into its left interval. -1 is a valid list
+                    # index, so writes through a slot that may be -1 are
+                    # guarded.
+                    lei = lowpt[ei]
+                    while S:
+                        ql, qh, rl, rh = S[-1]
+                        l_conflict = qh != -1 and lowpt[qh] > lei
+                        r_conflict = rh != -1 and lowpt[rh] > lei
+                        if not (l_conflict or r_conflict):
+                            break
+                        if r_conflict:
+                            if l_conflict:
+                                return False
+                            ql, qh, rl, rh = rl, rh, ql, qh
+                        S.pop()
+                        if prl != -1:
+                            ref[prl] = rh
+                        if rl != -1:
+                            prl = rl
+                        if pll == -1 and plh == -1:
+                            plh = qh
+                        elif pll != -1:
+                            ref[pll] = qh
+                        pll = ql
+                    if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+                        S.append([pll, plh, prl, prh])
+            i += 1
+    return True
 
 
 def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerdict:
@@ -333,8 +310,4 @@ def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerd
             return PlanarityVerdict(False, METHOD_K5_CLIQUE, tuple(clique))
     if not euler_bound_check(g):
         return PlanarityVerdict(False, METHOD_EULER_BOUND)
-    lr = _LRTest(g.v, g.adjacency_lists())
-    for root in range(g.v):
-        if lr.height[root] == -1 and lr.adj[root] and not lr.test(root):
-            return PlanarityVerdict(False, METHOD_LEFT_RIGHT)
-    return PlanarityVerdict(True, METHOD_LEFT_RIGHT)
+    return PlanarityVerdict(_left_right_planar(g.adjacency_lists()), METHOD_LEFT_RIGHT)

@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             SimpleGraph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]])
+    def test_rejects_negative_vertex_count(self, edges):
+        with pytest.raises(ValueError, match="vertex count -3 is negative"):
+            SimpleGraph.from_edges(-3, edges)
+
     def test_label_length(self):
         with pytest.raises(ValueError, match="expected 2 labels"):
             SimpleGraph.from_edges(2, [], labels=[7])

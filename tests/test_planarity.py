@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from conftest import (
     complete_bipartite,
     complete_graph,
+    disjoint_union,
     grid_graph,
     petersen_graph,
+    stacked_triangulation,
     wheel_graph,
 )
 from gpgraph.graphs import SimpleGraph
 from gpgraph.planarity import (
     METHOD_EULER_BOUND,
     METHOD_K5_CLIQUE,
+    METHOD_LEFT_RIGHT,
+    PlanarityVerdict,
     biconnected_components,
     euler_bound_check,
     is_planar,
@@ -147,6 +151,52 @@ class TestAgreement:
         assert big.v == 161
         assert is_planar(big).planar is False
         assert is_planar_oracle(big) is False
+
+
+class TestTriangulationCorpus:
+    """Graphs whose planarity is known from how they are built.
+
+    A stacked triangulation keeps 90% of its 3n - 6 edges, so from n = 40
+    on, even with a K5 or K3,3 planted, it stays within the Euler bound and
+    only the left-right test can decide it.
+    """
+
+    def test_planar_agree_with_oracle(self):
+        for i, n in enumerate(range(40, 121, 10)):
+            g = stacked_triangulation(n, 100 + i)
+            assert is_planar(g) == PlanarityVerdict(True, METHOD_LEFT_RIGHT), n
+            assert is_planar_oracle(g), n
+
+    @pytest.mark.parametrize("plant", ["k5", "k33"])
+    def test_planted_agree_with_oracle(self, plant):
+        for i, n in enumerate(range(40, 301, 20)):
+            g = stacked_triangulation(n, 200 + i, plant=plant)
+            assert is_planar(g) == PlanarityVerdict(False, METHOD_LEFT_RIGHT), n
+            assert not is_planar_oracle(g), n
+
+    def test_disjoint_union_agrees_with_oracle(self):
+        # One left-right pass tests every piece from its own root; isolated
+        # vertices sit between the pieces. In the second union the planted
+        # piece has the highest ids, so it is tested after all the others.
+        isolated = SimpleGraph.from_edges(3, [])
+        pieces = [stacked_triangulation(n, 300 + n) for n in (40, 55, 70, 85)]
+        planar = disjoint_union(*(p for piece in pieces for p in (piece, isolated)))
+        planted = disjoint_union(*pieces, stacked_triangulation(60, 399, plant="k33"))
+        for graph, expected in ((planar, True), (planted, False)):
+            assert is_planar(graph) == PlanarityVerdict(expected, METHOD_LEFT_RIGHT)
+            assert is_planar_oracle(graph) == expected
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    @pytest.mark.parametrize("plant", [None, "k5", "k33"])
+    def test_big_known_answers(self, n, plant):
+        g = stacked_triangulation(n, n + len(plant or ""), plant=plant)
+        assert is_planar(g) == PlanarityVerdict(plant is None, METHOD_LEFT_RIGHT)
+
+    def test_big_disjoint_union(self):
+        pieces = [stacked_triangulation(n, 7 * n) for n in (500, 700, 900)]
+        assert is_planar(disjoint_union(*pieces)) == PlanarityVerdict(True, METHOD_LEFT_RIGHT)
+        pieces.insert(1, stacked_triangulation(600, 11, plant="k5"))
+        assert is_planar(disjoint_union(*pieces)) == PlanarityVerdict(False, METHOD_LEFT_RIGHT)
 
 
 class TestClosureProperties:
