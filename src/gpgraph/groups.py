@@ -23,6 +23,10 @@ PERMUTATION_CLOSURE_CAP = 2048
 # memory is O(n * ASSOCIATIVITY_BAND) entries.
 ASSOCIATIVITY_BAND = 256
 
+# The only bytes a table body may hold for parse_cayley_table to read it in
+# one np.loadtxt call.
+_TABLE_CHARS = b"0123456789+- \t"
+
 
 class CayleyTableError(ValueError):
     """A table failed validation as a group multiplication table."""
@@ -164,22 +168,33 @@ class FiniteGroup:
         return self._orders
 
     def _fill_powers(self) -> None:
-        # One walk for all g at once, g^(k+1) = table[g^k, g], until every
-        # element has reached the identity, which takes L steps.
-        cur = idx = np.arange(self.n, dtype=self.table.dtype)  # g^k, k = len(cols)
-        cols = [np.zeros_like(idx)]
-        reached = idx == 0
-        while not reached.all():
-            if len(cols) == self.n:  # possible only for a table that is no group
+        # Doubling, built transposed (row k holds g^k for every g, so each
+        # block's search for the identity runs down contiguous rows): with
+        # rows g^0 .. g^(k-1) filled, block [k, 2k) is table[g^k, g^j] for
+        # j < k, so L rows take log2(L) steps. The height stops at n, the
+        # most a group needs; order(g), the least k >= 1 with g^k = 0, is
+        # read off each block as it is filled.
+        n, table = self.n, self.table
+        cols = np.arange(n)
+        by_power = np.zeros((1, n), dtype=table.dtype)
+        top = cols.astype(table.dtype)  # g^k, k = len(by_power)
+        orders = (top == 0).astype(np.intp)  # 0 until found
+        while not orders.all():
+            k = len(by_power)
+            if k == n:  # possible only for a table that is no group
                 raise CayleyTableError("some element's powers never reach the identity")
-            cols.append(cur)
-            cur = self.table[cur, idx]
-            reached |= cur == 0
-        powers = np.stack(cols, axis=1)
+            height = min(2 * k, n)
+            grown = np.empty((height, n), dtype=table.dtype)
+            grown[:k] = by_power
+            by_power = grown  # drops the old array before the block's temporary is made
+            by_power[k:] = table[top, by_power[:height - k]]
+            first = k + (by_power[k:] == 0).argmax(axis=0)
+            found = (orders == 0) & (by_power[first, cols] == 0)
+            orders[found] = first[found]
+            top = table[by_power[-1], cols]
+            orders[(orders == 0) & (top == 0)] = height
+        powers = by_power[:orders.max()].T.copy()
         powers.setflags(write=False)
-        # order(g) is the least k >= 1 with g^k = 0; with g^L = cur as a last
-        # column, every row has one.
-        orders = np.argmax(np.column_stack((powers[:, 1:], cur)) == 0, axis=1) + 1
         # Each property tests its own attribute, so a concurrent reader never gets None.
         self._orders = orders
         self._powers = powers
@@ -240,7 +255,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         """Least common multiple of all element orders."""
-        return int(math.lcm(*(int(o) for o in self.orders)))
+        return math.lcm(*self.orders.tolist())
 
     def p_group_prime(self) -> Optional[int]:
         """The prime p if |G| = p^k (k >= 1), else None.
@@ -275,7 +290,7 @@ class FiniteGroup:
 
         Not an isomorphism test; used only to dedupe the catalog.
         """
-        return (self.n, tuple(sorted(int(o) for o in self.orders)), self.is_abelian)
+        return (self.n, tuple(sorted(self.orders.tolist())), self.is_abelian)
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
@@ -414,9 +429,14 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
     """Cayley table of the permutations in the rows of `perms` under
     composition: table[a, b] is the row index of perms[a] o perms[b].
 
-    Each row is one np.void key; the keys are sorted once, and each row of
-    compositions is looked up with one searchsorted. Raises
-    CayleyTableError when the rows are not closed under composition.
+    Only the rows of a greedy generating set, picked as _generating_set
+    picks them, are looked up among the sorted rows (each row one np.void
+    key, one searchsorted per looked-up row). Every other row follows from
+    row(a o g) = row(a)[row(g)] along a breadth-first search from the
+    identity. The looked-up rows are where closure is checked: when each
+    generator maps the rows into the rows, so does every product of
+    generators, which is every row. Raises CayleyTableError when the rows
+    are not closed under composition.
     """
     n = len(perms)
     # No void key has width 0: the empty permutation stands in as the
@@ -425,15 +445,38 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
     key = np.dtype((np.void, perms.itemsize * perms.shape[1]))
     by_key = np.argsort(perms.view(key).ravel())
     keys = perms[by_key].view(key).ravel()
+    identity = np.flatnonzero((perms == np.arange(perms.shape[1])).all(axis=1))
+    if not len(identity):  # a closed set holds the powers of its rows, the identity among them
+        raise CayleyTableError("the identity permutation is outside the rows")
     table = np.empty((n, n), dtype=_table_dtype(n))
-    for a in range(n):  # row j of perms[a][perms] is perms[a] o perms[j]
-        comp = perms[a][perms].view(key).ravel()
+    table[identity[0]] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity[0]] = True
+    gens: list[int] = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        comp = perms[g][perms].view(key).ravel()  # row j is perms[g] o perms[j]
         at = np.minimum(np.searchsorted(keys, comp), n - 1)
         missing = np.nonzero(keys[at] != comp)[0]
         if len(missing):
             raise CayleyTableError(
-                f"rows {a} and {int(missing[0])} compose to a permutation outside the rows")
-        table[a] = by_key[at]
+                f"rows {g} and {int(missing[0])} compose to a permutation outside the rows")
+        table[g] = by_key[at]
+        gens.append(g)
+        # As in _generating_set: reached elements times the new generator,
+        # then each round's new elements times every generator and times
+        # one of themselves.
+        src = np.flatnonzero(reached)
+        by = np.full(len(src), g)
+        while len(src):
+            prod = table[src, by]
+            new, first = np.unique(prod, return_index=True)
+            keep = ~reached[new]
+            new, first = new[keep], first[keep]
+            table[new] = table[src[first, None], table[by[first]]]
+            reached[new] = True
+            right = np.array(gens + new[:1].tolist())
+            src, by = np.repeat(new, len(right)), np.tile(right, len(new))
     return table
 
 
@@ -460,8 +503,26 @@ def parse_cayley_table(text: str) -> FiniteGroup:
         raise CayleyTableError(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
     if len(lines) != n + 1:
         raise CayleyTableError(f"expected {n} table rows, found {len(lines) - 1}")
+    body = lines[1:]
+    table = None
+    # loadtxt reads some non-ASCII characters as digits, so only bodies of
+    # ASCII digits, signs and blanks go to it; on those it reads what int()
+    # reads. The row loop names the first bad row of any other body, and
+    # validate_and_build checks the range before any cast.
+    if not "".join(body).encode("ascii", "replace").translate(None, _TABLE_CHARS):
+        try:
+            table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:  # a bad token, ragged rows or an int64 overflow
+            pass
+    if table is None or table.shape != (n, n):
+        table = _parse_rows(body, n)
+    return validate_and_build(table)
+
+
+def _parse_rows(body: list[str], n: int) -> np.ndarray:
+    """The table rows of `body` one token at a time; raises on the first bad row."""
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         try:
             row = [int(tok) for tok in ln.split()]
         except ValueError:
@@ -472,7 +533,7 @@ def parse_cayley_table(text: str) -> FiniteGroup:
             col = next(c for c, v in enumerate(row) if not 0 <= v < n)
             raise NotClosed(len(rows), col, row[col], n)
         rows.append(row)
-    return validate_and_build(np.array(rows, dtype=_table_dtype(n)))
+    return np.array(rows, dtype=_table_dtype(n))
 
 
 def format_cayley_table(group: FiniteGroup) -> str:

@@ -5,8 +5,9 @@ for SimpleGraph.induced_subgraph, a dict of row bytes for
 groups._permutation_table, an n x n x k digit cube for
 catalog._abelian_table, one element's power walk over the Cayley table for
 every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
-order, GP adjacency), and the closure of a set under all products for
-groups._generating_set. The kernels must agree with them on every input.
+order, GP adjacency, element orders), the closure of a set under all
+products for groups._generating_set, and a per-token parse for
+groups.parse_cayley_table. The kernels must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gpgraph.graphs import SimpleGraph
-from gpgraph.groups import FiniteGroup
+from gpgraph.groups import (
+    MAX_GROUP_ORDER,
+    CayleyTableError,
+    FiniteGroup,
+    NotClosed,
+    validate_and_build,
+)
 
 
 def induced_rows(g: SimpleGraph, vertices: Iterable[int]) -> list[int]:
@@ -101,6 +108,12 @@ def cyclic_subgroups(group: FiniteGroup) -> list[list[int]]:
     return [_walk(rows, g) for g in range(group.n)]
 
 
+def element_orders(walks: list[list[int]]) -> list[int]:
+    """The order of every element: the size of its walked <g> (from
+    cyclic_subgroups)."""
+    return [len(cyc) for cyc in walks]
+
+
 def subgroups_of_order_p(walks: list[list[int]], p: int) -> list[tuple[int, ...]]:
     """The distinct walked <g> (from cyclic_subgroups) with exactly p
     elements, as sorted tuples."""
@@ -126,3 +139,35 @@ def magma_closure(table: np.ndarray, elements: Iterable[int]) -> np.ndarray:
         found[table[np.ix_(idx, idx)]] = True
         if found.sum() == len(idx):
             return idx
+
+
+def parse_cayley_table(text: str) -> FiniteGroup:
+    """The Cayley table text format read one token at a time with int(),
+    each row checked in turn, then validated in full."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise CayleyTableError("empty table file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise CayleyTableError(f"first line must be the order, got {lines[0]!r}")
+    if n < 1:
+        raise CayleyTableError(f"order must be >= 1, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise CayleyTableError(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
+    if len(lines) != n + 1:
+        raise CayleyTableError(f"expected {n} table rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise CayleyTableError(f"non-integer entry in row {len(rows)}: {ln!r}")
+        if len(row) != n:
+            raise CayleyTableError(f"row {len(rows)} has {len(row)} entries, expected {n}")
+        if min(row) < 0 or max(row) >= n:
+            col = next(c for c, v in enumerate(row) if not 0 <= v < n)
+            raise NotClosed(len(rows), col, row[col], n)
+        rows.append(row)
+    return validate_and_build(np.array(rows))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gpgraph.groups import (
     prime_factors,
     validate_and_build,
 )
+import gpgraph.groups as groups_module
 import kernel_oracles as oracle
 from kernel_oracles import permutation_closure, permutation_table
 
@@ -318,14 +320,51 @@ class TestClosure:
     def test_permutation_table_matches_dict_loop(self, degree):
         perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int16)
         assert np.array_equal(_permutation_table(perms), permutation_table(perms))
+        # Rows in any order, the identity last.
+        shuffled = perms[np.random.default_rng(degree).permutation(len(perms))]
+        shuffled = np.concatenate([shuffled[(shuffled != perms[0]).any(axis=1)], perms[:1]])
+        assert np.array_equal(_permutation_table(shuffled), permutation_table(shuffled))
+
+    def test_closure_of_large_degree_matches_dict_loop(self, monkeypatch):
+        # Disjoint 16- and 17-cycles on 33 points generate Z_272; no integer
+        # key of a row of 33 entries below 33 fits 64 bits.
+        c16 = [(x + 1) % 16 for x in range(16)] + list(range(16, 33))
+        c17 = list(range(16)) + [16 + (x + 1) % 17 for x in range(17)]
+        rows_seen = []
+        real = groups_module._permutation_table
+        monkeypatch.setattr(groups_module, "_permutation_table",
+                            lambda perms: rows_seen.append(perms) or real(perms))
+        g = closure_from_permutations(33, [c16, c17])
+        assert g.n == 272 and int(g.orders.max()) == 272
+        assert np.array_equal(g.table, permutation_table(rows_seen[0]))
+        shuffled = rows_seen[0][np.random.default_rng(33).permutation(272)]
+        assert (shuffled[0] != np.arange(33)).any()
+        assert np.array_equal(_permutation_table(shuffled), permutation_table(shuffled))
 
     def test_permutation_table_needs_closed_rows(self):
         s4 = np.array(list(itertools.permutations(range(4))), dtype=np.int16)
-        for rows in (s4[:-1], s4[[0, 1, 3]], np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int16)):
+        for rows in (s4[:-1], s4[[0, 1, 3]], np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int16),
+                     s4[1:], s4[[5, 0, 3]]):
             with pytest.raises(KeyError):
                 permutation_table(rows)
             with pytest.raises(CayleyTableError, match="outside the rows"):
                 _permutation_table(rows)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_table_raises_exactly_on_open_rows(self, data):
+        # Only generator rows are looked up, so a missing composition must
+        # still be found whichever rows are given, in whichever order.
+        s4 = np.array(list(itertools.permutations(range(4))), dtype=np.int16)
+        picked = data.draw(st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True))
+        rows = s4[picked]
+        try:
+            expected = permutation_table(rows)
+        except KeyError:
+            with pytest.raises(CayleyTableError, match="outside the rows"):
+                _permutation_table(rows)
+            return
+        assert np.array_equal(_permutation_table(rows), expected)
 
 
 class TestTableTextFormat:
@@ -477,15 +516,43 @@ class TestPowerTable:
         for spec in catalog_up_to(256, False):
             g = build(spec)
             walks = oracle.cyclic_subgroups(g)
+            orders = oracle.element_orders(walks)
+            abelian = bool((g.table == g.table.T).all())
+            assert g.fingerprint() == (g.n, tuple(sorted(orders)), abelian), spec
+            assert g.exponent() == math.lcm(*orders), spec
             for x, walk in enumerate(walks):
                 assert g.cyclic_subgroup(x) == walk, (spec, x)
             for p in prime_factors(g.n):
                 assert g.subgroups_of_order_p(p) == oracle.subgroups_of_order_p(walks, p), (spec, p)
 
+    def test_fill_keeps_only_the_columns_it_needs(self):
+        for spec in ("cyclic:1", "cyclic:6", "cyclic:97", "symmetric:5", "abelian:2,2,2",
+                     "product:(dihedral:5)x(cyclic:9)", "gq:32"):
+            g = build(parse_spec(spec))
+            assert g.powers.shape == (g.n, int(g.orders.max())), spec
+            assert g.powers.flags.c_contiguous and g.orders.dtype == np.intp
+        # The doubling holds the grown array and one block at a time, so
+        # its peak is about twice the result, however long the orders.
+        g = build(parse_spec("cyclic:2048"))
+        tracemalloc.start()
+        try:
+            g.orders
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.powers.shape == (2048, 2048)
+        assert peak <= 2.1 * g.powers.nbytes
+
     def test_powers_that_never_reach_the_identity(self):
-        # Element 1 squares to itself, so its powers never reach 0. Wrapped
-        # without validation, every reader of the power table must refuse.
-        table = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 2]], dtype=np.int16)
+        # Some element's powers never reach 0. Wrapped without validation,
+        # every reader of the power table must refuse.
+        tables = [
+            # Element 1 squares to itself.
+            [[0, 1, 2], [1, 1, 0], [2, 0, 2]],
+            # {1, 2, 3} is a copy of Z_3 with identity 2, so the powers of 1
+            # cycle through 1, 3, 2 while the fill grows to all n = 4 powers.
+            [[0, 1, 2, 3], [1, 3, 1, 2], [2, 1, 2, 3], [3, 2, 3, 1]],
+        ]
         readers = [
             lambda g: g.orders,
             lambda g: g.order_of(1),
@@ -493,8 +560,9 @@ class TestPowerTable:
             lambda g: g.cyclic_subgroup_masks(),
             lambda g: g.prime_subgroup_incidence(),
             lambda g: g.cyclic_subgroup(1),
-            lambda g: g.subgroups_of_order_p(3),
+            lambda g: g.subgroups_of_order_p(min(prime_factors(g.n))),
         ]
-        for read in readers:
-            with pytest.raises(CayleyTableError):
-                read(FiniteGroup(table))
+        for table in tables:
+            for read in readers:
+                with pytest.raises(CayleyTableError):
+                    read(FiniteGroup(np.array(table, dtype=np.int16)))

@@ -12,13 +12,15 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpgraph.catalog as catalog
 from gpgraph.catalog import build, parse_spec
 from gpgraph.cli import main
 from gpgraph.groups import parse_cayley_table, validate_and_build
+import kernel_oracles as oracle
 
 SMALL_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:5", "abelian:2,2", "dihedral:3", "gq:8")
 FAMILIES = ("cyclic", "abelian", "elemab", "dihedral", "dicyclic", "gq", "heisenberg",
@@ -51,6 +53,46 @@ def table_texts(draw) -> str:
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "# comment")
     return "\n".join(lines) + "\n"
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x0660 + d) for d in range(10)))
+FULLWIDTH_DIGITS = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+
+
+@st.composite
+def table_text_spellings(draw) -> str:
+    """A small group's table written with the spellings a text may use:
+    signs, leading zeros, underscores, non-ASCII digits, a letter that
+    numpy's loadtxt reads as a digit, tabs and runs of blanks between
+    entries, CRLF line ends, blank and comment lines, inline comments,
+    entries past int64, and a dropped entry or row."""
+    table = np.array(build(parse_spec(draw(st.sampled_from(SMALL_GROUPS)))).table)
+    n = len(table)
+
+    def spell(v: int) -> str:
+        digits = str(v)
+        return draw(st.sampled_from([
+            digits, "+" + digits, "0" + digits, "0_" + digits, "-" + digits,
+            digits.translate(ARABIC_INDIC_DIGITS), digits.translate(FULLWIDTH_DIGITS),
+            str(2**63), str(10**30), str(-2**63), str(n), "1_0", digits + "\u01fe",
+        ]))
+
+    rows = []
+    for row in table.tolist():
+        tokens = [spell(v) if draw(st.integers(0, 5)) == 5 else str(v) for v in row]
+        if draw(st.integers(0, 9)) == 9:
+            tokens.pop()
+        line = draw(st.sampled_from([" ", "\t", "  ", " \t "])).join(tokens)
+        if draw(st.integers(0, 9)) == 9:
+            line += " # x"
+        rows.append(line)
+    if draw(st.integers(0, 9)) == 9:
+        rows.pop(draw(st.integers(0, n - 1)))
+    lines = [draw(st.sampled_from([str(n), "+" + str(n), " " + str(n) + " "]))] + rows
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# comment", "  # indented", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
 def table_entries(text: str) -> tuple[int, list[int]]:
@@ -86,6 +128,36 @@ def test_table_text_gives_a_group_or_a_value_error(text):
     except ValueError:
         return
     assert_group_from_valid_entries(group, text)
+
+
+@given(text=st.one_of(table_text_spellings(), table_texts(), st.text(max_size=40)))
+@settings(max_examples=400, deadline=None)
+@example("2\n+0 1\n1 -0\n")
+@example("2\n0 1_0\n1 0\n")
+@example("2\n0 0_1\n1 0\n")
+@example("2\n0 \u0661\n1 0\n")
+@example("2\n0 1\n1 \u01fe\n")
+@example("2\n0 1 # x\n1 0\n")
+@example("2\r\n0\t1\r\n\r\n1 \t 0\r\n")
+@example(f"2\n0 {2**63}\n1 0\n")
+@example(f"2\n0 1\n1 {10**30}\n")
+@example("# head\n\n2\n# between\n0 1\n\n1 0\n# tail\n")
+@example("2\n0 x\n1 5\n")
+@example("2\n0 5\n1 x\n")
+@example("2\n0 1\n1\n")
+def test_table_text_parses_as_the_per_token_oracle(text):
+    """The same table as the per-token parser, or the same error class
+    with the same message."""
+    try:
+        expected = oracle.parse_cayley_table(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_cayley_table(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    group = parse_cayley_table(text)
+    assert group.table.dtype == expected.table.dtype
+    assert np.array_equal(group.table, expected.table)
 
 
 @given(spec=spec_texts(), table=table_texts())
