@@ -1,11 +1,13 @@
 """Named group families and catalog enumeration for the verification harness.
 
 A GroupSpec is a cheap, serializable description (family tag + parameters);
-build() turns it into a FiniteGroup. Family tables are groups by
-construction and are wrapped without checks (the tests check every family);
-file: tables are validated in full. The catalog is explicitly NOT
-all groups of a given order: "only if" theorem directions checked against it
-are catalog-relative.
+build() turns it into a FiniteGroup. Family tables are made in place and
+peak near their own size: abelian ones as mixed-radix sums, dihedral,
+dicyclic, gq and Heisenberg ones as cyclic extensions N<b>, products as
+broadcasts. They are groups by construction and are wrapped without checks
+(the tests check every family); file: tables are validated in full. The
+catalog is explicitly NOT all groups of a given order: "only if" theorem
+directions checked against it are catalog-relative.
 """
 
 from __future__ import annotations
@@ -215,42 +217,32 @@ def _abelian_table(factors: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _dihedral_table(m: int) -> np.ndarray:
-    # Elements a^i s^j with s*a = a^-1*s; index = j*m + i.
-    n = 2 * m
-    idx = np.arange(n)
-    i1, j1 = (idx % m)[:, None], (idx // m)[:, None]
-    i2, j2 = (idx % m)[None, :], (idx // m)[None, :]
-    res_i = (i1 + np.where(j1 == 1, -i2, i2)) % m
-    res_j = (j1 + j2) % 2
-    return (res_j * m + res_i).astype(_table_dtype(n))
+def _negation(m: int) -> np.ndarray:
+    return -np.arange(m) % m  # i -> -i, inverting every element of Z_m
 
 
-def _dicyclic_table(m: int) -> np.ndarray:
-    # Presentation a^(2m) = 1, b^2 = a^m, b^-1*a*b = a^-1.
-    # Elements a^i b^j, i in [0, 2m), j in {0, 1}; index = j*2m + i.
-    n = 4 * m
-    idx = np.arange(n)
-    i1, j1 = (idx % (2 * m))[:, None], (idx // (2 * m))[:, None]
-    i2, j2 = (idx % (2 * m))[None, :], (idx // (2 * m))[None, :]
-    res_i = (i1 + np.where(j1 == 1, -i2, i2) + m * (j1 & j2)) % (2 * m)
-    res_j = (j1 + j2) % 2
-    return (res_j * 2 * m + res_i).astype(_table_dtype(n))
-
-
-def _heisenberg_table(p: int) -> np.ndarray:
-    # Upper unitriangular 3x3 matrices over F_p as triples (a, b, c):
-    # (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b'); index = a*p^2 + b*p + c.
-    n = p ** 3
-    idx = np.arange(n)
-    a, rem = np.divmod(idx, p * p)
-    b, c = np.divmod(rem, p)
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    ra = (a1 + a2) % p
-    rb = (b1 + b2) % p
-    rc = (c1 + c2 + a1 * b2) % p
-    return (ra * p * p + rb * p + rc).astype(_table_dtype(n))
+def _extension_table(normal: np.ndarray, twist: np.ndarray, n: int, t: int) -> np.ndarray:
+    # G = N<b> with N normal (Cayley table `normal`), b y b^-1 = twist[y] and
+    # b^n = t in N. Element x b^j has index j*|N| + x, and
+    # (x b^j)(y b^l) = x twist^j(y) t^[j+l >= n] b^((j+l) mod n).
+    # The rows x b^j, x in N, are one contiguous (|N|, n*|N|) slice: one take
+    # of columns twist^j(y), times t where j + l >= n, then one add in place
+    # of the offsets of b^((j+l) mod n), which are n*|N| consecutive entries
+    # of `lead`. Only the table and `normal` are held.
+    k = len(normal)
+    dt = _table_dtype(n * k)
+    normal = normal.astype(dt, copy=False)
+    table = np.empty((n, k, n * k), dtype=dt)
+    lead = np.repeat(np.arange(2 * n, dtype=dt) % n * k, k)
+    colmap = np.empty((n, k), dtype=np.intp)
+    cols = np.arange(k)
+    for j in range(n):
+        colmap[:n - j] = cols
+        colmap[n - j:] = normal[cols, t]
+        np.take(normal, colmap.ravel(), axis=1, out=table[j], mode="clip")
+        table[j] += lead[j * k:(j + n) * k]
+        cols = twist[cols]
+    return table.reshape(n * k, n * k)
 
 
 def _symmetric_table(deg: int) -> np.ndarray:
@@ -259,10 +251,14 @@ def _symmetric_table(deg: int) -> np.ndarray:
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    n1, n2 = t1.shape[0], t2.shape[0]
-    dt = _table_dtype(n1 * n2)
-    ones = np.ones((n2, n2), dtype=dt)
-    return np.kron(t1.astype(dt), ones) * n2 + np.tile(t2.astype(dt), (n1, n1))
+    # (a, x)(b, y) = (ab, xy) with index a*n2 + x: t1 and t2 broadcast into
+    # a (n1, n2, n1, n2) view of the table, with no n x n temporary.
+    n1, n2 = len(t1), len(t2)
+    table = np.empty((n1, n2, n1, n2), dtype=_table_dtype(n1 * n2))
+    table[...] = t1[:, None, :, None]
+    table *= n2
+    table += t2[:, None, :]
+    return table.reshape(n1 * n2, n1 * n2)
 
 
 def _table_maker(spec: GroupSpec) -> tuple[int | None, Callable[[], np.ndarray]]:
@@ -305,21 +301,27 @@ def _table_maker(spec: GroupSpec) -> tuple[int | None, Callable[[], np.ndarray]]
         order = within_cap(p[0] ** p[1])
         need(is_prime(p[0]), rule)
         return order, lambda: _abelian_table((p[0],) * p[1])
-    if f == DIHEDRAL:
+    if f == DIHEDRAL:  # D_2m = Z_m<s>, s inverting, s^2 = 1
         need(len(p) == 1 and p[0] >= 1, "dihedral:m needs m >= 1")
-        return within_cap(2 * p[0]), lambda: _dihedral_table(p[0])
-    if f == DICYCLIC:
+        return within_cap(2 * p[0]), lambda: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0)
+    if f == DICYCLIC:  # Dic_m = Z_2m<b>, b inverting, b^2 = a^m
         need(len(p) == 1 and p[0] >= 2, "dicyclic:m needs m >= 2")
-        return within_cap(4 * p[0]), lambda: _dicyclic_table(p[0])
-    if f == GENERALIZED_QUATERNION:
+        m = p[0]
+        return within_cap(4 * m), lambda: _extension_table(_cyclic_table(2 * m), _negation(2 * m), 2, m)
+    if f == GENERALIZED_QUATERNION:  # Q_4m = Dic_m
         need(len(p) == 1, "gq:n needs the group order")
         need(p[0] >= 8 and p[0] & (p[0] - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
-        return within_cap(p[0]), lambda: _dicyclic_table(p[0] // 4)
+        m = p[0] // 4
+        return within_cap(4 * m), lambda: _extension_table(_cyclic_table(2 * m), _negation(2 * m), 2, m)
     if f == HEISENBERG:
         need(len(p) == 1, "heisenberg:p needs a prime p")
         order = within_cap(p[0] ** 3)
         need(is_prime(p[0]), "heisenberg:p needs a prime p")
-        return order, lambda: _heisenberg_table(p[0])
+        # Heis_q = (Z_q x Z_q)<b> with b (u, v) b^-1 = (u, u + v) and b^q = 1;
+        # (u, v) b^j is the matrix [[1, j, v], [0, 1, u], [0, 0, 1]].
+        q = p[0]
+        return order, lambda: _extension_table(
+            _abelian_table((q, q)), (_cyclic_table(q) + np.arange(0, q * q, q)[:, None]).ravel(), q, 0)
     if f == SYMMETRIC:
         need(len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT,
              f"symmetric:n needs 1 <= n <= {SYMMETRIC_DEGREE_LIMIT}")

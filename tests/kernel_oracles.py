@@ -1,9 +1,12 @@
-"""Plain-loop references for the numpy kernels in gpgraph.
+"""Plain references for the numpy kernels in gpgraph.
 
 Each function is the straightforward version of one kernel: a per-bit walk
 for SimpleGraph.induced_subgraph, a dict of row bytes for
 groups._permutation_table, an n x n x k digit cube for
-catalog._abelian_table, one element's power walk over the Cayley table for
+catalog._abelian_table, a closed-form index formula over full n x n
+coordinate arrays for each family catalog._extension_table makes (dihedral,
+dicyclic and generalized quaternion, Heisenberg), np.kron and np.tile for
+catalog._product_table, one element's power walk over the Cayley table for
 every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
 order, GP adjacency, element orders), the closure of a set under all
 products for groups._generating_set, and a per-token parse for
@@ -25,6 +28,11 @@ from gpgraph.groups import (
     NotClosed,
     validate_and_build,
 )
+
+
+def _table_dtype(n: int) -> type:
+    """The dtype of a table of order n: int16 while indices fit in it."""
+    return np.int16 if n < 2**15 else np.int32
 
 
 def induced_rows(g: SimpleGraph, vertices: Iterable[int]) -> list[int]:
@@ -87,6 +95,56 @@ def abelian_table_rows(factors: tuple[int, ...], rows: Sequence[int]) -> np.ndar
     for j in range(k - 2, -1, -1):
         strides[j] = strides[j + 1] * factors[j + 1]
     return summed @ strides
+
+
+def dihedral_table(m: int) -> np.ndarray:
+    """Cayley table of D_2m: elements a^i s^j with s*a = a^-1*s, index
+    j*m + i."""
+    n = 2 * m
+    idx = np.arange(n)
+    i1, j1 = (idx % m)[:, None], (idx // m)[:, None]
+    i2, j2 = (idx % m)[None, :], (idx // m)[None, :]
+    res_i = (i1 + np.where(j1 == 1, -i2, i2)) % m
+    res_j = (j1 + j2) % 2
+    return (res_j * m + res_i).astype(_table_dtype(n))
+
+
+def dicyclic_table(m: int) -> np.ndarray:
+    """Cayley table of Dic_m = <a, b | a^(2m) = 1, b^2 = a^m,
+    b^-1*a*b = a^-1>: elements a^i b^j, index j*2m + i. For m a power of
+    two it is the generalized quaternion group of order 4m."""
+    n = 4 * m
+    idx = np.arange(n)
+    i1, j1 = (idx % (2 * m))[:, None], (idx // (2 * m))[:, None]
+    i2, j2 = (idx % (2 * m))[None, :], (idx // (2 * m))[None, :]
+    res_i = (i1 + np.where(j1 == 1, -i2, i2) + m * (j1 & j2)) % (2 * m)
+    res_j = (j1 + j2) % 2
+    return (res_j * 2 * m + res_i).astype(_table_dtype(n))
+
+
+def heisenberg_table(p: int) -> np.ndarray:
+    """Cayley table of the upper unitriangular 3x3 matrices over F_p as
+    triples (a, b, c): (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b'), index
+    a*p^2 + b*p + c."""
+    n = p ** 3
+    idx = np.arange(n)
+    a, rem = np.divmod(idx, p * p)
+    b, c = np.divmod(rem, p)
+    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
+    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    ra = (a1 + a2) % p
+    rb = (b1 + b2) % p
+    rc = (c1 + c2 + a1 * b2) % p
+    return (ra * p * p + rb * p + rc).astype(_table_dtype(n))
+
+
+def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Cayley table of the direct product, index a*n2 + x for (a, x), from
+    a Kronecker product with a ones matrix and a tiling."""
+    n1, n2 = t1.shape[0], t2.shape[0]
+    dt = _table_dtype(n1 * n2)
+    ones = np.ones((n2, n2), dtype=dt)
+    return np.kron(t1.astype(dt), ones) * n2 + np.tile(t2.astype(dt), (n1, n1))
 
 
 def _walk(rows: list[list[int]], g: int) -> list[int]:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_count
+import kernel_oracles as oracle
 from kernel_oracles import abelian_table_rows
 import gpgraph.catalog as catalog
 from gpgraph.catalog import (
@@ -18,7 +21,7 @@ from gpgraph.catalog import (
     enumerate_abelian_up_to,
     parse_spec,
 )
-from gpgraph.groups import prime_factors
+from gpgraph.groups import prime_factors, validate_and_build
 
 
 class TestBuild:
@@ -131,6 +134,106 @@ class TestAbelianTable:
         idx = np.arange(MAX_GROUP_ORDER)
         for lo in range(0, MAX_GROUP_ORDER, 256):
             assert np.array_equal(table[lo:lo + 256], np.bitwise_xor.outer(idx[lo:lo + 256], idx))
+
+
+def _made(text: str) -> np.ndarray:
+    return catalog._table_maker(parse_spec(text))[1]()
+
+
+def _assert_same_bytes(table: np.ndarray, expected: np.ndarray, label: str):
+    assert table.dtype == expected.dtype, label
+    assert table.shape == expected.shape, label
+    assert table.tobytes() == expected.tobytes(), label
+
+
+@st.composite
+def metacyclic_presentations(draw):
+    """(m, n, r, t) for a consistent <a, b | a^m, b^n = a^t, b a b^-1 = a^r>
+    with n >= 2 and m*n <= 256: gcd(r, m) = 1, r^n = 1 and t(r - 1) = 0
+    (mod m)."""
+    m = draw(st.integers(min_value=1, max_value=128))
+    n = draw(st.integers(min_value=2, max_value=256 // m))
+    r = draw(st.sampled_from([r for r in range(m) if math.gcd(r, m) == 1 and pow(r, n, m) == 1 % m]))
+    t = draw(st.sampled_from([t for t in range(m) if t * (r - 1) % m == 0]))
+    return m, n, r, t
+
+
+class TestExtensionTable:
+    def test_families_match_their_index_formulas(self):
+        cases = [(f"dihedral:{m}", oracle.dihedral_table(m)) for m in range(1, 301)]
+        cases += [(f"dicyclic:{m}", oracle.dicyclic_table(m)) for m in range(2, 151)]
+        cases += [(f"gq:{2 ** k}", oracle.dicyclic_table(2 ** k // 4)) for k in range(3, 11)]
+        for text, expected in cases:
+            _assert_same_bytes(_made(text), expected, text)
+        for p in (2, 3, 5, 7, 11, 13):
+            _assert_same_bytes(_made(f"heisenberg:{p}"), oracle.heisenberg_table(p), p)
+
+    @given(metacyclic_presentations())
+    @example((9, 6, 4, 3))
+    @example((4, 4, 3, 2))
+    @example((8, 2, 5, 4))
+    @example((16, 16, 1, 8))
+    @example((1, 256, 0, 0))
+    @settings(max_examples=80, deadline=None)
+    def test_metacyclic_presentations_are_groups(self, presentation):
+        # The named families only use n = 2 with a carry, or n > 2 without
+        # one; here both vary, with twists of every order dividing n.
+        m, n, r, t = presentation
+        table = catalog._extension_table(catalog._cyclic_table(m), np.arange(m) * r % m, n, t)
+        g = validate_and_build(table)  # Light's associativity test included
+        assert g.n == m * n
+        # Every element is a^x b^j (index j*m + x), and a, b satisfy the
+        # relations, so this is the presented group of order m*n.
+        a, b = 1 % m, m
+        assert np.array_equal(g.table[:m, np.arange(n) * m],
+                              np.arange(m)[:, None] + np.arange(n) * m)
+        assert g.order_of(a) == m
+        b_n = 0
+        for _ in range(n):
+            b_n = g.mul(b_n, b)
+        assert b_n == t
+        assert g.mul(g.mul(b, a), g.inv(b)) == r % m
+
+    def test_a4_as_klein_four_by_z3(self):
+        # b cycles the involutions 1 -> 2 -> 3 of Z2 x Z2 (index 2*u + v).
+        g = validate_and_build(catalog._extension_table(catalog._abelian_table((2, 2)),
+                                                        np.array([0, 2, 3, 1]), 3, 0))
+        assert g.n == 12 and not g.is_abelian
+        assert np.bincount(g.orders).tolist() == [0, 1, 3, 8]
+
+    def test_carry_stays_right_of_a_non_abelian_normal_subgroup(self):
+        # N = S3, b acts as conjugation by c of order 3 and b^2 = c^2, which
+        # commutes with no transposition: x twist(y) t and x t twist(y)
+        # differ, and only the first is a group, S3 x Z2.
+        s3 = catalog._symmetric_table(3)
+        c, c_inv = 3, 4
+        assert s3[c, c_inv] == 0
+        g = validate_and_build(catalog._extension_table(s3, s3[s3[c], c_inv], 2, int(s3[c, c])))
+        assert np.bincount(g.orders).tolist() == [0, 1, 7, 2, 0, 0, 2]
+
+    @pytest.mark.parametrize("text", [
+        "cyclic:4096", "abelian:64,64", "elemab:2,12",
+        "dihedral:2048", "dicyclic:1024", "gq:4096", "heisenberg:13",
+        "symmetric:6", "product:(dihedral:512)x(abelian:2,2)",
+    ])
+    def test_table_making_peaks_near_the_table(self, text):
+        make = catalog._table_maker(parse_spec(text))[1]
+        tracemalloc.start()
+        try:
+            table = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes, (text, peak / table.nbytes)
+
+
+class TestProductTable:
+    def test_catalog_products_match_kron_and_tile(self):
+        for spec in catalog_up_to(96, False):
+            if spec.family == "product":
+                text = spec.to_text()
+                tables = [_made(part.to_text()) for part in spec.parts]
+                _assert_same_bytes(_made(text), reduce(oracle.product_table, tables), text)
 
 
 class TestAbelianEnumeration:
