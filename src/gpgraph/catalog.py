@@ -1,22 +1,24 @@
 """Named group families and catalog enumeration for the verification harness.
 
-A GroupSpec is a cheap, serializable description (family tag + parameters);
-build() turns it into a FiniteGroup. Family tables are made in place and
-peak near their own size: abelian ones as mixed-radix sums, dihedral,
-dicyclic, gq and Heisenberg ones as cyclic extensions N<b>, products as
-broadcasts. They are groups by construction and are wrapped without checks
-(the tests check every family); file: tables are validated in full. The
-catalog is explicitly NOT all groups of a given order: "only if" theorem
-directions checked against it are catalog-relative.
+A GroupSpec is a cheap, serializable description (family tag + parameters).
+Each family is one `_FAMILIES` record: parameter domain, order, name, table
+maker. A spec is checked against its record when it is made, so order() is
+a stored value that agrees with build(), which turns a spec into a
+FiniteGroup. Family tables are made in place and peak near their own size:
+abelian ones as products of cyclic tables, dihedral, dicyclic, gq and
+Heisenberg ones as cyclic extensions N<b>, products as broadcasts. They are
+groups by construction and are wrapped without checks (the tests check every
+family); file: tables are validated in full. The catalog is explicitly NOT
+all groups of a given order: "only if" theorem directions checked against it
+are catalog-relative.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,11 +43,8 @@ SYMMETRIC = "symmetric"
 PRODUCT = "product"
 EXTERNAL = "file"
 
-_ABELIAN_FAMILIES = {CYCLIC, ABELIAN, ELEMENTARY_ABELIAN}
-
 SYMMETRIC_DEGREE_LIMIT = 6
 
-# build() refuses orders above MAX_GROUP_ORDER before making any n^2 table;
 # parse_spec refuses products nested deeper than MAX_GROUP_ORDER.bit_length()
 # levels.
 
@@ -67,66 +66,59 @@ class SpecParseError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Serializable description of a catalog group."""
+    """Serializable description of a catalog group. Making one raises
+    BadParameters for an unknown family, parameters outside its domain or an
+    order above MAX_GROUP_ORDER, in that order, and tests a prime parameter
+    last. A product's factors were checked when they were made."""
 
     family: str
     params: tuple[int, ...] = ()
     parts: tuple["GroupSpec", ...] = ()
     path: str = ""
 
-    def order(self) -> int | None:
-        """Group order, computable without building (None for file specs)."""
+    def __post_init__(self):
         f, p = self.family, self.params
-        if f == CYCLIC:
-            return p[0]
-        if f == ABELIAN:
-            return math.prod(p)
-        if f == ELEMENTARY_ABELIAN:
-            return p[0] ** p[1]
-        if f == DIHEDRAL:
-            return 2 * p[0]
-        if f == DICYCLIC:
-            return 4 * p[0]
-        if f == GENERALIZED_QUATERNION:
-            return p[0]
-        if f == HEISENBERG:
-            return p[0] ** 3
-        if f == SYMMETRIC:
-            return math.factorial(p[0])
         if f == PRODUCT:
+            if len(self.parts) < 2:
+                self._refuse("product needs at least two factors")
             orders = [s.order() for s in self.parts]
-            return None if None in orders else math.prod(orders)
-        return None
+            order = None if None in orders else _order_within_cap(self, orders)
+        elif f == EXTERNAL:
+            order = None
+        elif f in _FAMILIES:
+            family = _FAMILIES[f]
+            for rule, holds in family.domain.items():
+                if not holds(p):
+                    self._refuse(rule)
+            order = _order_within_cap(self, family.factors(p))
+            if family.prime and not is_prime(p[0]):  # after the cap: is_prime trial-divides
+                self._refuse(rule)
+        else:
+            raise BadParameters(f"unknown family {f!r}")
+        object.__setattr__(self, "_order", order)  # not a field: no effect on ==, hash or repr
+
+    def _refuse(self, msg: str):
+        raise BadParameters(f"{_quote(self.to_text())}: {msg}")
+
+    def order(self) -> int | None:
+        """Group order, known without building (None for file specs and
+        products with a file: factor)."""
+        return self._order
 
     @property
     def is_abelian_family(self) -> bool:
         if self.family == PRODUCT:
             return all(s.is_abelian_family for s in self.parts)
-        return self.family in _ABELIAN_FAMILIES
+        return self.family in _FAMILIES and _FAMILIES[self.family].abelian
 
     @property
     def name(self) -> str:
         """Human-readable name, e.g. Z12, Z4xZ2, D8, Q16, Dic3, Heis3, S4."""
-        f, p = self.family, self.params
-        if f == CYCLIC:
-            return f"Z{p[0]}"
-        if f == ABELIAN:
-            return "x".join(f"Z{d}" for d in p)
-        if f == ELEMENTARY_ABELIAN:
-            return f"Z{p[0]}^{p[1]}"
-        if f == DIHEDRAL:
-            return f"D{2 * p[0]}"
-        if f == DICYCLIC:
-            return f"Dic{p[0]}"
-        if f == GENERALIZED_QUATERNION:
-            return f"Q{p[0]}"
-        if f == HEISENBERG:
-            return f"Heis{p[0]}"
-        if f == SYMMETRIC:
-            return f"S{p[0]}"
-        if f == PRODUCT:
+        if self.family == PRODUCT:
             return "x".join(s.name if s.family != PRODUCT else f"({s.name})" for s in self.parts)
-        return self.path.rsplit("/", 1)[-1]
+        if self.family == EXTERNAL:
+            return self.path.rsplit("/", 1)[-1]
+        return _FAMILIES[self.family].name(self.params)
 
     def to_text(self) -> str:
         """One-line serialized form, e.g. `cyclic:12` or `product:(gq:8)x(cyclic:3)`."""
@@ -141,8 +133,19 @@ class GroupSpec:
         return self.to_text()
 
 
+def _order_within_cap(spec: GroupSpec, factors: Iterable[int]) -> int:
+    """The product of `factors` (each >= 1), refused at the first partial
+    product over MAX_GROUP_ORDER, so no order far above the cap is formed."""
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > MAX_GROUP_ORDER:
+            spec._refuse(f"order exceeds the cap {MAX_GROUP_ORDER}")
+    return order
+
+
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the one-line GroupSpec text form."""
+    """Parse the one-line GroupSpec text form; the spec is checked as it is made."""
     text = text.strip()
     if ":" not in text:
         raise SpecParseError(f"missing ':' in group spec {_quote(text)!r}")
@@ -181,8 +184,7 @@ def parse_spec(text: str) -> GroupSpec:
         params = tuple(int(tok) for tok in rest.split(",")) if rest else ()
     except ValueError:
         raise SpecParseError(f"non-integer parameter in {_quote(text)!r}")
-    if family not in (CYCLIC, ABELIAN, ELEMENTARY_ABELIAN, DIHEDRAL, DICYCLIC,
-                      GENERALIZED_QUATERNION, HEISENBERG, SYMMETRIC):
+    if family not in _FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
     return GroupSpec(family, params=params)
 
@@ -200,21 +202,12 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 
 def _abelian_table(factors: tuple[int, ...]) -> np.ndarray:
-    # Mixed radix, last factor fastest: index = sum of d_i * stride_i. Each
-    # factor adds (d_i + d'_i) % f_i * stride_i, which is the cyclic table of
-    # f_i broadcast over a 6-axis view of the table, with no n x n temporary.
-    n = math.prod(factors)
-    table = np.zeros((n, n), dtype=_table_dtype(n))
-    high = 1
-    for f in factors:
-        if f == 1:  # adds nothing; a spec may list 10^5 of them
-            continue
-        stride = n // (high * f)
-        term = _cyclic_table(f)
-        term *= stride
-        table.reshape(high, f, stride, high, f, stride)[...] += term[:, None, None, :, None]
-        high *= f
-    return table
+    # Z_f1 x (Z_f2 x (...)), mixed radix with the last factor fastest. The
+    # right fold keeps the large operand of each product on the right, where
+    # _product_table adds it in contiguous runs; the table of Z_1 is the
+    # identity of the fold, and a spec may list 10^5 of them.
+    tables = [_cyclic_table(f) for f in factors if f != 1] or [_cyclic_table(1)]
+    return reduce(lambda rest, t: _product_table(t, rest), reversed(tables))
 
 
 def _negation(m: int) -> np.ndarray:
@@ -245,6 +238,18 @@ def _extension_table(normal: np.ndarray, twist: np.ndarray, n: int, t: int) -> n
     return table.reshape(n * k, n * k)
 
 
+def _dicyclic_table(m: int) -> np.ndarray:
+    # Dic_m = Z_2m<b>, b inverting, b^2 = a^m
+    return _extension_table(_cyclic_table(2 * m), _negation(2 * m), 2, m)
+
+
+def _heisenberg_table(q: int) -> np.ndarray:
+    # Heis_q = (Z_q x Z_q)<b> with b (u, v) b^-1 = (u, u + v) and b^q = 1;
+    # (u, v) b^j is the matrix [[1, j, v], [0, 1, u], [0, 0, 1]].
+    twist = (_cyclic_table(q) + np.arange(0, q * q, q)[:, None]).ravel()
+    return _extension_table(_abelian_table((q, q)), twist, q, 0)
+
+
 def _symmetric_table(deg: int) -> np.ndarray:
     # itertools.permutations is lexicographic, so the identity is index 0.
     return _permutation_table(np.array(list(itertools.permutations(range(deg))), dtype=np.int16))
@@ -261,98 +266,89 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return table.reshape(n1 * n2, n1 * n2)
 
 
-def _table_maker(spec: GroupSpec) -> tuple[int | None, Callable[[], np.ndarray]]:
-    """Check the parameters of a spec and of its factors (BadParameters),
-    refuse an order above MAX_GROUP_ORDER, and return the order (None for a
-    file: factor) with a function that makes the Cayley table.
+Params = tuple[int, ...]
 
-    No order far above the cap is ever formed: p^k is formed only when k
-    alone cannot put it over the cap, and products stop at the first
-    partial product over it.
-    """
-    f, p = spec.family, spec.params
 
-    def need(cond: bool, msg: str):
-        if not cond:
-            raise BadParameters(f"{_quote(spec.to_text())}: {msg}")
+class _Family(NamedTuple):
+    """One spec family. `domain` maps each rule's message to its test on the
+    params, checked in turn; the order is the product of `factors(params)`.
+    With `prime`, params[0] must be prime too (refused with the last rule's
+    message)."""
 
-    def within_cap(order: int) -> int:
-        need(order <= MAX_GROUP_ORDER, f"order exceeds the cap {MAX_GROUP_ORDER}")
-        return order
+    domain: dict[str, Callable[[Params], bool]]
+    factors: Callable[[Params], Iterable[int]]
+    name: Callable[[Params], str]
+    table: Callable[[Params], np.ndarray]
+    prime: bool = False
+    abelian: bool = False
 
-    def capped_product(orders: Iterable[int]) -> int:
-        order = 1
-        for factor in orders:
-            order = within_cap(order * factor)
-        return order
 
-    if f == CYCLIC:
-        need(len(p) == 1 and p[0] >= 1, "cyclic:n needs n >= 1")
-        return within_cap(p[0]), lambda: _cyclic_table(p[0])
-    if f == ABELIAN:
-        # Factors of 1 are legal, so the factor count alone says nothing.
-        need(len(p) >= 1 and all(d >= 1 for d in p), "abelian factors must be >= 1")
-        return capped_product(p), lambda: _abelian_table(p)
-    # The cap is checked before is_prime, which trial-divides.
-    if f == ELEMENTARY_ABELIAN:
-        rule = "elemab:p,k needs prime p and rank k >= 1"
-        need(len(p) == 2 and p[0] >= 2 and p[1] >= 1, rule)
-        need(p[1] < MAX_GROUP_ORDER.bit_length(), f"order exceeds the cap {MAX_GROUP_ORDER}")
-        order = within_cap(p[0] ** p[1])
-        need(is_prime(p[0]), rule)
-        return order, lambda: _abelian_table((p[0],) * p[1])
-    if f == DIHEDRAL:  # D_2m = Z_m<s>, s inverting, s^2 = 1
-        need(len(p) == 1 and p[0] >= 1, "dihedral:m needs m >= 1")
-        return within_cap(2 * p[0]), lambda: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0)
-    if f == DICYCLIC:  # Dic_m = Z_2m<b>, b inverting, b^2 = a^m
-        need(len(p) == 1 and p[0] >= 2, "dicyclic:m needs m >= 2")
-        m = p[0]
-        return within_cap(4 * m), lambda: _extension_table(_cyclic_table(2 * m), _negation(2 * m), 2, m)
-    if f == GENERALIZED_QUATERNION:  # Q_4m = Dic_m
-        need(len(p) == 1, "gq:n needs the group order")
-        need(p[0] >= 8 and p[0] & (p[0] - 1) == 0, "generalized quaternion order must be 2^k with k >= 3")
-        m = p[0] // 4
-        return within_cap(4 * m), lambda: _extension_table(_cyclic_table(2 * m), _negation(2 * m), 2, m)
-    if f == HEISENBERG:
-        need(len(p) == 1, "heisenberg:p needs a prime p")
-        order = within_cap(p[0] ** 3)
-        need(is_prime(p[0]), "heisenberg:p needs a prime p")
-        # Heis_q = (Z_q x Z_q)<b> with b (u, v) b^-1 = (u, u + v) and b^q = 1;
-        # (u, v) b^j is the matrix [[1, j, v], [0, 1, u], [0, 0, 1]].
-        q = p[0]
-        return order, lambda: _extension_table(
-            _abelian_table((q, q)), (_cyclic_table(q) + np.arange(0, q * q, q)[:, None]).ravel(), q, 0)
-    if f == SYMMETRIC:
-        need(len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT,
-             f"symmetric:n needs 1 <= n <= {SYMMETRIC_DEGREE_LIMIT}")
-        return math.factorial(p[0]), lambda: _symmetric_table(p[0])
-    if f == PRODUCT:
-        need(len(spec.parts) >= 2, "product needs at least two factors")
-        orders, makers = zip(*(_table_maker(part) for part in spec.parts))
-        if None not in orders:
-            return capped_product(orders), lambda: reduce(_product_table, (make() for make in makers))
+def _one_at_least(low: int) -> Callable[[Params], bool]:
+    return lambda p: len(p) == 1 and p[0] >= low
 
-        def make_with_file_factor() -> np.ndarray:
-            tables = [make() for make in makers]
-            capped_product(len(t) for t in tables)
-            return reduce(_product_table, tables)
 
-        return None, make_with_file_factor
-    if f == EXTERNAL:
-        return None, lambda: read_cayley_table(spec.path).table
-    raise BadParameters(f"unknown family {f!r}")
+# The table makers are called through their module names, so a test can
+# replace one.
+_FAMILIES: dict[str, _Family] = {
+    CYCLIC: _Family(
+        {"cyclic:n needs n >= 1": _one_at_least(1)},
+        factors=lambda p: p, name=lambda p: f"Z{p[0]}",
+        table=lambda p: _cyclic_table(p[0]), abelian=True),
+    ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
+        {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
+        factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
+        table=lambda p: _abelian_table(p), abelian=True),
+    ELEMENTARY_ABELIAN: _Family(
+        {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
+        factors=lambda p: itertools.repeat(p[0], p[1]), name=lambda p: f"Z{p[0]}^{p[1]}",
+        table=lambda p: _abelian_table((p[0],) * p[1]), prime=True, abelian=True),
+    DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
+        {"dihedral:m needs m >= 1": _one_at_least(1)},
+        factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
+        table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0)),
+    DICYCLIC: _Family(
+        {"dicyclic:m needs m >= 2": _one_at_least(2)},
+        factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
+        table=lambda p: _dicyclic_table(p[0])),
+    GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
+        {"gq:n needs the group order": lambda p: len(p) == 1,
+         "generalized quaternion order must be 2^k with k >= 3":
+             lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
+        factors=lambda p: p, name=lambda p: f"Q{p[0]}",
+        table=lambda p: _dicyclic_table(p[0] // 4)),
+    HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
+        {"heisenberg:p needs a prime p": _one_at_least(2)},
+        factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
+        table=lambda p: _heisenberg_table(p[0]), prime=True),
+    SYMMETRIC: _Family(
+        {f"symmetric:n needs 1 <= n <= {SYMMETRIC_DEGREE_LIMIT}":
+             lambda p: len(p) == 1 and 1 <= p[0] <= SYMMETRIC_DEGREE_LIMIT},
+        factors=lambda p: range(1, p[0] + 1), name=lambda p: f"S{p[0]}",
+        table=lambda p: _symmetric_table(p[0])),
+}
+
+
+def _table(spec: GroupSpec) -> np.ndarray:
+    """The Cayley table of a spec (checked when it was made)."""
+    if spec.family == PRODUCT:
+        tables = [_table(part) for part in spec.parts]
+        if spec.order() is None:  # a file: factor, whose size is known now
+            _order_within_cap(spec, (len(t) for t in tables))
+        return reduce(_product_table, tables)
+    if spec.family == EXTERNAL:
+        return read_cayley_table(spec.path).table
+    return _FAMILIES[spec.family].table(spec.params)
 
 
 def build(spec: GroupSpec) -> FiniteGroup:
     """Construct the group described by a spec.
 
-    Raises BadParameters when the family's parameter domain is violated or
-    the order exceeds MAX_GROUP_ORDER, before any table is made (for a
-    product with a file: factor, before the product table is made). A
-    file: table, alone or as a factor, is read and validated in full.
+    The spec's parameters and order were checked when it was made. A file:
+    table, alone or as a factor, is read and validated in full, and a
+    product with a file: factor raises BadParameters when its order exceeds
+    MAX_GROUP_ORDER, before the product table is made.
     """
-    _, make = _table_maker(spec)
-    return FiniteGroup(make())
+    return FiniteGroup(_table(spec))
 
 
 @lru_cache(maxsize=512)
@@ -429,10 +425,7 @@ def enumerate_abelian_up_to(max_order: int) -> list[GroupSpec]:
 def _nonabelian_family_specs(max_order: int) -> list[GroupSpec]:
     specs = []
     # Generalized quaternions first so dedupe keeps the Q label over Dic_{2^k}.
-    k = 8
-    while k <= max_order:
-        specs.append(GroupSpec(GENERALIZED_QUATERNION, (k,)))
-        k *= 2
+    specs.extend(GroupSpec(GENERALIZED_QUATERNION, (2 ** k,)) for k in range(3, max_order.bit_length()))
     specs.extend(GroupSpec(DIHEDRAL, (m,)) for m in range(3, max_order // 2 + 1))
     specs.extend(GroupSpec(DICYCLIC, (m,)) for m in range(2, max_order // 4 + 1))
     p = 3
@@ -440,9 +433,8 @@ def _nonabelian_family_specs(max_order: int) -> list[GroupSpec]:
         if is_prime(p):
             specs.append(GroupSpec(HEISENBERG, (p,)))
         p += 2
-    for deg in range(3, SYMMETRIC_DEGREE_LIMIT + 1):
-        if math.factorial(deg) <= max_order:
-            specs.append(GroupSpec(SYMMETRIC, (deg,)))
+    symmetric = (GroupSpec(SYMMETRIC, (deg,)) for deg in range(3, SYMMETRIC_DEGREE_LIMIT + 1))
+    specs.extend(s for s in symmetric if s.order() <= max_order)
     return specs
 
 

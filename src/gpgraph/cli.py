@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .catalog import build, parse_spec
-from .groups import format_cayley_table
+from .groups import format_cayley_table, write_cayley_table
 from .planarity import is_planar
 from .powergraph import VertexConvention, generalized_power_graph, power_graph
 from .verify import (
@@ -75,12 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_group_build(args) -> int:
-    text = format_cayley_table(build(parse_spec(args.spec)))
+    group = build(parse_spec(args.spec))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_cayley_table(group, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_cayley_table(group))
     return 0
 
 

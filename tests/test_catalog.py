@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from functools import reduce
 
@@ -14,6 +15,7 @@ import gpgraph.catalog as catalog
 from gpgraph.catalog import (
     MAX_GROUP_ORDER,
     BadParameters,
+    GroupSpec,
     SpecParseError,
     abelian_specs_of_order,
     build,
@@ -137,7 +139,7 @@ class TestAbelianTable:
 
 
 def _made(text: str) -> np.ndarray:
-    return catalog._table_maker(parse_spec(text))[1]()
+    return catalog._table(parse_spec(text))
 
 
 def _assert_same_bytes(table: np.ndarray, expected: np.ndarray, label: str):
@@ -217,10 +219,10 @@ class TestExtensionTable:
         "symmetric:6", "product:(dihedral:512)x(abelian:2,2)",
     ])
     def test_table_making_peaks_near_the_table(self, text):
-        make = catalog._table_maker(parse_spec(text))[1]
+        spec = parse_spec(text)
         tracemalloc.start()
         try:
-            table = make()
+            table = catalog._table(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,6 +373,37 @@ class PrimalityTested(Exception):
     pass
 
 
+def _spy_on_orders(monkeypatch) -> list[tuple[GroupSpec, list[int]]]:
+    """Patch the one place that forms a spec's order to record, per call,
+    the spec and the factors it reads."""
+    reads = []
+    order_within_cap = catalog._order_within_cap
+
+    def spied(spec, factors):
+        read = []
+        reads.append((spec, read))
+
+        def counted():
+            for f in factors:
+                read.append(f)
+                yield f
+
+        return order_within_cap(spec, counted())
+
+    monkeypatch.setattr(catalog, "_order_within_cap", spied)
+    return reads
+
+
+def _assert_stopped_at_the_cap(reads: list[tuple[GroupSpec, list[int]]]) -> None:
+    # The refusing call read parameters or orders within the cap, never a
+    # power formed from them, and stopped at the first partial product over
+    # the cap: no order far above it was formed.
+    assert reads, "the order was not formed by _order_within_cap"
+    spec, read = reads[-1]
+    assert max(read) <= max([MAX_GROUP_ORDER, *spec.params])
+    assert math.prod(read[:-1]) <= MAX_GROUP_ORDER < math.prod(read)
+
+
 class TestOrderCap:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
         monkeypatch.setattr(catalog, "_cyclic_table", _no_table)
@@ -388,17 +421,15 @@ class TestOrderCap:
         def tested(p):
             raise PrimalityTested
 
-        def no_exact_order(spec):
-            raise AssertionError("the exact order was formed")
-
         monkeypatch.setattr(catalog, "is_prime", tested)
-        monkeypatch.setattr(catalog.GroupSpec, "order", no_exact_order)
+        reads = _spy_on_orders(monkeypatch)
         for text in ("elemab:2,1000000000", "heisenberg:1000000000000000003",
                      "elemab:2,14", "heisenberg:21",
                      "product:(cyclic:2)x(elemab:2,1000000000)",
                      "product:(heisenberg:1000000000000000003)x(cyclic:2)"):
             with pytest.raises(BadParameters, match="exceeds the cap"):
                 build(parse_spec(text))
+            _assert_stopped_at_the_cap(reads)
         for text in ("elemab:2,13", "heisenberg:20"):  # orders 8192 and 8000
             with pytest.raises(PrimalityTested):
                 build(parse_spec(text))
@@ -407,21 +438,32 @@ class TestOrderCap:
         # Factors of 1 are legal, so only the partial products can say when
         # to stop; the exact order of 10^5 factors must never be formed, and
         # the message must not quote the whole spec.
-        def no_exact_order(spec):
-            raise AssertionError("the exact order was formed")
-
-        monkeypatch.setattr(catalog.GroupSpec, "order", no_exact_order)
+        reads = _spy_on_orders(monkeypatch)
         monkeypatch.setattr(catalog, "_abelian_table", _no_table)
         long = "abelian:" + ",".join(["2"] * 10**5)
         for text in (long, f"product:({long})x(cyclic:2)", f"product:(cyclic:2)x({long})"):
             with pytest.raises(BadParameters, match="exceeds the cap") as err:
                 build(parse_spec(text))
             assert len(str(err.value)) < 200
+            _assert_stopped_at_the_cap(reads)
         with pytest.raises(TableMade):
             build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["2"] * 13)))
         with pytest.raises(SpecParseError, match="non-integer") as err:
             parse_spec(long + ",two")
         assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("text", [
+        "cyclic:0", "cyclic:", "gq:12", "dicyclic:1", "heisenberg:4",
+        "symmetric:20000", "elemab:2,100000000",
+    ])
+    def test_specs_are_checked_when_made(self, text):
+        family, _, rest = text.partition(":")
+        params = tuple(int(v) for v in rest.split(",")) if rest else ()
+        for make in (lambda: parse_spec(text), lambda: GroupSpec(family, params)):
+            start = time.perf_counter()
+            with pytest.raises(BadParameters):
+                make()
+            assert time.perf_counter() - start < 0.05, text
 
     def test_product_with_a_file_factor(self, tmp_path, monkeypatch):
         path = tmp_path / "z2.tbl"

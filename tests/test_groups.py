@@ -28,7 +28,9 @@ from gpgraph.groups import (
     format_cayley_table,
     parse_cayley_table,
     prime_factors,
+    read_cayley_table,
     validate_and_build,
+    write_cayley_table,
 )
 import gpgraph.groups as groups_module
 import kernel_oracles as oracle
@@ -368,11 +370,15 @@ class TestClosure:
 
 
 class TestTableTextFormat:
-    def test_round_trip(self):
-        for spec in ("cyclic:7", "dihedral:4", "gq:16"):
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "table.tbl"
+        for spec in ("cyclic:1", "cyclic:7", "abelian:4,2", "dihedral:4", "gq:16", "heisenberg:3",
+                     "symmetric:4", "product:(gq:8)x(cyclic:3)"):
             g = build(parse_spec(spec))
             again = parse_cayley_table(format_cayley_table(g))
             assert np.array_equal(np.array(again.table), np.array(g.table))
+            write_cayley_table(g, path)
+            assert np.array_equal(read_cayley_table(path).table, g.table), spec
 
     def test_comments_and_relabelling(self):
         text = "# shifted Z_2: identity is element 1\n2\n1 0\n0 1\n"

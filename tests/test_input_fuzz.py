@@ -169,7 +169,8 @@ def test_spec_gives_a_group_or_a_value_error(spec, table):
         path.write_text(table)
         spec = spec.replace(TABLE_FILE, str(path)).replace("@MISSING@", str(Path(tmp) / "none"))
         try:
-            group = build(parse_spec(spec))
+            parsed = parse_spec(spec)
+            group = build(parsed)
         except ValueError:
             return
         except OSError:
@@ -177,6 +178,8 @@ def test_spec_gives_a_group_or_a_value_error(spec, table):
             return
     checked = validate_and_build(group.table)
     assert np.array_equal(checked.table, group.table)
+    if "file:" not in spec.lower():
+        assert group.n == parsed.order()
     if str(path) in spec:
         assert_group_from_valid_entries(parse_cayley_table(table), table)
 
