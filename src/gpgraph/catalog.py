@@ -16,6 +16,7 @@ are catalog-relative.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -67,9 +68,10 @@ class SpecParseError(ValueError):
 @dataclass(frozen=True)
 class GroupSpec:
     """Serializable description of a catalog group. Making one raises
-    BadParameters for an unknown family, parameters outside its domain or an
-    order above MAX_GROUP_ORDER, in that order, and tests a prime parameter
-    last. A product's factors were checked when they were made."""
+    BadParameters for a field of the wrong type, an unknown family,
+    parameters outside its domain or an order above MAX_GROUP_ORDER, in that
+    order, and tests a prime parameter last. A product's factors were checked
+    when they were made."""
 
     family: str
     params: tuple[int, ...] = ()
@@ -78,6 +80,14 @@ class GroupSpec:
 
     def __post_init__(self):
         f, p = self.family, self.params
+        if not (isinstance(f, str) and isinstance(self.path, str)
+                and isinstance(p, tuple) and all(type(v) is int for v in p)  # not bool
+                and isinstance(self.parts, tuple) and all(isinstance(s, GroupSpec) for s in self.parts)):
+            fields = ", ".join(reprlib.repr(v) for v in (f, p, self.parts, self.path))
+            raise BadParameters(
+                f"GroupSpec({_quote(fields)}): family and path must be str, params a "
+                "tuple of int and parts a tuple of GroupSpec"
+            )
         if f == PRODUCT:
             if len(self.parts) < 2:
                 self._refuse("product needs at least two factors")
@@ -438,7 +448,6 @@ def _nonabelian_family_specs(max_order: int) -> list[GroupSpec]:
     return specs
 
 
-@lru_cache(maxsize=8)
 def catalog_up_to(max_order: int, dedupe: bool = True) -> tuple[GroupSpec, ...]:
     """Abelian classes plus named non-abelian families and their products.
 

@@ -14,10 +14,10 @@ import sys
 
 from .catalog import build, parse_spec
 from .groups import format_cayley_table, write_cayley_table
-from .planarity import is_planar
 from .powergraph import VertexConvention, generalized_power_graph, power_graph
 from .verify import (
     VerifyConfig,
+    _graph_facts,
     format_report_line,
     punctured_counterexample_free,
     reports_to_json,
@@ -107,17 +107,15 @@ def _cmd_check(args) -> int:
     group = build(spec)
     convention = VertexConvention.from_flag(args.convention)
     graph = generalized_power_graph(group, convention)
-    comps = graph.connected_components()
-    sizes = sorted((len(c) for c in comps), reverse=True)
-    verdict = is_planar(graph)
-    all_complete = graph.components_complete(comps)
+    facts, verdict = _graph_facts(graph)
+    sizes = sorted(facts["component_sizes"], reverse=True)
     print(f"group: {spec.to_text()} ({spec.name}, order {group.n})")
     print(f"convention: {convention.value}")
     print(f"vertices: {graph.v}")
     print(f"edges: {graph.edge_count()}")
-    print(f"complete: {'yes' if graph.is_complete() else 'no'}")
-    print(f"components: {len(comps)}" + (f" (sizes: {', '.join(map(str, sizes))})" if comps else ""))
-    print(f"components all complete: {'yes' if all_complete else 'no'}")
+    print(f"complete: {'yes' if facts['complete'] else 'no'}")
+    print(f"components: {len(sizes)}" + (f" (sizes: {', '.join(map(str, sizes))})" if sizes else ""))
+    print(f"components all complete: {'yes' if facts['components_complete'] else 'no'}")
     print(f"planar: {'yes' if verdict.planar else 'no'} (method: {verdict.method})")
     return 0
 

@@ -74,14 +74,7 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (a, b) with a < b, sorted."""
-        out = []
-        for a in range(self.v):
-            r = self.rows[a] >> (a + 1) << (a + 1)
-            while r:
-                b = (r & -r).bit_length() - 1
-                out.append((a, b))
-                r &= r - 1
-        return out
+        return [(a, b) for a, nbrs in enumerate(self.adjacency_lists()) for b in nbrs if b > a]
 
     def adjacency_lists(self) -> list[list[int]]:
         out = []

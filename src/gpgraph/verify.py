@@ -11,9 +11,9 @@ vertex set is empty under a convention are noted as vacuous and excluded
 from both lists.
 
 Facts come first: the claims read a FactsTable, which builds each group
-once and GP(G) once per convention, and keeps only a GroupFacts record of
-small values. Each claim is a census plus a judge over those records, run
-by one evaluator, _claim.
+once and GP(G) once per distinct vertex set, and keeps only GroupFacts
+records of small values. Each claim is a census plus a judge over those
+records, run by one evaluator, _claim.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from typing import Callable, Iterable
 
 from .catalog import GroupSpec, build, catalog_groups, parse_spec
 from .groups import FiniteGroup, is_prime, prime_factors
-from .planarity import is_planar
-from .powergraph import VertexConvention, generalized_power_graph
+from .graphs import SimpleGraph
+from .planarity import PlanarityVerdict, is_planar
+from .powergraph import VertexConvention, generalized_power_graph, vertex_elements
 
 VERDICT_CONFIRMED = "Confirmed"
 VERDICT_COUNTEREXAMPLES = "CounterexamplesFound"
@@ -152,9 +153,10 @@ class FactsTable:
 
     fill() makes the facts of every catalog group of order >= 2 from one
     catalog pass, which builds each group once; a spec outside the catalog
-    is built on its first lookup. GP(G) is made once for each convention in
-    (requested | {punctured}); Punctured is always made because discrepancy
-    checks read it. Neither the group nor the graphs are kept.
+    is built on its first lookup. GP(G) is made once per distinct vertex set
+    of the conventions in (requested | {punctured}), as discrepancy checks
+    read Punctured, and conventions with one vertex set share one record (a
+    non-cyclic group has two). Neither the group nor the graphs are kept.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -191,22 +193,30 @@ class FactsTable:
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         invariants = _group_invariants(group)
         probe = _is_l41_spec(spec)
+        records: dict[tuple[int, bool], GroupFacts] = {}
         for convention in self.conventions:
-            graph = generalized_power_graph(group, convention)
-            comps = graph.connected_components()
-            verdict = is_planar(graph, find_k5_witness=probe)
-            witness = None
-            if verdict.witness is not None:
-                witness = tuple(int(graph.labels[x]) for x in verdict.witness)
-            self._facts[spec, convention] = GroupFacts(
-                **invariants,
-                v=graph.v,
-                complete=graph.is_complete(),
-                component_sizes=tuple(len(c) for c in comps),
-                components_complete=graph.components_complete(comps),
-                planar=verdict.planar,
-                k5_witness=witness,
-            )
+            verts = vertex_elements(group, convention)
+            key = (len(verts), 0 in verts)  # tells one group's vertex sets apart
+            if key not in records:
+                graph_fields, _ = _graph_facts(generalized_power_graph(group, convention), probe)
+                records[key] = GroupFacts(**invariants, **graph_fields)
+            self._facts[spec, convention] = records[key]
+
+
+def _graph_facts(graph: SimpleGraph, find_k5_witness: bool = False) -> tuple[dict, PlanarityVerdict]:
+    """The graph fields of GroupFacts, and the planarity verdict they read;
+    the one reading of a graph, for the harness and `gpgraph check` alike."""
+    comps = graph.connected_components()
+    cliques = graph.components_complete(comps)
+    verdict = is_planar(graph, find_k5_witness=find_k5_witness)
+    return dict(
+        v=graph.v,
+        complete=len(comps) <= 1 and cliques,  # iff at most one component, a clique
+        component_sizes=tuple(len(c) for c in comps),
+        components_complete=cliques,
+        planar=verdict.planar,
+        k5_witness=verdict.witness and tuple(int(graph.labels[x]) for x in verdict.witness),
+    ), verdict
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,20 @@ class TestOrderCap:
                 make()
             assert time.perf_counter() - start < 0.05, text
 
+    @pytest.mark.parametrize("fields", [
+        dict(family="cyclic", params=(2.5,)),
+        dict(family="cyclic", params=[3]),
+        dict(family="cyclic", params=(True,)),
+        dict(family="cyclic", params=("3",)),
+        dict(family=("cyclic",), params=(3,)),
+        dict(family="product", parts=[parse_spec("cyclic:2"), parse_spec("cyclic:3")]),
+        dict(family="product", parts=(parse_spec("cyclic:2"), "cyclic:3")),
+        dict(family="file", path=None),
+    ])
+    def test_field_types_are_checked_when_made(self, fields):
+        with pytest.raises(BadParameters, match="must be str"):
+            GroupSpec(**fields)
+
     def test_product_with_a_file_factor(self, tmp_path, monkeypatch):
         path = tmp_path / "z2.tbl"
         path.write_text("2\n0 1\n1 0\n")

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -66,6 +67,26 @@ def test_check_output(capsys):
     assert "complete: no" in out
     assert "components: 5" in out
     assert "planar: yes" in out
+
+
+def _z10_reversed() -> str:
+    """Z_10 with element k written as 9 - k."""
+    rows = [" ".join(str(9 - (18 - i - j) % 10) for j in range(10)) for i in range(10)]
+    return "10\n" + "\n".join(rows) + "\n"
+
+
+def test_check_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # Every line of `check` under every convention, for cyclic groups (whose
+    # conventions give four vertex sets), non-cyclic ones (two) and a file:
+    # table whose identity is not label 0.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z10_reversed.tbl").write_text(_z10_reversed())
+    text = (pathlib.Path(__file__).parent / "check_pins.txt").read_text()
+    pins = [block.partition("\n") for block in text.split("$ gpgraph ")[1:]]
+    assert len(pins) == 6 * 4
+    for command, _, expected in pins:
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == expected, command
 
 
 def test_verify_json_and_exit_code(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.cli import main
-from gpgraph.powergraph import VertexConvention, generalized_power_graph
+from gpgraph.planarity import is_planar
+from gpgraph.powergraph import VertexConvention, generalized_power_graph, vertex_elements
 from gpgraph.verify import (
     DEFAULT_CONVENTIONS,
     ConventionUnsupported,
@@ -117,20 +119,16 @@ class TestRunAll:
     def test_catalog_built_before_first_check(self, monkeypatch):
         # The catalog build and the facts are charged to no check's runtime.
         import gpgraph.verify as verify
-        from gpgraph.catalog import catalog_up_to
 
-        catalog_up_to.cache_clear()
-        cached_at_first_check, facts_at_first_check = [], []
+        facts_at_first_check = []
         real = verify.check_completeness_abelian
 
         def spy(table, *args, **kwargs):
-            cached_at_first_check.append(catalog_up_to.cache_info().currsize)
             facts_at_first_check.append(len(table._facts))
             return real(table, *args, **kwargs)
 
         monkeypatch.setattr(verify, "check_completeness_abelian", spy)
         run_all(VerifyConfig(max_order=12, conventions=(PUNCTURED,)))
-        assert cached_at_first_check == [1]
         assert facts_at_first_check == [sum(s.order() >= 2 for s in catalog_up_to(12, True))]
 
     def test_prufer_cap_fails_before_the_census(self, monkeypatch):
@@ -146,13 +144,15 @@ class TestRunAll:
     def test_each_group_and_graph_built_once(self, monkeypatch):
         # Every build in a run is counted: the catalog pass, which builds the
         # specs that dedupe drops too, and the lookups of off-catalog targets.
+        # GP(G) is built once per distinct vertex set of a kept group: the
+        # conventions that give a group the same vertex set share one graph.
         import gpgraph.catalog as catalog
         import gpgraph.verify as verify
 
         targets = ["cyclic:210"]  # L4.1's target, the only one above 24
         kept = [s.to_text() for s in catalog_up_to(24, True) if s.order() >= 2] + targets
         every = [s.to_text() for s in catalog_up_to(24, False)] + targets
-        catalog_up_to.cache_clear()  # so that a cached catalog hides no build
+        groups = {text: build(parse_spec(text)) for text in kept}
 
         spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
@@ -164,15 +164,48 @@ class TestRunAll:
             return group
 
         def counting_gp(group, convention):
-            graphs.append((spec_of[id(group)], convention))
+            graphs.append((spec_of[id(group)], tuple(vertex_elements(group, convention))))
             return generalized_power_graph(group, convention)
 
         monkeypatch.setattr(catalog, "build", counting_build)
         monkeypatch.setattr(verify, "build", counting_build)
         monkeypatch.setattr(verify, "generalized_power_graph", counting_gp)
-        run_all(VerifyConfig(max_order=24))
-        assert Counter(text for text, _ in built) == Counter(every)
-        assert Counter(graphs) == Counter((s, c) for s in kept for c in DEFAULT_CONVENTIONS)
+        for conventions in (DEFAULT_CONVENTIONS, tuple(VertexConvention)):
+            built.clear()
+            graphs.clear()
+            run_all(VerifyConfig(max_order=24, conventions=conventions))
+            assert Counter(text for text, _ in built) == Counter(every)
+            assert Counter(graphs) == Counter(
+                (text, vertex_set) for text, group in groups.items()
+                for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions})
+        # a non-cyclic group has one vertex set per identity rule
+        assert len({vs for text, vs in graphs if text == "dihedral:4"}) == 2
+
+    def test_records_match_fresh_graphs(self):
+        # Each record, shared between conventions or not, equals the one read
+        # off a fresh GP(G) of its own convention through the public graph
+        # calls; `complete` is checked against is_complete().
+        table = FactsTable(64, tuple(VertexConvention))
+        table.fill()
+        specs = table.census(lambda s: True, ("cyclic:210",))
+        assert len(specs) == sum(s.order() >= 2 for s in catalog_up_to(64)) + 1
+        for spec in specs:
+            group = build(spec)
+            for convention in VertexConvention:
+                record = table(spec, convention)
+                g = generalized_power_graph(group, convention)
+                comps = g.connected_components()
+                verdict = is_planar(g, find_k5_witness=spec.to_text() == "cyclic:210")
+                witness = verdict.witness and tuple(g.labels[x] for x in verdict.witness)
+                assert record == replace(
+                    record,
+                    v=g.v,
+                    complete=g.is_complete(),
+                    component_sizes=tuple(len(c) for c in comps),
+                    components_complete=g.components_complete(comps),
+                    planar=verdict.planar,
+                    k5_witness=witness,
+                ), (spec.to_text(), convention)
 
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
