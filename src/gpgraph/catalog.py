@@ -2,20 +2,25 @@
 
 A GroupSpec is a cheap, serializable description (family tag + parameters).
 Each family is one `_FAMILIES` record: parameter domain, order, name, table
-maker. A spec is checked against its record when it is made, so order() is
-a stored value that agrees with build(), which turns a spec into a
-FiniteGroup. Family tables are made in place and peak near their own size:
-abelian ones as products of cyclic tables, dihedral, dicyclic, gq and
-Heisenberg ones as cyclic extensions N<b>, products as broadcasts. They are
-groups by construction and are wrapped without checks (the tests check every
-family); file: tables are validated in full. The catalog is explicitly NOT
-all groups of a given order: "only if" theorem directions checked against it
-are catalog-relative.
+maker and, for all but heisenberg and symmetric, a facts maker. A spec is
+checked against its record when it is made, so order() is a stored value
+that agrees with build(), which turns a spec into a FiniteGroup. That group
+makes its Cayley table only when something reads it. Its orders and powers
+come in closed form from the family's facts maker, or from its factors' for
+a product, and else from the table; its abelian flag comes from the record.
+Family tables are made in place and peak near their own size: abelian ones
+as products of cyclic tables, dihedral, dicyclic, gq and Heisenberg ones as
+cyclic extensions N<b>, products as broadcasts. They are groups by
+construction and are wrapped without checks (the tests check every family,
+and every facts maker against the table); file: tables are validated in
+full. The catalog is explicitly NOT all groups of a given order: "only if"
+theorem directions checked against it are catalog-relative.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -276,6 +281,97 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return table.reshape(n1 * n2, n1 * n2)
 
 
+# ---------------------------------------------------------------------------
+# Family facts: orders and powers in closed form, without the table
+# ---------------------------------------------------------------------------
+
+# Cyclic powers are written this many entries at a time, so their working
+# memory past the result is O(FACTS_BAND).
+FACTS_BAND = 1 << 16
+
+Facts = tuple[np.ndarray, np.ndarray]  # (orders, powers) as FiniteGroup holds them
+
+
+def _cyclic_orders(f: int) -> np.ndarray:
+    return f // np.gcd(np.arange(f), f)  # order(x) = f / gcd(x, f) in Z_f
+
+
+def _fill_cyclic_powers(out: np.ndarray) -> np.ndarray:
+    """out[x, k] = x k mod f for every entry of the (f, width) array `out`,
+    in bands of rows. The product x k can pass int16, so it is formed in
+    int32, and reduced as x k - (x k // f) f: numpy divides by a scalar
+    several times faster than it takes a remainder."""
+    f, width = out.shape
+    k = np.arange(width, dtype=np.int32)
+    rows = max(1, FACTS_BAND // width)
+    for lo in range(0, f, rows):
+        xk = np.multiply.outer(np.arange(lo, min(lo + rows, f), dtype=np.int32), k)
+        q = xk // f
+        q *= f
+        np.subtract(xk, q, out=out[lo:lo + rows], casting="unsafe")
+    return out
+
+
+def _abelian_facts(factors: tuple[int, ...]) -> Facts:
+    # Indexed as _abelian_table indexes the group: mixed radix, the last
+    # factor fastest, factors of 1 skipped. A digit x of Z_f has order
+    # f / gcd(x, f) and k-th power x k mod f, so orders are an outer lcm and
+    # powers an outer sum of each factor's (f, width) powers times its
+    # radix weight, added in one pass over the result per factor.
+    radix = [f for f in factors if f != 1] or [1]
+    n, width = math.prod(radix), math.lcm(*radix)
+    orders = reduce(lambda o, f: np.lcm.outer(o, _cyclic_orders(f)).ravel(), radix[1:],
+                    _cyclic_orders(radix[0]))
+    if len(radix) == 1:
+        return orders, _fill_cyclic_powers(np.empty((n, width), dtype=_table_dtype(n)))
+    powers = np.zeros((n, width), dtype=_table_dtype(n))
+    digits = powers.reshape(*radix, width)
+    weight = n
+    for axis, f in enumerate(radix):
+        weight //= f
+        term = _fill_cyclic_powers(np.empty((f, width), dtype=powers.dtype))
+        term *= weight
+        digits += term.reshape(f, *(1,) * (len(radix) - axis - 1), width)
+    return orders, powers
+
+
+def _inverting_facts(m: int, t: int) -> Facts:
+    # Z_m<b> with b inverting and b^2 = a^t, t = 0 (dihedral) or m/2
+    # (dicyclic, gq), indexed as _extension_table indexes it: a^x b^j is
+    # j m + x. The rotations are Z_m. Since b x b^-1 = -x, (x b)^2 = b^2 = a^t:
+    # x b has order 2 when t = 0, else order 4 with powers 1, x b, a^t and
+    # (x + t) b.
+    cycle = 2 if t == 0 else 4
+    width = max(m, cycle)
+    dt = _table_dtype(2 * m)
+    orders = np.concatenate([_cyclic_orders(m), np.full(m, cycle)])
+    powers = np.empty((2 * m, width), dtype=dt)
+    _fill_cyclic_powers(powers[:m])
+    x = np.arange(m, dtype=dt)
+    rows = np.stack([np.zeros_like(x), m + x, np.full_like(x, t), m + (x + t) % m], axis=1)
+    np.take(rows[:, :cycle], np.arange(width) % cycle, axis=1, out=powers[m:], mode="clip")
+    return orders, powers
+
+
+def _product_facts(a: Facts, b: Facts) -> Facts:
+    # Indexed as _product_table indexes A x B: (x, y) is x |B| + y, of order
+    # lcm(order(x), order(y)), and its k-th power is (x^k, y^k), read from
+    # each factor's wrapped row at k mod that factor's order. The two
+    # (|A|, width) and (|B|, width) reads broadcast into the result.
+    (oa, pa), (ob, pb) = a, b
+    na, nb = len(oa), len(ob)
+    orders = np.lcm.outer(oa, ob).ravel()
+    width = int(orders.max())
+    dt = _table_dtype(na * nb)  # also for the column indices, which are below width
+    k = np.arange(width, dtype=dt)
+    left = pa[np.arange(na)[:, None], k % oa[:, None].astype(dt)].astype(dt, copy=False)
+    left *= nb
+    right = pb[np.arange(nb)[:, None], k % ob[:, None].astype(dt)]
+    powers = np.empty((na, nb, width), dtype=dt)
+    np.add(left[:, None], right, out=powers)
+    return orders, powers.reshape(na * nb, width)
+
+
 Params = tuple[int, ...]
 
 
@@ -283,12 +379,17 @@ class _Family(NamedTuple):
     """One spec family. `domain` maps each rule's message to its test on the
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
-    message)."""
+    message). `facts` makes (orders, powers) in closed form; a family
+    without it has them filled from its table. `abelian` marks the abelian
+    families; a member of another family is abelian iff its order is below
+    6, the least order of a non-abelian group (dihedral:m for m <= 2,
+    symmetric:n for n <= 2)."""
 
     domain: dict[str, Callable[[Params], bool]]
     factors: Callable[[Params], Iterable[int]]
     name: Callable[[Params], str]
     table: Callable[[Params], np.ndarray]
+    facts: Callable[[Params], Facts] | None = None
     prime: bool = False
     abelian: bool = False
 
@@ -297,35 +398,37 @@ def _one_at_least(low: int) -> Callable[[Params], bool]:
     return lambda p: len(p) == 1 and p[0] >= low
 
 
-# The table makers are called through their module names, so a test can
-# replace one.
+# The table and facts makers are called through their module names, so a
+# test can replace one.
 _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
         {"cyclic:n needs n >= 1": _one_at_least(1)},
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
-        table=lambda p: _cyclic_table(p[0]), abelian=True),
+        table=lambda p: _cyclic_table(p[0]), facts=lambda p: _abelian_facts(p), abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
-        table=lambda p: _abelian_table(p), abelian=True),
+        table=lambda p: _abelian_table(p), facts=lambda p: _abelian_facts(p), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         factors=lambda p: itertools.repeat(p[0], p[1]), name=lambda p: f"Z{p[0]}^{p[1]}",
-        table=lambda p: _abelian_table((p[0],) * p[1]), prime=True, abelian=True),
+        table=lambda p: _abelian_table((p[0],) * p[1]),
+        facts=lambda p: _abelian_facts((p[0],) * p[1]), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
-        table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0)),
+        table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
+        facts=lambda p: _inverting_facts(p[0], 0)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
-        table=lambda p: _dicyclic_table(p[0])),
+        table=lambda p: _dicyclic_table(p[0]), facts=lambda p: _inverting_facts(2 * p[0], p[0])),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
              lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
-        table=lambda p: _dicyclic_table(p[0] // 4)),
+        table=lambda p: _dicyclic_table(p[0] // 4), facts=lambda p: _inverting_facts(p[0] // 2, p[0] // 4)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
         factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
@@ -340,25 +443,43 @@ _FAMILIES: dict[str, _Family] = {
 
 def _table(spec: GroupSpec) -> np.ndarray:
     """The Cayley table of a spec (checked when it was made)."""
-    if spec.family == PRODUCT:
-        tables = [_table(part) for part in spec.parts]
-        if spec.order() is None:  # a file: factor, whose size is known now
-            _order_within_cap(spec, (len(t) for t in tables))
-        return reduce(_product_table, tables)
-    if spec.family == EXTERNAL:
-        return read_cayley_table(spec.path).table
+    if spec.family in (PRODUCT, EXTERNAL):
+        return _build(spec).table
     return _FAMILIES[spec.family].table(spec.params)
 
 
 def build(spec: GroupSpec) -> FiniteGroup:
     """Construct the group described by a spec.
 
-    The spec's parameters and order were checked when it was made. A file:
-    table, alone or as a factor, is read and validated in full, and a
-    product with a file: factor raises BadParameters when its order exceeds
-    MAX_GROUP_ORDER, before the product table is made.
+    The spec's parameters and order were checked when it was made. A family
+    group or product gets its orders and powers from its family's closed
+    form or from its factors, and makes its Cayley table only when
+    something reads it. A file: table, alone or as a factor, is read and
+    validated in full, and a product with a file: factor raises
+    BadParameters when its order exceeds MAX_GROUP_ORDER, before anything of
+    the product is made.
     """
-    return FiniteGroup(_table(spec))
+    return _build(spec)
+
+
+def _build(spec: GroupSpec) -> FiniteGroup:
+    # build() for a spec and each of its factors; factors are built here,
+    # not through build(), so a spec is one build() call.
+    if spec.family == EXTERNAL:
+        return read_cayley_table(spec.path)
+    if spec.family == PRODUCT:
+        parts = [_build(part) for part in spec.parts]
+        order = spec.order()
+        if order is None:  # a file: factor, whose size is known now
+            order = _order_within_cap(spec, (g.n for g in parts))
+        return FiniteGroup(
+            lambda: reduce(_product_table, (g.table for g in parts)), order=order,
+            facts=lambda: reduce(_product_facts, ((g.orders, g.powers) for g in parts)),
+            abelian=all(g.is_abelian for g in parts))
+    family = _FAMILIES[spec.family]
+    facts = family.facts and (lambda: family.facts(spec.params))
+    return FiniteGroup(lambda: _table(spec), order=spec.order(), facts=facts,
+                       abelian=family.abelian or spec.order() < 6)
 
 
 @lru_cache(maxsize=512)

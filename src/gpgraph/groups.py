@@ -8,7 +8,7 @@ relabelled). All heavy table arithmetic goes through numpy.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -115,22 +115,53 @@ class FiniteGroup:
     The constructor wraps the table without checking it, so it is only for
     tables that are groups by construction (catalog families, products,
     permutation closures). Tables from outside go through validate_and_build.
+
+    `table` is the Cayley table, or a function that makes it; then `order`
+    is required, and the table is made on its first read. `facts` is a
+    function that makes (orders, powers) as the properties of those names
+    hold them, for a group whose family or factors give them without the
+    table; without it they are filled from the table. `abelian`, when
+    given, is what is_abelian returns. The catalog builds its groups this
+    way, so a group whose facts are all a reader wants never has a table.
     """
 
-    __slots__ = ("n", "table", "inverses", "_orders", "_abelian", "_prime_incidence",
-                 "_powers")
+    __slots__ = ("n", "_table", "_make_table", "_make_facts", "_inverses", "_orders",
+                 "_abelian", "_prime_incidence", "_powers")
 
     identity = 0
 
-    def __init__(self, table: np.ndarray):
-        table.setflags(write=False)
-        self.n = table.shape[0]
-        self.table = table
-        self.inverses = np.argmax(table == 0, axis=1).astype(table.dtype)
+    def __init__(self, table: np.ndarray | Callable[[], np.ndarray], *,
+                 order: Optional[int] = None,
+                 facts: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None,
+                 abelian: Optional[bool] = None):
+        if callable(table):
+            self.n, self._table, self._make_table = order, None, table
+        else:
+            table.setflags(write=False)
+            self.n, self._table, self._make_table = table.shape[0], table, None
+        self._make_facts = facts
+        self._abelian = abelian
+        self._inverses: Optional[np.ndarray] = None
         self._powers: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
-        self._abelian: Optional[bool] = None
         self._prime_incidence: Optional[np.ndarray] = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """Read-only n x n Cayley table, made on the first read if it was not given."""
+        if self._table is None:
+            table = self._make_table()
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
+    @property
+    def inverses(self) -> np.ndarray:
+        """inverses[g] = g^-1, read off the table on the first read."""
+        if self._inverses is None:
+            table = self.table
+            self._inverses = np.argmax(table == 0, axis=1).astype(table.dtype)
+        return self._inverses
 
     def __repr__(self):
         return f"FiniteGroup(order={self.n})"
@@ -162,12 +193,22 @@ class FiniteGroup:
 
     @property
     def orders(self) -> np.ndarray:
-        """Orders of all elements, recorded by the powers fill."""
+        """Orders of all elements (intp), recorded by the powers fill."""
         if self._orders is None:
             self._fill_powers()
         return self._orders
 
     def _fill_powers(self) -> None:
+        if self._make_facts is None:
+            orders, powers = self._doubling_fill()
+        else:
+            orders, powers = self._make_facts()
+        powers.setflags(write=False)
+        # Each property tests its own attribute, so a concurrent reader never gets None.
+        self._orders = orders
+        self._powers = powers
+
+    def _doubling_fill(self) -> tuple[np.ndarray, np.ndarray]:
         # Doubling, built transposed (row k holds g^k for every g, so each
         # block's search for the identity runs down contiguous rows): with
         # rows g^0 .. g^(k-1) filled, block [k, 2k) is table[g^k, g^j] for
@@ -193,11 +234,7 @@ class FiniteGroup:
             orders[found] = first[found]
             top = table[by_power[-1], cols]
             orders[(orders == 0) & (top == 0)] = height
-        powers = by_power[:orders.max()].T.copy()
-        powers.setflags(write=False)
-        # Each property tests its own attribute, so a concurrent reader never gets None.
-        self._orders = orders
-        self._powers = powers
+        return orders, by_power[:orders.max()].T.copy()
 
     def order_of(self, g: int) -> int:
         """Smallest k >= 1 with g^k = identity; divides the group order."""
@@ -206,6 +243,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
+        """The `abelian` flag given at construction, else read off the table."""
         if self._abelian is None:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian

@@ -46,10 +46,10 @@ def vertex_elements(group: FiniteGroup, convention: VertexConvention) -> list[in
         return list(range(n))
     if convention is VertexConvention.PUNCTURED:
         return list(range(1, n))
-    orders = group.orders
+    proper = group.orders != n  # <g> is a proper subgroup
     if convention is VertexConvention.STRICT:
-        return [g for g in range(1, n) if int(orders[g]) != n]
-    return [g for g in range(n) if int(orders[g]) != n]  # STRICT_WITH_IDENTITY
+        proper[0] = False
+    return np.flatnonzero(proper).tolist()
 
 
 def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:

@@ -23,7 +23,7 @@ from gpgraph.catalog import (
     enumerate_abelian_up_to,
     parse_spec,
 )
-from gpgraph.groups import prime_factors, validate_and_build
+from gpgraph.groups import FiniteGroup, prime_factors, validate_and_build, write_cayley_table
 
 
 class TestBuild:
@@ -123,7 +123,19 @@ class TestAbelianTable:
 
         cyclic_table = catalog._cyclic_table
         monkeypatch.setattr(catalog, "_cyclic_table", counted)
-        assert build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["4", "2"]))).n == 8
+        group = build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["4", "2"])))
+        assert group.n == 8 and cyclic_orders == []  # nothing is made before it is read
+        # The facts hold nothing per factor of 1: a list of them alone would
+        # take 800 kB.
+        tracemalloc.start()
+        try:
+            powers = group.powers
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        assert np.array_equal(powers, build(parse_spec("abelian:4,2")).powers)
+        assert group.table.shape == (8, 8)
         assert cyclic_orders == [4, 2]
 
     def test_at_the_cap(self):
@@ -227,6 +239,38 @@ class TestExtensionTable:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * table.nbytes, (text, peak / table.nbytes)
+
+
+class TestClosedForms:
+    # Every catalog spec up to 256 meets the table walks in
+    # test_readers_match_the_walks_on_the_catalog; these are the corners the
+    # catalog never makes.
+    def test_facts_match_the_fill_over_the_table_off_the_catalog(self, tmp_path):
+        path = tmp_path / "dic3.tbl"
+        write_cayley_table(build(parse_spec("dicyclic:3")), path)
+        # dihedral:1500 and gq:2048 fill their rotations in several bands.
+        texts = ["dihedral:1", "dihedral:2", "dicyclic:2", "gq:8", "abelian:1,1,3", "cyclic:1",
+                 "elemab:2,13", "symmetric:2", "heisenberg:2", "abelian:6,1,4",
+                 "dihedral:1500", "gq:2048",
+                 "product:(dihedral:3)x(cyclic:4)x(abelian:2,2)",
+                 "product:(product:(gq:8)x(cyclic:3))x(dihedral:5)",
+                 "product:(cyclic:2)x(product:(dihedral:1)x(abelian:1,1))",
+                 f"product:(file:{path})x(dihedral:4)", f"product:(cyclic:3)x(file:{path})"]
+        for text in texts:
+            spec = parse_spec(text)
+            table = np.array(build(spec).table)
+            # Above order 1024 the fill reads the table unvalidated: Light's test
+            # takes about 20 s at 8192, and TestAbelianTable and
+            # TestExtensionTable check those tables' makers.
+            fill = validate_and_build(table) if len(table) <= 1024 else FiniteGroup(table)
+            g = build(spec)
+            for name in ("orders", "powers", "inverses"):
+                made, filled = getattr(g, name), getattr(fill, name)
+                assert (made.dtype, made.shape) == (filled.dtype, filled.shape), (text, name)
+                assert np.array_equal(made, filled), (text, name)
+            assert not g.powers.flags.writeable and g.powers.flags.c_contiguous, text
+            assert g.is_abelian == fill.is_abelian, text
+            assert g.fingerprint() == fill.fingerprint(), text
 
 
 class TestProductTable:
@@ -362,7 +406,7 @@ class TestSpecText:
 
 
 class TableMade(Exception):
-    pass
+    """A table or facts maker ran."""
 
 
 def _no_table(*args):
@@ -406,14 +450,16 @@ def _assert_stopped_at_the_cap(reads: list[tuple[GroupSpec, list[int]]]) -> None
 
 class TestOrderCap:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_cyclic_table", _no_table)
-        monkeypatch.setattr(catalog, "_product_table", _no_table)
+        for maker in ("_cyclic_table", "_product_table", "_abelian_facts", "_product_facts"):
+            monkeypatch.setattr(catalog, maker, _no_table)
         for text in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)",
                      f"cyclic:{MAX_GROUP_ORDER + 1}"):
             with pytest.raises(BadParameters, match="exceeds the cap"):
                 build(parse_spec(text))
-        with pytest.raises(TableMade):  # the cap itself is allowed
-            build(parse_spec(f"cyclic:{MAX_GROUP_ORDER}"))
+        group = build(parse_spec(f"cyclic:{MAX_GROUP_ORDER}"))  # the cap itself is allowed
+        for read in (lambda: group.table, lambda: group.orders):
+            with pytest.raises(TableMade):
+                read()
 
     def test_cap_is_checked_before_primality(self, monkeypatch):
         # The order of elemab:2,10^9 has 10^9 bits, and trial division of an
@@ -440,14 +486,17 @@ class TestOrderCap:
         # the message must not quote the whole spec.
         reads = _spy_on_orders(monkeypatch)
         monkeypatch.setattr(catalog, "_abelian_table", _no_table)
+        monkeypatch.setattr(catalog, "_abelian_facts", _no_table)
         long = "abelian:" + ",".join(["2"] * 10**5)
         for text in (long, f"product:({long})x(cyclic:2)", f"product:(cyclic:2)x({long})"):
             with pytest.raises(BadParameters, match="exceeds the cap") as err:
                 build(parse_spec(text))
             assert len(str(err.value)) < 200
             _assert_stopped_at_the_cap(reads)
-        with pytest.raises(TableMade):
-            build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["2"] * 13)))
+        group = build(parse_spec("abelian:" + ",".join(["1"] * 10**5 + ["2"] * 13)))
+        for read in (lambda: group.table, lambda: group.powers):
+            with pytest.raises(TableMade):
+                read()
         with pytest.raises(SpecParseError, match="non-integer") as err:
             parse_spec(long + ",two")
         assert len(str(err.value)) < 200

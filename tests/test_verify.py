@@ -13,6 +13,8 @@ from gpgraph.verify import (
     DEFAULT_CONVENTIONS,
     ConventionUnsupported,
     FactsTable,
+    Finding,
+    GroupFacts,
     VERDICT_CONFIRMED,
     VERDICT_COUNTEREXAMPLES,
     VERDICT_NOT_APPLICABLE,
@@ -101,6 +103,46 @@ class TestIndividualChecks:
             check_prufer_shadow(facts(2, PUNCTURED), PUNCTURED, 2, 13)
 
 
+class OneRecord:
+    """A facts table that holds one hand-made record, so a claim can judge a
+    record that no catalog group yields."""
+
+    max_order = 8
+
+    def __init__(self, spec: str, record: GroupFacts):
+        self.spec, self.record = parse_spec(spec), record
+
+    def census(self, pred, targets=()):
+        return [self.spec] if pred(self.spec) else []
+
+    def __call__(self, spec, convention):
+        return self.record
+
+
+# D8 under punctured: the rotation clique {r, r^2, r^3} and four reflections.
+D8_PUNCTURED = GroupFacts(
+    order=8, cyclic=False, p=2, exponent=4, generalized_quaternion=False, d8=True,
+    abelian_planar_family=False, subgroups_of_order_p=5, v=7, complete=False,
+    component_sizes=(3, 1, 1, 1, 1), components_complete=True, planar=True, k5_witness=None)
+
+
+class TestClaimsOnHandMadeRecords:
+    def test_t34_breaks_on_each_half_of_its_claim(self):
+        assert check_pgroup_components(
+            OneRecord("dihedral:4", D8_PUNCTURED), PUNCTURED).verdict == VERDICT_CONFIRMED
+        # Every catalog p-group's components are cliques under strict and
+        # punctured, so only a hand-made record reaches this break.
+        not_cliques = replace(D8_PUNCTURED, components_complete=False)
+        report = check_pgroup_components(OneRecord("dihedral:4", not_cliques), PUNCTURED)
+        assert report.verdict == VERDICT_COUNTEREXAMPLES
+        assert report.counterexamples == [
+            Finding("dihedral:4", "some GP component is not complete", "every component complete")]
+        merged = replace(D8_PUNCTURED, component_sizes=(3, 2, 1, 1))
+        report = check_pgroup_components(OneRecord("dihedral:4", merged), PUNCTURED)
+        assert report.counterexamples == [
+            Finding("dihedral:4", "4 GP components", "5 components (= subgroups of order p)")]
+
+
 class TestRunAll:
     def test_report_census_and_ordering(self):
         reports = run_all(VerifyConfig(max_order=16))
@@ -180,6 +222,23 @@ class TestRunAll:
                 for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions})
         # a non-cyclic group has one vertex set per identity rule
         assert len({vs for text, vs in graphs if text == "dihedral:4"}) == 2
+
+    def test_tables_are_made_only_without_closed_forms(self, monkeypatch):
+        # The harness reads orders, powers and the abelian flag, which every
+        # family but heisenberg and symmetric gives without a table, and
+        # products take from their factors.
+        import gpgraph.catalog as catalog
+
+        made = []
+        table = catalog._table
+
+        def counted(spec):
+            made.append(spec.family)
+            return table(spec)
+
+        monkeypatch.setattr(catalog, "_table", counted)
+        run_all(VerifyConfig(max_order=96))
+        assert set(made) == {"heisenberg", "symmetric"}
 
     def test_records_match_fresh_graphs(self):
         # Each record, shared between conventions or not, equals the one read
