@@ -19,6 +19,7 @@ theorem directions checked against it are catalog-relative.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import reprlib
@@ -573,19 +574,18 @@ def catalog_up_to(max_order: int, dedupe: bool = True) -> tuple[GroupSpec, ...]:
     """Abelian classes plus named non-abelian families and their products.
 
     Products pair each non-abelian family member with each abelian catalog
-    group. With dedupe=True (default), the specs that catalog_groups keeps.
+    group of order at least 2 that keeps the product within max_order. With
+    dedupe=True (default), the specs that catalog_groups keeps.
     """
     if dedupe:
         return tuple(spec for spec, _ in catalog_groups(max_order))
     abelian = enumerate_abelian_up_to(max_order)
+    orders = [ab.order() for ab in abelian]  # ascending
     nonabelian = _nonabelian_family_specs(max_order)
     products = []
     for base in nonabelian:
-        base_order = base.order()
-        for ab in abelian:
-            ab_order = ab.order()
-            if ab_order >= 2 and base_order * ab_order <= max_order:
-                products.append(GroupSpec(PRODUCT, parts=(base, ab)))
+        fits = abelian[bisect.bisect_left(orders, 2):bisect.bisect_right(orders, max_order // base.order())]
+        products.extend(GroupSpec(PRODUCT, parts=(base, ab)) for ab in fits)
     return tuple(abelian + nonabelian + products)
 
 

@@ -14,6 +14,7 @@ import sys
 
 from .catalog import build, parse_spec
 from .groups import format_cayley_table, write_cayley_table
+from .planarity import is_planar
 from .powergraph import VertexConvention, generalized_power_graph, power_graph
 from .verify import (
     VerifyConfig,
@@ -107,7 +108,8 @@ def _cmd_check(args) -> int:
     group = build(spec)
     convention = VertexConvention.from_flag(args.convention)
     graph = generalized_power_graph(group, convention)
-    facts, verdict = _graph_facts(graph)
+    [facts] = _graph_facts([(group.prime_subgroup_incidence()[graph.labels], group.n)])
+    verdict = is_planar(graph)
     sizes = sorted(facts["component_sizes"], reverse=True)
     print(f"group: {spec.to_text()} ({spec.name}, order {group.n})")
     print(f"convention: {convention.value}")

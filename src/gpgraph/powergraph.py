@@ -41,15 +41,20 @@ class VertexConvention(enum.Enum):
 
 def vertex_elements(group: FiniteGroup, convention: VertexConvention) -> list[int]:
     """Element indices forming the vertex set, ascending."""
+    return vertex_index(group, convention).tolist()
+
+
+def vertex_index(group: FiniteGroup, convention: VertexConvention) -> np.ndarray:
+    """vertex_elements as an index array, for selecting rows of per-element arrays."""
     n = group.n
     if convention is VertexConvention.FULL:
-        return list(range(n))
+        return np.arange(n)
     if convention is VertexConvention.PUNCTURED:
-        return list(range(1, n))
+        return np.arange(1, n)
     proper = group.orders != n  # <g> is a proper subgroup
     if convention is VertexConvention.STRICT:
         proper[0] = False
-    return np.flatnonzero(proper).tolist()
+    return np.flatnonzero(proper)
 
 
 def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:

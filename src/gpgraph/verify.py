@@ -11,9 +11,10 @@ vertex set is empty under a convention are noted as vacuous and excluded
 from both lists.
 
 Facts come first: the claims read a FactsTable, which builds each group
-once and GP(G) once per distinct vertex set, and keeps only GroupFacts
-records of small values. Each claim is a census plus a judge over those
-records, run by one evaluator, _claim.
+once, reads GP(G)'s components off the prime-subgroup incidence in batched
+numpy passes (_graph_facts), builds GP(G) only where planarity needs it,
+and keeps only GroupFacts records of small values. Each claim is a census
+plus a judge over those records, run by one evaluator, _claim.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .catalog import GroupSpec, build, catalog_groups, parse_spec
 from .groups import FiniteGroup, is_prime, prime_factors
-from .graphs import SimpleGraph
-from .planarity import PlanarityVerdict, is_planar
-from .powergraph import VertexConvention, generalized_power_graph, vertex_elements
+from .planarity import is_planar
+from .powergraph import VertexConvention, generalized_power_graph, vertex_index
 
 VERDICT_CONFIRMED = "Confirmed"
 VERDICT_COUNTEREXAMPLES = "CounterexamplesFound"
@@ -148,15 +150,44 @@ def _is_l41_spec(spec: GroupSpec) -> bool:
     return spec.is_abelian_family and len(_spec_primes(spec)) >= 4
 
 
+# FactsTable reads the graph fields of its pending records in one numpy pass
+# (_graph_facts) once they hold this many incidence rows, and at the end of a
+# fill or a lookup; so the pending rows, not the catalog, size its memory.
+FACTS_BATCH_ROWS = 1 << 12
+
+
+@dataclass
+class _Pending:
+    """A record waiting for its batch: the incidence rows of one vertex set,
+    what planarity is known without them, and the (spec, convention) keys
+    it serves."""
+
+    keys: list[tuple[GroupSpec, VertexConvention]]
+    invariants: dict
+    rows: np.ndarray
+    order: int                          # bounds the subgroup ids in rows
+    planar: bool | None                 # None: the components decide, else GP(G)
+    k5_witness: tuple[int, ...] | None
+    graph_source: tuple[FiniteGroup, VertexConvention] | None  # only when planar is None
+
+
 class FactsTable:
     """GroupFacts per (spec, convention) for one harness run.
 
     fill() makes the facts of every catalog group of order >= 2 from one
     catalog pass, which builds each group once; a spec outside the catalog
-    is built on its first lookup. GP(G) is made once per distinct vertex set
+    is built on its first lookup. The table reads each distinct vertex set
     of the conventions in (requested | {punctured}), as discrepancy checks
     read Punctured, and conventions with one vertex set share one record (a
-    non-cyclic group has two). Neither the group nor the graphs are kept.
+    non-cyclic group has two).
+
+    The graph fields come from the prime-subgroup incidence, not from GP(G):
+    each vertex set's incidence rows wait in a batch that _graph_facts reads
+    in one pass. Planarity is known without a graph when some clique C_P has
+    5 or more vertices (a K5) or when every component is a clique of at most
+    4 vertices; GP(G) is built only otherwise, and for L4.1's specs, whose
+    reports print a K5 witness. A batch keeps incidence rows, and a group
+    only for a record that may need its graph.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -166,6 +197,8 @@ class FactsTable:
         self.conventions = tuple(dict.fromkeys((*conventions, VertexConvention.PUNCTURED)))
         self._facts: dict[tuple[GroupSpec, VertexConvention], GroupFacts] = {}
         self._catalog: list[GroupSpec] | None = None
+        self._pending: list[_Pending] = []
+        self._pending_rows = 0
 
     def fill(self) -> None:
         """Make the facts of every catalog group now, once per table."""
@@ -176,6 +209,7 @@ class FactsTable:
             if group.n >= 2:
                 self._add(spec, group)
                 self._catalog.append(spec)
+        self._flush()
 
     def census(self, pred, targets: tuple[str, ...] = ()) -> list[GroupSpec]:
         """Catalog specs of order 2..max_order satisfying pred, in catalog
@@ -188,35 +222,132 @@ class FactsTable:
     def __call__(self, spec: GroupSpec, convention: VertexConvention) -> GroupFacts:
         if (spec, convention) not in self._facts:
             self._add(spec, build(spec))
+            self._flush()
         return self._facts[spec, convention]
 
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         invariants = _group_invariants(group)
+        incidence = group.prime_subgroup_incidence()
         probe = _is_l41_spec(spec)
-        records: dict[tuple[int, bool], GroupFacts] = {}
+        records: dict[tuple[int, bool], _Pending] = {}
         for convention in self.conventions:
-            verts = vertex_elements(group, convention)
-            key = (len(verts), 0 in verts)  # tells one group's vertex sets apart
+            verts = vertex_index(group, convention)
+            key = (len(verts), verts[:1].tolist() == [0])  # tells one group's vertex sets apart
             if key not in records:
-                graph_fields, _ = _graph_facts(generalized_power_graph(group, convention), probe)
-                records[key] = GroupFacts(**invariants, **graph_fields)
-            self._facts[spec, convention] = records[key]
+                rows = incidence[verts]
+                planar, witness, source = None, None, None
+                if probe:
+                    graph = generalized_power_graph(group, convention)
+                    verdict = is_planar(graph, find_k5_witness=True)
+                    planar = verdict.planar
+                    witness = verdict.witness and tuple(int(graph.labels[x]) for x in verdict.witness)
+                elif np.bincount(rows.ravel() + 1)[1:].max(initial=0) >= 5:  # id -1 counts at 0
+                    planar = False  # a C_P of 5 or more vertices spans a K5
+                else:
+                    source = (group, convention)
+                records[key] = _Pending([], invariants, rows, group.n, planar, witness, source)
+                self._pending.append(records[key])
+                self._pending_rows += len(rows)
+            records[key].keys.append((spec, convention))
+        if self._pending_rows >= FACTS_BATCH_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Read the graph fields of every pending record in one pass."""
+        pending, self._pending, self._pending_rows = self._pending, [], 0
+        for rec, fields in zip(pending, _graph_facts([(r.rows, r.order) for r in pending])):
+            planar = rec.planar
+            if planar is None:
+                small_cliques = fields["components_complete"] and max(fields["component_sizes"], default=0) <= 4
+                planar = small_cliques or is_planar(generalized_power_graph(*rec.graph_source)).planar
+            record = GroupFacts(**rec.invariants, **fields, planar=planar, k5_witness=rec.k5_witness)
+            for key in rec.keys:
+                self._facts[key] = record
 
 
-def _graph_facts(graph: SimpleGraph, find_k5_witness: bool = False) -> tuple[dict, PlanarityVerdict]:
-    """The graph fields of GroupFacts, and the planarity verdict they read;
-    the one reading of a graph, for the harness and `gpgraph check` alike."""
-    comps = graph.connected_components()
-    cliques = graph.components_complete(comps)
-    verdict = is_planar(graph, find_k5_witness=find_k5_witness)
-    return dict(
-        v=graph.v,
-        complete=len(comps) <= 1 and cliques,  # iff at most one component, a clique
-        component_sizes=tuple(len(c) for c in comps),
-        components_complete=cliques,
-        planar=verdict.planar,
-        k5_witness=verdict.witness and tuple(int(graph.labels[x]) for x in verdict.witness),
-    ), verdict
+def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
+    """v, complete, component_sizes and components_complete of GP(G) on each
+    block's vertex set, read off its prime-subgroup incidence rows in one
+    numpy pass; the one reading of GP's components, for the harness and
+    `gpgraph check` alike.
+
+    A block is (rows, n): the incidence rows of the vertex set, ascending by
+    element (FiniteGroup.prime_subgroup_incidence), and the group order,
+    which bounds their subgroup ids. GP(G) is the union of the cliques
+    C_P = {x : P <= <x>}, so vertices are joined iff they share an id:
+    - components come from min-label propagation over ids, ordered by least
+      vertex; a row without ids (the identity) is a component of its own;
+    - a component is a clique iff one id is held by all of its vertices.
+      This is exact: in a clique component, any x has some P <= <x> of
+      prime order, whose generator is a vertex in x's component; every other
+      vertex is adjacent to it, so it contains P too. Only strict Z_p lacks
+      prime-order vertices, and it has no vertices at all;
+    - GP(G) is complete iff it has at most one component, and that one is
+      a clique.
+    Ids are offset per block, so blocks never meet.
+    """
+    sizes = np.array([len(rows) for rows, _ in blocks], dtype=np.int64)
+    total = int(sizes.sum())
+    width = max([1, *(rows.shape[1] for rows, _ in blocks)])  # order 1 has no columns
+    # ids[j, i] is the j-th id of row i, or -1; columns are rows, so that
+    # reductions over a row's few ids run along the first axis
+    ids = np.full((width, total), -1, dtype=np.int32)
+    offsets = np.zeros(len(blocks), dtype=np.int32)
+    start = offset = 0
+    for b, (rows, n) in enumerate(blocks):
+        ids[:rows.shape[1], start:start + len(rows)] = rows.T
+        offsets[b] = offset
+        start += len(rows)
+        offset += n
+    held = ids >= 0
+    ids += np.where(held, np.repeat(offsets, sizes), 0)
+    # dense ids 0..nids-1 from one sort; nids is a sentinel for "no id"
+    flat = ids[held]
+    by_id = np.argsort(flat, kind="stable")
+    new_id = np.ones(len(flat), dtype=bool)
+    new_id[1:] = flat[by_id[1:]] != flat[by_id[:-1]]
+    starts = np.flatnonzero(new_id)
+    nids = len(starts)
+    dense = np.empty(len(flat), dtype=np.int32)
+    dense[by_id] = np.cumsum(new_id) - 1
+    ids[held] = dense
+    ids[~held] = nids
+    holder_rows = np.nonzero(held)[1][by_id]  # the rows holding each id, id by id
+    # min-label propagation: a row takes the least label of its ids, an id
+    # the least label of its rows, then jumps to its label's label
+    label = np.arange(nids + 1, dtype=np.int32)
+    while True:
+        row_label = label[ids].min(axis=0)
+        if not nids:
+            break
+        new = np.minimum.reduceat(row_label[holder_rows], starts)
+        new = new[new]
+        if np.array_equal(new, label[:nids]):
+            break
+        label[:nids] = new
+    lone = row_label == nids  # a row without ids (the identity) is a component of one
+    row_label[lone] = nids + 1 + np.flatnonzero(lone)
+    _, first, comp_of_row, comp_sizes = np.unique(row_label, return_index=True, return_inverse=True,
+                                                  return_counts=True)
+    holders = np.append(np.diff(starts, append=len(flat)), 0)  # rows per id; 0 for the sentinel
+    comp_size_of_row = comp_sizes[comp_of_row]
+    spans = (holders[ids].max(axis=0) == comp_size_of_row) | lone
+    clique = np.bincount(comp_of_row, weights=spans, minlength=len(comp_sizes)) > 0
+    by_least = np.argsort(first)
+    block_of_comp = np.repeat(np.arange(len(blocks)), sizes)[first[by_least]]
+    comps_per_block = np.bincount(block_of_comp, minlength=len(blocks)).tolist()
+    broken_per_block = np.bincount(block_of_comp, weights=~clique[by_least], minlength=len(blocks)).tolist()
+    ordered_sizes = comp_sizes[by_least].tolist()
+    out, c = [], 0
+    for v, ncomps, broken in zip(sizes.tolist(), comps_per_block, broken_per_block):
+        out.append(dict(
+            v=v,
+            complete=ncomps <= 1 and not broken,
+            component_sizes=tuple(ordered_sizes[c:c + ncomps]),
+            components_complete=not broken,
+        ))
+        c += ncomps
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,15 @@ class TestCatalog:
         assert "dicyclic:2" in {s.to_text() for s in kept}
         assert "dicyclic:2" not in {s.to_text() for s in merged}
 
+    def test_products_match_the_all_pairs_filter(self):
+        # Each base stops at the abelian groups that still fit; the result
+        # equals trying every (base, abelian) pair, in the same order.
+        abelian = enumerate_abelian_up_to(256)
+        nonabelian = catalog._nonabelian_family_specs(256)
+        products = [GroupSpec(catalog.PRODUCT, parts=(base, ab)) for base in nonabelian for ab in abelian
+                    if ab.order() >= 2 and base.order() * ab.order() <= 256]
+        assert catalog_up_to(256, False) == tuple(abelian + nonabelian + products)
+
     def test_products_bounded_by_max_order(self):
         for s in catalog_up_to(30):
             assert s.order() <= 30

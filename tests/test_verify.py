@@ -7,6 +7,7 @@ import pytest
 
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.cli import main
+from gpgraph.groups import is_prime
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph, vertex_elements
 from gpgraph.verify import (
@@ -19,6 +20,7 @@ from gpgraph.verify import (
     VERDICT_COUNTEREXAMPLES,
     VERDICT_NOT_APPLICABLE,
     VerifyConfig,
+    _graph_facts,
     check_abelian_planarity_classification,
     check_completeness_abelian,
     check_completeness_nonabelian,
@@ -143,6 +145,79 @@ class TestClaimsOnHandMadeRecords:
             Finding("dihedral:4", "4 GP components", "5 components (= subgroups of order p)")]
 
 
+class TestIncidenceFacts:
+    """Records on each path of the incidence reading: no vertices, an
+    isolated identity, planarity decided by the cliques alone, and the
+    graph fallback."""
+
+    @staticmethod
+    def lookup(text, convention, monkeypatch, graph_calls=None):
+        """The record of one off-catalog lookup; GP(G) builds are appended to
+        graph_calls, and refused when it is None."""
+        import gpgraph.verify as verify
+
+        def gp(group, conv):
+            if graph_calls is None:
+                raise AssertionError(f"GP({text}) built under {conv.value}")
+            graph_calls.append((text, conv))
+            return generalized_power_graph(group, conv)
+
+        monkeypatch.setattr(verify, "generalized_power_graph", gp)
+        return FactsTable(2, (convention,))(parse_spec(text), convention)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_strict_prime_cyclic_has_no_vertices(self, p, monkeypatch):
+        f = self.lookup(f"cyclic:{p}", STRICT, monkeypatch)
+        assert (f.v, f.component_sizes, f.complete, f.components_complete, f.planar) == (
+            0, (), True, True, True)
+
+    @pytest.mark.parametrize("text, convention, sizes, planar", [
+        ("cyclic:8", FULL, (1, 7), False),
+        ("cyclic:8", VertexConvention.STRICT_WITH_IDENTITY, (1, 3), True),
+        ("gq:8", FULL, (1, 7), False),
+        ("dihedral:4", VertexConvention.STRICT_WITH_IDENTITY, (1, 3, 1, 1, 1, 1), True),
+        ("cyclic:7", VertexConvention.STRICT_WITH_IDENTITY, (1,), True),
+    ])
+    def test_identity_is_an_isolated_vertex(self, text, convention, sizes, planar, monkeypatch):
+        f = self.lookup(text, convention, monkeypatch)
+        assert f.component_sizes == sizes and f.v == sum(sizes)
+        assert f.components_complete and f.complete == (len(sizes) == 1)
+        assert f.planar == planar
+
+    @pytest.mark.parametrize("text, convention", [
+        ("cyclic:32", PUNCTURED),   # C_P of the involution holds 16 vertices: a K5
+        ("dihedral:3", PUNCTURED),  # a K2 and three isolated reflections
+    ])
+    def test_planarity_from_the_cliques_alone(self, text, convention, monkeypatch):
+        f = self.lookup(text, convention, monkeypatch)
+        g = generalized_power_graph(build(parse_spec(text)), convention)
+        assert f.planar == is_planar(g).planar == (text == "dihedral:3")
+
+    @pytest.mark.parametrize("text, convention", [
+        ("cyclic:6", PUNCTURED),    # a 5-vertex component, not a clique
+        ("dihedral:6", STRICT),
+        ("symmetric:5", STRICT),
+    ])
+    def test_graph_fallback(self, text, convention, monkeypatch):
+        calls = []
+        f = self.lookup(text, convention, monkeypatch, calls)
+        assert calls == [(text, convention)]
+        g = generalized_power_graph(build(parse_spec(text)), convention)
+        comps = g.connected_components()
+        assert not g.components_complete(comps) and g.contains_k5_clique() is None
+        assert f.planar == is_planar(g).planar is True
+
+    def test_blocks_in_one_batch_read_as_alone(self):
+        # Ids are offset per block, so equal ids of different groups never
+        # join components; an empty block takes no rows.
+        groups = [(build(parse_spec(t)), c) for t, c in [
+            ("cyclic:8", FULL), ("cyclic:7", STRICT), ("dihedral:6", PUNCTURED),
+            ("cyclic:1", FULL), ("abelian:2,2,2", PUNCTURED), ("cyclic:30", STRICT)]]
+        blocks = [(g.prime_subgroup_incidence()[vertex_elements(g, c)], g.n) for g, c in groups]
+        assert _graph_facts(blocks) == [_graph_facts([block])[0] for block in blocks]
+        assert _graph_facts([]) == []
+
+
 class TestRunAll:
     def test_report_census_and_ordering(self):
         reports = run_all(VerifyConfig(max_order=16))
@@ -183,11 +258,14 @@ class TestRunAll:
         with pytest.raises(ValueError, match="exceeds the 4096 cap"):
             run_all(VerifyConfig(max_order=8192))
 
-    def test_each_group_and_graph_built_once(self, monkeypatch):
+    def test_each_group_built_once_and_graphs_only_where_planarity_needs_them(self, monkeypatch):
         # Every build in a run is counted: the catalog pass, which builds the
         # specs that dedupe drops too, and the lookups of off-catalog targets.
-        # GP(G) is built once per distinct vertex set of a kept group: the
-        # conventions that give a group the same vertex set share one graph.
+        # The graph fields come from the incidence, so GP(G) is built only
+        # for L4.1's witnesses and for a vertex set whose planarity its
+        # cliques leave open: no 5 vertices share a subgroup of prime order,
+        # and some component is not a clique of at most 4 vertices. Never
+        # twice for one vertex set.
         import gpgraph.catalog as catalog
         import gpgraph.verify as verify
 
@@ -195,6 +273,17 @@ class TestRunAll:
         kept = [s.to_text() for s in catalog_up_to(24, True) if s.order() >= 2] + targets
         every = [s.to_text() for s in catalog_up_to(24, False)] + targets
         groups = {text: build(parse_spec(text)) for text in kept}
+
+        def needs_graph(text, group, convention):
+            if text in targets:
+                return True
+            verts = vertex_elements(group, convention)
+            member = group.cyclic_membership()[verts]  # member[i, h]: h in <verts[i]>
+            if any(member[:, h].sum() >= 5 for h in range(1, group.n) if is_prime(group.order_of(h))):
+                return False
+            g = generalized_power_graph(group, convention)
+            comps = g.connected_components()
+            return not (g.components_complete(comps) and all(len(c) <= 4 for c in comps))
 
         spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
@@ -219,9 +308,9 @@ class TestRunAll:
             assert Counter(text for text, _ in built) == Counter(every)
             assert Counter(graphs) == Counter(
                 (text, vertex_set) for text, group in groups.items()
-                for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions})
-        # a non-cyclic group has one vertex set per identity rule
-        assert len({vs for text, vs in graphs if text == "dihedral:4"}) == 2
+                for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions
+                                   if needs_graph(text, group, c)})
+            assert {text for text, _ in graphs} == {"cyclic:6", "dihedral:6", "cyclic:210"}
 
     def test_tables_are_made_only_without_closed_forms(self, monkeypatch):
         # The harness reads orders, powers and the abelian flag, which every
@@ -244,10 +333,12 @@ class TestRunAll:
         # Each record, shared between conventions or not, equals the one read
         # off a fresh GP(G) of its own convention through the public graph
         # calls; `complete` is checked against is_complete().
-        table = FactsTable(64, tuple(VertexConvention))
+        table = FactsTable(256, tuple(VertexConvention))
         table.fill()
         specs = table.census(lambda s: True, ("cyclic:210",))
-        assert len(specs) == sum(s.order() >= 2 for s in catalog_up_to(64)) + 1
+        # cyclic:210, L4.1's target, is a catalog group at this bound
+        assert specs == [s for s in catalog_up_to(256) if s.order() >= 2]
+        assert parse_spec("cyclic:210") in specs
         for spec in specs:
             group = build(spec)
             for convention in VertexConvention:
@@ -265,6 +356,18 @@ class TestRunAll:
                     planar=verdict.planar,
                     k5_witness=witness,
                 ), (spec.to_text(), convention)
+
+    def test_one_row_batches_give_the_same_records(self, monkeypatch):
+        import gpgraph.verify as verify
+
+        one_batch = FactsTable(64, tuple(VertexConvention))
+        one_batch.fill()
+        assert one_batch._pending == []
+        monkeypatch.setattr(verify, "FACTS_BATCH_ROWS", 1)
+        per_record = FactsTable(64, tuple(VertexConvention))
+        per_record.fill()
+        assert per_record._facts == one_batch._facts
+        assert list(per_record._facts) == list(one_batch._facts)
 
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
