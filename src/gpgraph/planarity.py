@@ -1,10 +1,16 @@
 """Planarity decisions: one linear-time left-right pass over the whole graph.
 
-The left-right test follows Brandes' formulation (DFS orientation, then
-conflict-pair constraints on back edges). It needs no block decomposition:
-each connected component is oriented and tested from its own DFS root. Only
-the verdict is computed, no embedding. The test suite cross-checks it
-against an independent quadratic oracle (tests/planarity_oracle.py).
+The left-right test follows U. Brandes, "The Left-Right Planarity Test"
+(2009): DFS orientation, then conflict-pair constraints on back edges. It
+needs no block decomposition: each connected component is oriented and
+tested from its own DFS root. Only the verdict is computed, no embedding.
+The test suite cross-checks it against an independent quadratic oracle
+(tests/planarity_oracle.py).
+
+The test reads the graph's bitset rows (SimpleGraph.rows) directly and
+builds no adjacency lists: orientation is one DFS over the bitsets that
+also computes lowpoints and sorts out-edges by nesting depth, and is_planar
+counts edges once, for the Euler bound and the per-edge lists alike.
 
 The test's state is flat lists of ints. Orientation numbers each oriented
 edge as it creates it (an edge id), and src[e], dst[e] are its endpoints.
@@ -34,11 +40,13 @@ class PlanarityVerdict:
     witness: Optional[tuple[int, ...]] = None  # K_5 clique, only for METHOD_K5_CLIQUE
 
 
+def _within_euler_bound(v: int, e: int) -> bool:
+    return v < 3 or e <= 3 * v - 6
+
+
 def euler_bound_check(g: SimpleGraph) -> bool:
     """Necessary condition for planarity: e <= 3v - 6 (v >= 3)."""
-    if g.v < 3:
-        return True
-    return g.edge_count() <= 3 * g.v - 6
+    return _within_euler_bound(g.v, g.edge_count())
 
 
 def biconnected_components(g: SimpleGraph) -> list[tuple[list[int], list[tuple[int, int]]]]:
@@ -100,21 +108,28 @@ def biconnected_components(g: SimpleGraph) -> list[tuple[list[int], list[tuple[i
 # ---------------------------------------------------------------------------
 
 
-def _left_right_planar(adj: list[list[int]]) -> bool:
-    """Left-right verdict for the graph with these adjacency lists.
+def _left_right_planar(rows: list[int], size: int) -> bool:
+    """Left-right verdict for the graph with these bitset rows and `size` edges.
 
     Each connected component is oriented and tested from its own DFS root,
     its lowest vertex id. Edges of different components never meet, so all
     roots share the per-edge lists, and a component that passes leaves the
     conflict-pair stack empty.
+
+    Orientation is one DFS over the bitsets, with no adjacency lists. The
+    next tree child of x is the lowest bit of rows[x] & unvisited. The back
+    edges of y are made when y is discovered: in an undirected DFS every
+    neighbour visited before y, but its parent, is an ancestor of y. A
+    vertex's height is its depth on the DFS stack. When x finishes, each of
+    its out-edges has its lowpoints, so they fold into x's parent edge and
+    x's out-edges are sorted by nesting depth there.
     """
-    n = len(adj)
-    size = sum(map(len, adj)) // 2  # each edge is oriented once
+    n = len(rows)
     height = [-1] * n
     parent_edge = [-1] * n
     out: list[list[int]] = [[] for _ in range(n)]  # tree edges and back edges
-    src: list[int] = []
-    dst: list[int] = []
+    src = [0] * size
+    dst = [0] * size
     lowpt = [0] * size
     lowpt2 = [0] * size
     nesting = [0] * size
@@ -123,63 +138,75 @@ def _left_right_planar(adj: list[list[int]]) -> bool:
     stack_bottom: list[Optional[list[int]]] = [None] * size
     resume = [0] * n  # position in out[x] of the tree edge being descended
     S: list[list[int]] = []  # conflict pairs [left.low, left.high, right.low, right.high]
+    by_nesting = nesting.__getitem__
+    unvisited = (1 << n) - 1
+    e = 0  # the next edge id
 
-    for root in range(n):
-        if height[root] != -1 or not adj[root]:
-            continue
+    while unvisited:
+        bit = unvisited & -unvisited
+        unvisited ^= bit
+        root = bit.bit_length() - 1
+        if not rows[root]:
+            continue  # an isolated vertex
 
-        # -- phase 1: orientation ----------------------------------------------
+        # -- phase 1: orientation, lowpoints and nesting order -----------------
+        first_edge = e
         height[root] = 0
-        order = [root]
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            x, p, nbrs = stack[-1]
-            hx = height[x]
-            for y in nbrs:
-                if height[y] == -1:
-                    e = len(src)
-                    src.append(x)
-                    dst.append(y)
-                    out[x].append(e)
-                    parent_edge[y] = e
-                    height[y] = hx + 1
-                    order.append(y)
-                    stack.append((y, x, iter(adj[y])))
-                    break
-                if height[y] < hx and y != p:  # back edge to an ancestor
-                    out[x].append(len(src))
-                    src.append(x)
-                    dst.append(y)
-            else:
-                stack.pop()
-        if len(order) <= 4:
-            continue  # every graph on at most 4 vertices is planar
-
-        # lowpt/lowpt2 per oriented edge, children before parents.
-        for x in reversed(order):
-            hx = height[x]
-            for e in out[x]:
-                y = dst[e]
-                if parent_edge[y] == e:  # tree edge: fold child edges
-                    lp = lp2 = hx
-                    for f in out[y]:
-                        clp = lowpt[f]
-                        if clp < lp:
-                            lp2 = lp if lp < lowpt2[f] else lowpt2[f]
-                            lp = clp
-                        elif clp > lp:
-                            if clp < lp2:
-                                lp2 = clp
-                        elif lowpt2[f] < lp2:
-                            lp2 = lowpt2[f]
-                else:
-                    lp, lp2 = height[y], hx
-                lowpt[e] = lp
-                lowpt2[e] = lp2
-                nesting[e] = 2 * lp + (lp2 < hx)
-        by_nesting = nesting.__getitem__
-        for x in order:
-            out[x].sort(key=by_nesting)
+        stack = [root]
+        while True:
+            x = stack[-1]
+            children = rows[x] & unvisited
+            if children:
+                bit = children & -children
+                unvisited ^= bit
+                y = bit.bit_length() - 1
+                hy = len(stack)
+                height[y] = hy
+                src[e] = x
+                dst[e] = y
+                out[x].append(e)
+                parent_edge[y] = e
+                e += 1
+                stack.append(y)
+                back = rows[y] & ~unvisited ^ (1 << x)  # visited neighbours but x
+                out_y = out[y]
+                while back:
+                    bit = back & -back
+                    back ^= bit
+                    w = bit.bit_length() - 1
+                    lp = height[w]
+                    src[e] = y
+                    dst[e] = w
+                    lowpt[e] = lp
+                    lowpt2[e] = hy
+                    nesting[e] = 2 * lp
+                    out_y.append(e)
+                    e += 1
+                continue
+            # x is finished: fold its out-edges into its parent edge.
+            stack.pop()
+            out_x = out[x]
+            out_x.sort(key=by_nesting)
+            if not stack:
+                break  # the root is finished
+            hu = len(stack) - 1
+            lp = lp2 = hu
+            for f in out_x:
+                clp = lowpt[f]
+                if clp < lp:
+                    lp2 = lp if lp < lowpt2[f] else lowpt2[f]
+                    lp = clp
+                elif clp > lp:
+                    if clp < lp2:
+                        lp2 = clp
+                elif lowpt2[f] < lp2:
+                    lp2 = lowpt2[f]
+            pe = parent_edge[x]
+            lowpt[pe] = lp
+            lowpt2[pe] = lp2
+            nesting[pe] = 2 * lp + (lp2 < hu)
+        if e - first_edge < 9:
+            continue  # a graph with fewer than 9 edges is planar: K3,3 has 9, K5 10
 
         # -- phase 2: testing --------------------------------------------------
         # The walk keeps no stack: a finished vertex returns along its parent
@@ -308,6 +335,7 @@ def is_planar(g: SimpleGraph, *, find_k5_witness: bool = False) -> PlanarityVerd
         clique = g.contains_k5_clique()
         if clique is not None:
             return PlanarityVerdict(False, METHOD_K5_CLIQUE, tuple(clique))
-    if not euler_bound_check(g):
+    size = g.edge_count()
+    if not _within_euler_bound(g.v, size):
         return PlanarityVerdict(False, METHOD_EULER_BOUND)
-    return PlanarityVerdict(_left_right_planar(g.adjacency_lists()), METHOD_LEFT_RIGHT)
+    return PlanarityVerdict(_left_right_planar(g.rows, size), METHOD_LEFT_RIGHT)

@@ -127,6 +127,12 @@ def _group_invariants(group: FiniteGroup) -> dict:
     n, p, exponent = group.n, group.p_group_prime(), group.exponent()
     cyclic = int(group.orders.max()) == n
     involutions = int((group.orders == 2).sum())
+    subgroups = None
+    if p is not None:
+        # A p-group's incidence has one column, p's, and each subgroup of
+        # order p is one id in it; id -1 counts at 0.
+        ids = group.prime_subgroup_incidence()[:, 0]
+        subgroups = int(np.count_nonzero(np.bincount(ids + 1)[1:]))
     return dict(
         order=n,
         cyclic=cyclic,
@@ -137,17 +143,14 @@ def _group_invariants(group: FiniteGroup) -> dict:
         d8=n == 8 and involutions == 5 and not group.is_abelian,
         # elementary abelian 2/3/5-group, Z_4 or Z_6
         abelian_planar_family=(p in (2, 3, 5) and exponent == p) or (n in (4, 6) and cyclic),
-        subgroups_of_order_p=None if p is None else len(group.subgroups_of_order_p(p)),
+        subgroups_of_order_p=subgroups,
     )
 
 
-def _spec_primes(spec: GroupSpec) -> set[int]:
-    return set(prime_factors(spec.order()))
-
-
-def _is_l41_spec(spec: GroupSpec) -> bool:
-    """Abelian with at least four distinct prime divisors (L4.1's census)."""
-    return spec.is_abelian_family and len(_spec_primes(spec)) >= 4
+def _is_l41_spec(spec: GroupSpec, primes: frozenset[int]) -> bool:
+    """Abelian with at least four distinct prime divisors (L4.1's census);
+    primes are those dividing the spec's order."""
+    return spec.is_abelian_family and len(primes) >= 4
 
 
 # FactsTable reads the graph fields of its pending records in one numpy pass
@@ -199,6 +202,7 @@ class FactsTable:
         self._catalog: list[GroupSpec] | None = None
         self._pending: list[_Pending] = []
         self._pending_rows = 0
+        self._primes: dict[int, frozenset[int]] = {}
 
     def fill(self) -> None:
         """Make the facts of every catalog group now, once per table."""
@@ -219,6 +223,14 @@ class FactsTable:
         texts = {s.to_text() for s in specs}
         return specs + [parse_spec(t) for t in targets if t not in texts]
 
+    def primes(self, spec: GroupSpec) -> frozenset[int]:
+        """The primes dividing the spec's order; each order is factored once
+        per table, so the census predicates of a run share the work."""
+        n = spec.order()
+        if n not in self._primes:
+            self._primes[n] = frozenset(prime_factors(n))
+        return self._primes[n]
+
     def __call__(self, spec: GroupSpec, convention: VertexConvention) -> GroupFacts:
         if (spec, convention) not in self._facts:
             self._add(spec, build(spec))
@@ -228,7 +240,7 @@ class FactsTable:
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         invariants = _group_invariants(group)
         incidence = group.prime_subgroup_incidence()
-        probe = _is_l41_spec(spec)
+        probe = _is_l41_spec(spec, self.primes(spec))
         records: dict[tuple[int, bool], _Pending] = {}
         for convention in self.conventions:
             verts = vertex_index(group, convention)
@@ -473,7 +485,7 @@ def check_pgroup_components(facts: FactsTable, convention: VertexConvention) -> 
             yield (f"{ncomps} GP components",
                    f"{f.subgroups_of_order_p} components (= subgroups of order p)")
 
-    return _claim("T3.4", facts, convention, facts.census(lambda s: len(_spec_primes(s)) == 1),
+    return _claim("T3.4", facts, convention, facts.census(lambda s: len(facts.primes(s)) == 1),
                   judge, skip_vacuous=True)
 
 
@@ -493,7 +505,7 @@ def check_planarity_prime_lemmas(
 
     # L4.1: abelian order divisible by >= 4 distinct primes; Z_210 targeted
     # (the smallest such order is 210, beyond any realistic bound).
-    specs = facts.census(_is_l41_spec, ("cyclic:210",))
+    specs = facts.census(lambda s: _is_l41_spec(s, facts.primes(s)), ("cyclic:210",))
     l41 = lemma("L4.1", specs, [
         f"K5 witness for {s.to_text()}: elements {list(w)}"
         for s in specs if (w := facts(s, convention).k5_witness) is not None
@@ -501,12 +513,12 @@ def check_planarity_prime_lemmas(
 
     # L4.2: any group whose order has a prime divisor >= 7 (stated for all
     # finite groups); Z_14, Z_21 and D_14 targeted.
-    l42 = lemma("L4.2", facts.census(lambda s: max(_spec_primes(s)) >= 7,
+    l42 = lemma("L4.2", facts.census(lambda s: max(facts.primes(s)) >= 7,
                                      ("cyclic:14", "cyclic:21", "dihedral:7")))
 
     # L4.3: abelian {2,5}- and {3,5}-groups of mixed order; Z_10, Z_15 targeted.
     l43 = lemma("L4.3", facts.census(
-        lambda s: s.is_abelian_family and _spec_primes(s) in ({2, 5}, {3, 5}),
+        lambda s: s.is_abelian_family and facts.primes(s) in ({2, 5}, {3, 5}),
         ("cyclic:10", "cyclic:15")))
     return [l41, l42, l43]
 
@@ -552,13 +564,13 @@ def check_nonabelian_pgroup_planarity(
         if not f.components_complete:
             yield "some component is not complete", expected
 
-    specs = facts.census(lambda s: not s.is_abelian_family and _spec_primes(s) in ({3}, {5}))
+    specs = facts.census(lambda s: not s.is_abelian_family and facts.primes(s) in ({3}, {5}))
     planar = sum(facts(s, convention).planar for s in specs)
     t51 = _claim("T5.1", facts, convention, specs, judge_t51,
                  notes=[f"{planar} of {len(specs)} group(s) have planar GP"] if specs else [])
     t52 = _claim(
         "T5.2", facts, convention,
-        facts.census(lambda s: not s.is_abelian_family and _spec_primes(s) == {2}),
+        facts.census(lambda s: not s.is_abelian_family and facts.primes(s) == {2}),
         lambda f: _iff("GP planar", f.planar, f.d8, "isomorphic to D_8", "not isomorphic to D_8"),
         catalog_relative=True,
     )

@@ -1,0 +1,58 @@
+"""The summary and claim rule of scripts/bench_pairs.py, on hand-made runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def result(wall, failed=0):
+    return {"correct": True, "attempted": 40, "failed": failed,
+            "metrics": {"wall_s": {"value": wall}, "ops_per_s": {"value": 40 / wall}}}
+
+
+def pairs(parent_walls, change_walls):
+    return [{"seed": 60 + i, "first": "parent" if i % 2 == 0 else "change",
+             "parent": result(p), "change": result(c)}
+            for i, (p, c) in enumerate(zip(parent_walls, change_walls))]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("61-64") == [61, 62, 63, 64]
+    assert bench_pairs.parse_seeds("3,5-6,9") == [3, 5, 6, 9]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("9-3")
+
+
+def test_summary_counts_wins_in_each_metrics_direction():
+    runs = pairs([0.20, 0.21, 0.22, 0.19], [0.17, 0.18, 0.23, 0.16])
+    summary = bench_pairs.summarize(runs, METRICS)
+    wall = summary["metrics"]["wall_s"]
+    assert wall["change_better_in_pairs"] == 3
+    assert summary["metrics"]["ops_per_s"]["change_better_in_pairs"] == 3
+    assert wall["parent"] == {"median": 0.205, "q1": 0.1975, "q3": 0.2125}
+    assert wall["median_change"] == round((0.175 - 0.205) / 0.205, 4)
+    assert summary["first_side"] == ["parent", "change", "parent", "change"]
+    assert summary["attempted_ops"] == {"parent": 160, "change": 160}
+
+
+def test_claim_needs_nine_in_ten_wins_and_a_gap_past_the_parent_iqr():
+    parent = [0.20 + 0.001 * i for i in range(10)]
+    summary = bench_pairs.summarize(pairs(parent, [p - 0.03 for p in parent]), METRICS)
+    assert bench_pairs.judge_claim(summary, "wall_s", lower=True)["met"]
+    assert bench_pairs.judge_claim(summary, "ops_per_s", lower=False)["met"]
+    eight_wins = [p - 0.03 for p in parent[:8]] + [p + 0.01 for p in parent[8:]]
+    summary = bench_pairs.summarize(pairs(parent, eight_wins), METRICS)
+    assert not bench_pairs.judge_claim(summary, "wall_s", lower=True)["met"]
+    within_iqr = [p - 0.002 for p in parent]  # wins every pair, but by less than the IQR
+    summary = bench_pairs.summarize(pairs(parent, within_iqr), METRICS)
+    claim = bench_pairs.judge_claim(summary, "wall_s", lower=True)
+    assert claim["change_wins"] == 10 and not claim["met"]

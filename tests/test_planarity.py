@@ -199,6 +199,57 @@ class TestTriangulationCorpus:
         assert is_planar(disjoint_union(*pieces)) == PlanarityVerdict(False, METHOD_LEFT_RIGHT)
 
 
+class TestBitsetOrientation:
+    """The orientation walks the bitset rows: a tree child is the lowest bit
+    of rows[x] & unvisited, and a vertex's back edges are its visited
+    neighbours. These inputs put that reading at word boundaries, across
+    the roots of a union, and on a graph without adjacency lists."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries_agree_with_oracle(self, n):
+        # A planted K5 or K3,3 among the lowest and highest ids keeps n
+        # vertices and stays within the Euler bound.
+        planar = stacked_triangulation(n, 700 + n)
+        low, high = [0, 1, 2], [n - 3, n - 2, n - 1]
+        k5 = list(itertools.combinations(low[:2] + high, 2))
+        k33 = list(itertools.product(low, high))
+        for extra, expected in (([], True), (k5, False), (k33, False)):
+            g = SimpleGraph.from_edges(n, set(planar.edges()) | set(extra))
+            assert g.v == n
+            assert is_planar(g) == PlanarityVerdict(expected, METHOD_LEFT_RIGHT), (n, extra)
+            assert is_planar_oracle(g) == expected
+
+    @pytest.mark.parametrize("non_planar_first", [False, True])
+    def test_union_roots_see_only_their_own_component(self, non_planar_first):
+        # Every piece has more than 4 vertices, and isolated vertices sit
+        # between the pieces. K3,3 has exactly the 9 edges below which a
+        # component is planar without a test.
+        isolated = SimpleGraph.from_edges(2, [])
+        planar = [stacked_triangulation(n, 500 + n) for n in (30, 45)]
+        for bad in (complete_bipartite(3, 3), petersen_graph(),
+                    stacked_triangulation(25, 77, plant="k5")):
+            pieces = [bad, *planar] if non_planar_first else [*planar, bad]
+            graph = disjoint_union(*(p for piece in pieces for p in (isolated, piece)), isolated)
+            assert is_planar(graph) == PlanarityVerdict(False, METHOD_LEFT_RIGHT)
+            assert not is_planar_oracle(graph)
+        both = disjoint_union(isolated, planar[0], isolated, planar[1], isolated)
+        assert is_planar(both) == PlanarityVerdict(True, METHOD_LEFT_RIGHT)
+        assert is_planar_oracle(both)
+
+    def test_decides_without_adjacency_lists(self, monkeypatch):
+        corpus = [stacked_triangulation(n, 900 + n, plant=plant)
+                  for n in (40, 90, 160) for plant in (None, "k5", "k33")]
+        expected = [is_planar_oracle(g) for g in corpus]  # the oracle reads adjacency lists
+        assert expected == [True, False, False] * 3
+
+        def refuse(self):
+            raise AssertionError("is_planar built adjacency lists")
+
+        monkeypatch.setattr(SimpleGraph, "adjacency_lists", refuse)
+        for g, planar in zip(corpus, expected):
+            assert is_planar(g) == PlanarityVerdict(planar, METHOD_LEFT_RIGHT)
+
+
 class TestClosureProperties:
     def test_induced_subgraphs_of_planar_stay_planar(self):
         rng = random.Random(99)

@@ -7,7 +7,7 @@ import pytest
 
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.cli import main
-from gpgraph.groups import is_prime
+from gpgraph.groups import is_prime, prime_factors
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph, vertex_elements
 from gpgraph.verify import (
@@ -116,6 +116,9 @@ class OneRecord:
 
     def census(self, pred, targets=()):
         return [self.spec] if pred(self.spec) else []
+
+    def primes(self, spec):
+        return frozenset(prime_factors(spec.order()))
 
     def __call__(self, spec, convention):
         return self.record
@@ -328,6 +331,33 @@ class TestRunAll:
         monkeypatch.setattr(catalog, "_table", counted)
         run_all(VerifyConfig(max_order=96))
         assert set(made) == {"heisenberg", "symmetric"}
+
+    def test_each_order_is_factored_once(self, monkeypatch):
+        import gpgraph.verify as verify
+
+        factored = []
+
+        def counted(n):
+            factored.append(n)
+            return prime_factors(n)
+
+        monkeypatch.setattr(verify, "prime_factors", counted)
+        run_all(VerifyConfig(max_order=96))
+        assert len(factored) == len(set(factored))  # no order twice
+        assert set(factored) >= {s.order() for s in catalog_up_to(96) if s.order() >= 2}
+
+    def test_subgroup_counts_match_the_subgroup_lists(self):
+        # The count comes from the incidence column of p; subgroups_of_order_p
+        # lists the subgroups themselves.
+        table = FactsTable(128, (PUNCTURED,))
+        for spec in table.census(lambda s: True):
+            group = build(spec)
+            record = table(spec, PUNCTURED)
+            assert table.primes(spec) == set(prime_factors(group.n))
+            if len(table.primes(spec)) == 1:
+                assert record.subgroups_of_order_p == len(group.subgroups_of_order_p(record.p))
+            else:
+                assert record.subgroups_of_order_p is None
 
     def test_records_match_fresh_graphs(self):
         # Each record, shared between conventions or not, equals the one read
