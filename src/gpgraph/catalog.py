@@ -412,7 +412,8 @@ _FAMILIES: dict[str, _Family] = {
         table=lambda p: _abelian_table(p), facts=lambda p: _abelian_facts(p), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
-        factors=lambda p: itertools.repeat(p[0], p[1]), name=lambda p: f"Z{p[0]}^{p[1]}",
+        # range, unlike itertools.repeat, takes a rank above sys.maxsize
+        factors=lambda p: (p[0] for _ in range(p[1])), name=lambda p: f"Z{p[0]}^{p[1]}",
         table=lambda p: _abelian_table((p[0],) * p[1]),
         facts=lambda p: _abelian_facts((p[0],) * p[1]), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1

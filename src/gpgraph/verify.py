@@ -44,14 +44,6 @@ PRUFER_SHADOW_CAP = 4096
 _IDENTITY_BEARING = (VertexConvention.FULL, VertexConvention.STRICT_WITH_IDENTITY)
 
 
-class ConventionUnsupported(ValueError):
-    def __init__(self, theorem: str, convention: VertexConvention):
-        super().__init__(
-            f"{theorem} counts components; under {convention.value} the isolated "
-            "identity shifts the count by one (reported, not silently adjusted)"
-        )
-
-
 @dataclass(frozen=True)
 class Finding:
     group: str      # serialized GroupSpec
@@ -119,7 +111,7 @@ class GroupFacts:
     component_sizes: tuple[int, ...]    # ordered by least vertex
     components_complete: bool
     planar: bool
-    k5_witness: tuple[int, ...] | None  # element labels; probed for L4.1 specs only
+    k5_witness: tuple[int, ...] | None  # five elements of one C_P of 5 or more vertices
 
 
 def _group_invariants(group: FiniteGroup) -> dict:
@@ -147,12 +139,6 @@ def _group_invariants(group: FiniteGroup) -> dict:
     )
 
 
-def _is_l41_spec(spec: GroupSpec, primes: frozenset[int]) -> bool:
-    """Abelian with at least four distinct prime divisors (L4.1's census);
-    primes are those dividing the spec's order."""
-    return spec.is_abelian_family and len(primes) >= 4
-
-
 # FactsTable reads the graph fields of its pending records in one numpy pass
 # (_graph_facts) once they hold this many incidence rows, and at the end of a
 # fill or a lookup; so the pending rows, not the catalog, size its memory.
@@ -162,16 +148,15 @@ FACTS_BATCH_ROWS = 1 << 12
 @dataclass
 class _Pending:
     """A record waiting for its batch: the incidence rows of one vertex set,
-    what planarity is known without them, and the (spec, convention) keys
-    it serves."""
+    the (spec, convention) keys it serves, and the group and convention
+    that build GP(G) if the cliques leave its planarity open."""
 
     keys: list[tuple[GroupSpec, VertexConvention]]
     invariants: dict
     rows: np.ndarray
-    order: int                          # bounds the subgroup ids in rows
-    planar: bool | None                 # None: the components decide, else GP(G)
-    k5_witness: tuple[int, ...] | None
-    graph_source: tuple[FiniteGroup, VertexConvention] | None  # only when planar is None
+    labels: np.ndarray                  # the element of each row
+    group: FiniteGroup
+    convention: VertexConvention
 
 
 class FactsTable:
@@ -186,11 +171,9 @@ class FactsTable:
 
     The graph fields come from the prime-subgroup incidence, not from GP(G):
     each vertex set's incidence rows wait in a batch that _graph_facts reads
-    in one pass. Planarity is known without a graph when some clique C_P has
-    5 or more vertices (a K5) or when every component is a clique of at most
-    4 vertices; GP(G) is built only otherwise, and for L4.1's specs, whose
-    reports print a K5 witness. A batch keeps incidence rows, and a group
-    only for a record that may need its graph.
+    in one pass. That pass decides planarity, with a K5 witness, wherever
+    the cliques C_P do; GP(G) is built only for the vertex sets they leave
+    open. A batch keeps each record's rows and its group until the flush.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -240,26 +223,14 @@ class FactsTable:
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         invariants = _group_invariants(group)
         incidence = group.prime_subgroup_incidence()
-        probe = _is_l41_spec(spec, self.primes(spec))
         records: dict[tuple[int, bool], _Pending] = {}
         for convention in self.conventions:
             verts = vertex_index(group, convention)
             key = (len(verts), verts[:1].tolist() == [0])  # tells one group's vertex sets apart
             if key not in records:
-                rows = incidence[verts]
-                planar, witness, source = None, None, None
-                if probe:
-                    graph = generalized_power_graph(group, convention)
-                    verdict = is_planar(graph, find_k5_witness=True)
-                    planar = verdict.planar
-                    witness = verdict.witness and tuple(int(graph.labels[x]) for x in verdict.witness)
-                elif np.bincount(rows.ravel() + 1)[1:].max(initial=0) >= 5:  # id -1 counts at 0
-                    planar = False  # a C_P of 5 or more vertices spans a K5
-                else:
-                    source = (group, convention)
-                records[key] = _Pending([], invariants, rows, group.n, planar, witness, source)
+                records[key] = _Pending([], invariants, incidence[verts], verts, group, convention)
                 self._pending.append(records[key])
-                self._pending_rows += len(rows)
+                self._pending_rows += len(verts)
             records[key].keys.append((spec, convention))
         if self._pending_rows >= FACTS_BATCH_ROWS:
             self._flush()
@@ -267,21 +238,21 @@ class FactsTable:
     def _flush(self) -> None:
         """Read the graph fields of every pending record in one pass."""
         pending, self._pending, self._pending_rows = self._pending, [], 0
-        for rec, fields in zip(pending, _graph_facts([(r.rows, r.order) for r in pending])):
-            planar = rec.planar
-            if planar is None:
-                small_cliques = fields["components_complete"] and max(fields["component_sizes"], default=0) <= 4
-                planar = small_cliques or is_planar(generalized_power_graph(*rec.graph_source)).planar
-            record = GroupFacts(**rec.invariants, **fields, planar=planar, k5_witness=rec.k5_witness)
+        for rec, fields in zip(pending, _graph_facts([(r.rows, r.group.n) for r in pending])):
+            if fields["planar"] is None:
+                fields["planar"] = is_planar(generalized_power_graph(rec.group, rec.convention)).planar
+            if fields["k5_witness"] is not None:
+                fields["k5_witness"] = tuple(rec.labels[list(fields["k5_witness"])].tolist())
+            record = GroupFacts(**rec.invariants, **fields)
             for key in rec.keys:
                 self._facts[key] = record
 
 
 def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
-    """v, complete, component_sizes and components_complete of GP(G) on each
-    block's vertex set, read off its prime-subgroup incidence rows in one
-    numpy pass; the one reading of GP's components, for the harness and
-    `gpgraph check` alike.
+    """v, complete, component_sizes, components_complete, planar and
+    k5_witness of GP(G) on each block's vertex set, read off its
+    prime-subgroup incidence rows in one numpy pass; the one reading of GP's
+    components, for the harness and `gpgraph check` alike.
 
     A block is (rows, n): the incidence rows of the vertex set, ascending by
     element (FiniteGroup.prime_subgroup_incidence), and the group order,
@@ -295,7 +266,14 @@ def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
       vertex is adjacent to it, so it contains P too. Only strict Z_p lacks
       prime-order vertices, and it has no vertices at all;
     - GP(G) is complete iff it has at most one component, and that one is
-      a clique.
+      a clique;
+    - planar is False when some id is held by 5 or more rows, whose C_P
+      spans a K5. k5_witness is then the lexicographically least tuple of
+      the five first holders of such an id, as row positions in the block,
+      and None otherwise;
+    - planar is True when every component is a clique: one id spans it, so
+      it has at most 4 vertices;
+    - planar is None otherwise: the cliques leave it open.
     Ids are offset per block, so blocks never meet.
     """
     sizes = np.array([len(rows) for rows, _ in blocks], dtype=np.int64)
@@ -324,7 +302,9 @@ def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
     dense[by_id] = np.cumsum(new_id) - 1
     ids[held] = dense
     ids[~held] = nids
-    holder_rows = np.nonzero(held)[1][by_id]  # the rows holding each id, id by id
+    # the rows holding each id, id by id; they ascend, as the sort is stable
+    # and an id, a subgroup of order p, lies in p's column only
+    holder_rows = np.nonzero(held)[1][by_id]
     # min-label propagation: a row takes the least label of its ids, an id
     # the least label of its rows, then jumps to its label's label
     label = np.arange(nids + 1, dtype=np.int32)
@@ -346,17 +326,28 @@ def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
     spans = (holders[ids].max(axis=0) == comp_size_of_row) | lone
     clique = np.bincount(comp_of_row, weights=spans, minlength=len(comp_sizes)) > 0
     by_least = np.argsort(first)
-    block_of_comp = np.repeat(np.arange(len(blocks)), sizes)[first[by_least]]
+    block_of_row = np.repeat(np.arange(len(blocks)), sizes)
+    block_of_comp = block_of_row[first[by_least]]
     comps_per_block = np.bincount(block_of_comp, minlength=len(blocks)).tolist()
     broken_per_block = np.bincount(block_of_comp, weights=~clique[by_least], minlength=len(blocks)).tolist()
     ordered_sizes = comp_sizes[by_least].tolist()
+    # the five first holders of each id held 5 or more times, sorted
+    # lexicographically, which sorts them by block first
+    five = holder_rows[starts[holders[:nids] >= 5, None] + np.arange(5)]
+    five = five[np.lexsort(five.T[::-1])]
+    with_k5, least = np.unique(block_of_row[five[:, 0]], return_index=True)
+    local = five[least] - (np.cumsum(sizes) - sizes)[with_k5, None]
+    witnesses = dict(zip(with_k5.tolist(), map(tuple, local.tolist())))
     out, c = [], 0
-    for v, ncomps, broken in zip(sizes.tolist(), comps_per_block, broken_per_block):
+    for b, (v, ncomps, broken) in enumerate(zip(sizes.tolist(), comps_per_block, broken_per_block)):
+        witness = witnesses.get(b)
         out.append(dict(
             v=v,
             complete=ncomps <= 1 and not broken,
             component_sizes=tuple(ordered_sizes[c:c + ncomps]),
             components_complete=not broken,
+            planar=False if witness else (None if broken else True),
+            k5_witness=witness,
         ))
         c += ncomps
     return out
@@ -473,9 +464,12 @@ def check_completeness_nonabelian(facts: FactsTable, convention: VertexConventio
 
 
 def check_pgroup_components(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
-    """T3.4, p-groups: every GP component complete; #components = #subgroups of order p."""
+    """T3.4, p-groups: every GP component complete; #components = #subgroups
+    of order p. NotApplicable under the identity-bearing conventions."""
     if convention in _IDENTITY_BEARING:
-        raise ConventionUnsupported("T3.4", convention)
+        return _claim("T3.4", facts, convention, [], lambda f: (), notes=[
+            f"T3.4 counts components; under {convention.value} the isolated "
+            "identity shifts the count by one (reported, not silently adjusted)"])
 
     def judge(f):
         if not f.components_complete:
@@ -505,7 +499,7 @@ def check_planarity_prime_lemmas(
 
     # L4.1: abelian order divisible by >= 4 distinct primes; Z_210 targeted
     # (the smallest such order is 210, beyond any realistic bound).
-    specs = facts.census(lambda s: _is_l41_spec(s, facts.primes(s)), ("cyclic:210",))
+    specs = facts.census(lambda s: s.is_abelian_family and len(facts.primes(s)) >= 4, ("cyclic:210",))
     l41 = lemma("L4.1", specs, [
         f"K5 witness for {s.to_text()}: elements {list(w)}"
         for s in specs if (w := facts(s, convention).k5_witness) is not None
@@ -628,10 +622,7 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[TheoremReport]:
     for convention in conventions:
         reports.append(check_completeness_abelian(facts, convention))
         reports.append(check_completeness_nonabelian(facts, convention))
-        try:
-            reports.append(check_pgroup_components(facts, convention))
-        except ConventionUnsupported as exc:
-            reports.append(_claim("T3.4", facts, convention, [], lambda f: (), notes=[str(exc)]))
+        reports.append(check_pgroup_components(facts, convention))
         reports.extend(check_planarity_prime_lemmas(facts, convention))
         reports.append(check_abelian_planarity_classification(facts, convention))
         reports.extend(check_nonabelian_pgroup_planarity(facts, convention))

@@ -1,7 +1,8 @@
 """Plain references for the numpy kernels in gpgraph.
 
 Each function is the straightforward version of one kernel: a per-bit walk
-for SimpleGraph.induced_subgraph, a dict of row bytes for
+for SimpleGraph.induced_subgraph, vertex degrees against component sizes
+for the clique test of verify._graph_facts, a dict of row bytes for
 groups._permutation_table, an n x n x k digit cube for
 catalog._abelian_table, a closed-form index formula over full n x n
 coordinate arrays for each family catalog._extension_table makes (dihedral,
@@ -50,6 +51,13 @@ def induced_rows(g: SimpleGraph, vertices: Iterable[int]) -> list[int]:
             if j is not None:
                 rows[i] |= 1 << j
     return rows
+
+
+def components_complete(g: SimpleGraph, components: list[list[int]]) -> bool:
+    """True iff every connected component is a clique, i.e. each vertex's
+    degree is its component's size minus one; `components` is the result
+    of g.connected_components()."""
+    return all(g.rows[i].bit_count() == len(c) - 1 for c in components for i in c)
 
 
 def permutation_table(perms: np.ndarray) -> np.ndarray:

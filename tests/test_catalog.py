@@ -479,6 +479,7 @@ class TestOrderCap:
         monkeypatch.setattr(catalog, "is_prime", tested)
         reads = _spy_on_orders(monkeypatch)
         for text in ("elemab:2,1000000000", "heisenberg:1000000000000000003",
+                     "elemab:2,100000000000000000000",  # a rank above sys.maxsize
                      "elemab:2,14", "heisenberg:21",
                      "product:(cyclic:2)x(elemab:2,1000000000)",
                      "product:(heisenberg:1000000000000000003)x(cyclic:2)"):

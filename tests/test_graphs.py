@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph
-from kernel_oracles import induced_rows
+from kernel_oracles import components_complete, induced_rows
 from gpgraph.catalog import build, catalog_up_to
 from gpgraph.graphs import MAX_EDGE_LIST_VERTICES, SimpleGraph, from_edge_list
 from gpgraph.groups import IndexOutOfRange
@@ -100,22 +100,22 @@ class TestQueries:
         assert mins == sorted(mins)
 
     def test_components_complete_examples(self):
-        def components_complete(v, edges):
+        def cliques(v, edges):
             g = SimpleGraph.from_edges(v, edges)
-            return g.components_complete(g.connected_components())
+            return components_complete(g, g.connected_components())
 
         k3 = [(0, 1), (0, 2), (1, 2)]
-        assert components_complete(6, k3 + [(3, 4), (3, 5), (4, 5)])
-        assert not components_complete(6, k3 + [(3, 4), (4, 5)])  # K3 + P3
-        assert components_complete(0, [])
-        assert components_complete(4, [])
+        assert cliques(6, k3 + [(3, 4), (3, 5), (4, 5)])
+        assert not cliques(6, k3 + [(3, 4), (4, 5)])  # K3 + P3
+        assert cliques(0, [])
+        assert cliques(4, [])
 
     @given(random_graph_strategy())
     @settings(max_examples=60, deadline=None)
     def test_components_complete_matches_induced_subgraphs(self, g):
         comps = g.connected_components()
         oracle = all(g.induced_subgraph(c).is_complete() for c in comps)
-        assert g.components_complete(comps) == oracle
+        assert components_complete(g, comps) == oracle
 
     def test_components_complete_on_group_graphs(self):
         outcomes = set()
@@ -125,7 +125,7 @@ class TestQueries:
                 g = generalized_power_graph(group, conv)
                 comps = g.connected_components()
                 oracle = all(g.induced_subgraph(c).is_complete() for c in comps)
-                assert g.components_complete(comps) == oracle, (spec.to_text(), conv)
+                assert components_complete(g, comps) == oracle, (spec.to_text(), conv)
                 outcomes.add(oracle)
         assert outcomes == {True, False}
 

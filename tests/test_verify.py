@@ -3,16 +3,18 @@ import json
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from gpgraph.catalog import build, catalog_up_to, parse_spec
+from kernel_oracles import components_complete
+from gpgraph.catalog import abelian_specs_of_order, build, catalog_up_to, parse_spec
 from gpgraph.cli import main
+from gpgraph.graphs import SimpleGraph
 from gpgraph.groups import is_prime, prime_factors
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph, vertex_elements
 from gpgraph.verify import (
     DEFAULT_CONVENTIONS,
-    ConventionUnsupported,
     FactsTable,
     Finding,
     GroupFacts,
@@ -61,9 +63,14 @@ class TestIndividualChecks:
         assert report.verdict == VERDICT_CONFIRMED
         assert report.catalog_relative
 
-    def test_t34_raises_on_identity_bearing_conventions(self):
-        with pytest.raises(ConventionUnsupported):
-            check_pgroup_components(facts(16, FULL), FULL)
+    @pytest.mark.parametrize("conv", [FULL, VertexConvention.STRICT_WITH_IDENTITY])
+    def test_t34_not_applicable_on_identity_bearing_conventions(self, conv):
+        report = check_pgroup_components(facts(16, conv), conv)
+        assert (report.theorem, report.convention, report.verdict, report.census_groups) == (
+            "T3.4", conv.value, VERDICT_NOT_APPLICABLE, 0)
+        assert report.notes == [
+            f"T3.4 counts components; under {conv.value} the isolated identity shifts "
+            "the count by one (reported, not silently adjusted)"]
 
     def test_t34_strict_notes_vacuous_primes(self):
         report = check_pgroup_components(facts(16, STRICT), STRICT)
@@ -207,8 +214,33 @@ class TestIncidenceFacts:
         assert calls == [(text, convention)]
         g = generalized_power_graph(build(parse_spec(text)), convention)
         comps = g.connected_components()
-        assert not g.components_complete(comps) and g.contains_k5_clique() is None
+        assert not components_complete(g, comps) and g.contains_k5_clique() is None
         assert f.planar == is_planar(g).planar is True
+
+    def test_witness_is_the_least_tuple_of_five_first_holders(self):
+        # The record's witness is read off one C_P; the K5 search's is the
+        # least 5-clique of the graph, which may span several C_P. Here
+        # 2, 3, 4, 6, 8 are the first vertices of C_P for P of order 5;
+        # 2, 3, 4, 5, 8 pairwise share subgroups of orders 3, 5 and 2.
+        record = FactsTable(2, (STRICT,))(parse_spec("cyclic:30"), STRICT)
+        g = generalized_power_graph(build(parse_spec("cyclic:30")), STRICT)
+        assert record.k5_witness == (2, 3, 4, 6, 8)
+        assert tuple(g.labels[x] for x in g.contains_k5_clique()) == (2, 3, 4, 5, 8)
+
+    def test_l41_witnesses_match_the_k5_search(self):
+        # Every witness the canonical report can print up to order 1024:
+        # L4.1's census is the abelian groups whose order has 4 or more
+        # distinct primes. On them both readings give the same five elements.
+        specs = [spec for n in range(2, 1025) if len(prime_factors(n)) >= 4
+                 for spec in abelian_specs_of_order(n)]
+        assert len(specs) == 33
+        table = FactsTable(1024, tuple(VertexConvention))
+        for spec in specs:
+            group = build(spec)
+            for convention in VertexConvention:
+                g = generalized_power_graph(group, convention)
+                assert table(spec, convention).k5_witness == tuple(
+                    g.labels[x] for x in g.contains_k5_clique()), (spec.to_text(), convention)
 
     def test_blocks_in_one_batch_read_as_alone(self):
         # Ids are offset per block, so equal ids of different groups never
@@ -219,6 +251,59 @@ class TestIncidenceFacts:
         blocks = [(g.prime_subgroup_incidence()[vertex_elements(g, c)], g.n) for g, c in groups]
         assert _graph_facts(blocks) == [_graph_facts([block])[0] for block in blocks]
         assert _graph_facts([]) == []
+
+
+def edge_ids(v, edges):
+    """Incidence rows on v rows in which each edge is an id of its own, held
+    by its two ends: the graph itself, with no id held 3 or more times."""
+    rows = [[] for _ in range(v)]
+    for i, (a, b) in enumerate(edges):
+        rows[a].append(i)
+        rows[b].append(i)
+    width = max(map(len, rows))
+    return np.array([r + [-1] * (width - len(r)) for r in rows]), len(edges)
+
+
+K5_EDGES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K33_EDGES = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+class TestCliqueRules:
+    """Planarity as _graph_facts reads it off hand-made incidence blocks: a
+    block is (rows, n), row i listing the ids that vertex i holds and -1
+    for none, with every id below n."""
+
+    FIVE_SHARE = (np.zeros((5, 1), dtype=int), 1)
+    # id 0 is held by rows 1..6 and id 1 by rows 0 and 2..6
+    TWO_IDS = (np.array([[-1, 1]] + [[0, -1]] + [[0, 1]] * 5), 2)
+    # a K4 on id 0, a K3 on id 1, an isolated row and a K2 holding ids 2 and 3
+    SMALL_CLIQUES = (np.array([[0, -1]] * 4 + [[1, -1]] * 3 + [[-1, -1]] + [[2, 3]] * 2), 4)
+    K5 = edge_ids(5, K5_EDGES)
+    K33 = edge_ids(6, K33_EDGES)
+
+    def test_five_holders_of_one_id_span_a_k5(self):
+        [f] = _graph_facts([self.FIVE_SHARE])
+        assert (f["planar"], f["k5_witness"]) == (False, (0, 1, 2, 3, 4))
+        [f] = _graph_facts([self.TWO_IDS])
+        assert (f["planar"], f["k5_witness"]) == (False, (0, 2, 3, 4, 5))
+
+    def test_cliques_of_at_most_four_rows_are_planar(self):
+        [f] = _graph_facts([self.SMALL_CLIQUES])
+        assert f["component_sizes"] == (4, 3, 1, 2) and f["components_complete"]
+        assert (f["planar"], f["k5_witness"]) == (True, None)
+
+    @pytest.mark.parametrize("v, edges", [(5, K5_EDGES), (6, K33_EDGES)])
+    def test_graphs_of_two_row_ids_are_left_open(self, v, edges):
+        # K5 and K3,3 are not planar, yet no id has 5 holders: the cliques
+        # decide nothing, and only GP(G) can.
+        assert not is_planar(SimpleGraph.from_edges(v, edges)).planar
+        [f] = _graph_facts([edge_ids(v, edges)])
+        assert f["component_sizes"] == (v,) and not f["components_complete"]
+        assert (f["planar"], f["k5_witness"]) == (None, None)
+
+    def test_hand_made_blocks_in_one_batch_read_as_alone(self):
+        blocks = [self.K5, self.FIVE_SHARE, self.SMALL_CLIQUES, self.K33, self.TWO_IDS]
+        assert _graph_facts(blocks) == [_graph_facts([block])[0] for block in blocks]
 
 
 class TestRunAll:
@@ -264,11 +349,11 @@ class TestRunAll:
     def test_each_group_built_once_and_graphs_only_where_planarity_needs_them(self, monkeypatch):
         # Every build in a run is counted: the catalog pass, which builds the
         # specs that dedupe drops too, and the lookups of off-catalog targets.
-        # The graph fields come from the incidence, so GP(G) is built only
-        # for L4.1's witnesses and for a vertex set whose planarity its
-        # cliques leave open: no 5 vertices share a subgroup of prime order,
-        # and some component is not a clique of at most 4 vertices. Never
-        # twice for one vertex set.
+        # The graph fields and L4.1's witnesses come from the incidence, so
+        # GP(G) is built only for a vertex set whose planarity its cliques
+        # leave open: no 5 vertices share a subgroup of prime order, and
+        # some component is not a clique of at most 4 vertices. Never twice
+        # for one vertex set, and never for L4.1's target.
         import gpgraph.catalog as catalog
         import gpgraph.verify as verify
 
@@ -278,15 +363,13 @@ class TestRunAll:
         groups = {text: build(parse_spec(text)) for text in kept}
 
         def needs_graph(text, group, convention):
-            if text in targets:
-                return True
             verts = vertex_elements(group, convention)
             member = group.cyclic_membership()[verts]  # member[i, h]: h in <verts[i]>
             if any(member[:, h].sum() >= 5 for h in range(1, group.n) if is_prime(group.order_of(h))):
                 return False
             g = generalized_power_graph(group, convention)
             comps = g.connected_components()
-            return not (g.components_complete(comps) and all(len(c) <= 4 for c in comps))
+            return not (components_complete(g, comps) and all(len(c) <= 4 for c in comps))
 
         spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
@@ -313,7 +396,7 @@ class TestRunAll:
                 (text, vertex_set) for text, group in groups.items()
                 for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions
                                    if needs_graph(text, group, c)})
-            assert {text for text, _ in graphs} == {"cyclic:6", "dihedral:6", "cyclic:210"}
+            assert {text for text, _ in graphs} == {"cyclic:6", "dihedral:6"}
 
     def test_tables_are_made_only_without_closed_forms(self, monkeypatch):
         # The harness reads orders, powers and the abelian flag, which every
@@ -362,30 +445,42 @@ class TestRunAll:
     def test_records_match_fresh_graphs(self):
         # Each record, shared between conventions or not, equals the one read
         # off a fresh GP(G) of its own convention through the public graph
-        # calls; `complete` is checked against is_complete().
+        # calls; `complete` is checked against is_complete(). The K5 witness
+        # is checked against cyclic_membership(), not the incidence: it is
+        # five vertices whose cyclic subgroups all contain one subgroup of
+        # prime order, and there is one iff such a subgroup has 5 or more
+        # vertex holders.
         table = FactsTable(256, tuple(VertexConvention))
         table.fill()
         specs = table.census(lambda s: True, ("cyclic:210",))
         # cyclic:210, L4.1's target, is a catalog group at this bound
         assert specs == [s for s in catalog_up_to(256) if s.order() >= 2]
         assert parse_spec("cyclic:210") in specs
+        witnesses = 0
         for spec in specs:
             group = build(spec)
+            member = group.cyclic_membership()  # member[x, h]: h in <x>
+            prime_order = [h for h in range(1, group.n) if is_prime(group.order_of(h))]
             for convention in VertexConvention:
                 record = table(spec, convention)
                 g = generalized_power_graph(group, convention)
                 comps = g.connected_components()
-                verdict = is_planar(g, find_k5_witness=spec.to_text() == "cyclic:210")
-                witness = verdict.witness and tuple(g.labels[x] for x in verdict.witness)
                 assert record == replace(
                     record,
                     v=g.v,
                     complete=g.is_complete(),
                     component_sizes=tuple(len(c) for c in comps),
-                    components_complete=g.components_complete(comps),
-                    planar=verdict.planar,
-                    k5_witness=witness,
+                    components_complete=components_complete(g, comps),
+                    planar=is_planar(g).planar,
                 ), (spec.to_text(), convention)
+                holders = member[np.ix_(vertex_elements(group, convention), prime_order)].sum(axis=0)
+                w = record.k5_witness
+                assert (w is not None) == bool((holders >= 5).any()), (spec.to_text(), convention)
+                if w is not None:
+                    witnesses += 1
+                    assert len(set(w)) == 5 and set(w) <= set(g.labels)
+                    assert member[np.ix_(w, prime_order)].all(axis=0).any()
+        assert witnesses > 0
 
     def test_one_row_batches_give_the_same_records(self, monkeypatch):
         import gpgraph.verify as verify
