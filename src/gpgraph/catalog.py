@@ -443,13 +443,6 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-def _table(spec: GroupSpec) -> np.ndarray:
-    """The Cayley table of a spec (checked when it was made)."""
-    if spec.family in (PRODUCT, EXTERNAL):
-        return _build(spec).table
-    return _FAMILIES[spec.family].table(spec.params)
-
-
 def build(spec: GroupSpec) -> FiniteGroup:
     """Construct the group described by a spec.
 
@@ -480,7 +473,7 @@ def _build(spec: GroupSpec) -> FiniteGroup:
             abelian=all(g.is_abelian for g in parts))
     family = _FAMILIES[spec.family]
     facts = family.facts and (lambda: family.facts(spec.params))
-    return FiniteGroup(lambda: _table(spec), order=spec.order(), facts=facts,
+    return FiniteGroup(lambda: family.table(spec.params), order=spec.order(), facts=facts,
                        abelian=family.abelian or spec.order() < 6)
 
 

@@ -7,18 +7,16 @@ tested from its own DFS root. Only the verdict is computed, no embedding.
 The test suite cross-checks it against an independent quadratic oracle
 (tests/planarity_oracle.py).
 
-The test reads the graph's bitset rows (SimpleGraph.rows) directly and
-builds no adjacency lists: orientation is one DFS over the bitsets that
-also computes lowpoints and sorts out-edges by nesting depth, and is_planar
-counts edges once, for the Euler bound and the per-edge lists alike.
+It reads the bitset rows (SimpleGraph.rows), with no adjacency lists;
+is_planar counts edges once, for the Euler bound and the per-edge lists.
 
 The test's state is flat lists of ints. Orientation numbers each oriented
-edge as it creates it (an edge id), and src[e], dst[e] are its endpoints.
-lowpt, lowpt2, nesting, ref, lowpt_edge and stack_bottom are indexed by edge
-id; parent_edge (an edge id) and the out-edge list are kept per vertex. A
-conflict pair is a 4-slot list [left.low, left.high, right.low, right.high].
--1 means "none": no parent edge at a DFS root, no ref, an empty slot of an
-interval.
+edge as it creates it (an edge id): dst[e] is its head, and src[e] the tail
+of a tree edge. lowpt, lowpt2, nesting, ref and stack_bottom are indexed by
+edge id; parent_edge (an edge id) and the out-edge list are kept per vertex.
+A conflict pair is a 4-slot list [left.low, left.high, right.low,
+right.high]. -1 means "none": no parent edge at a DFS root, the end of a ref
+chain, an empty slot of an interval.
 """
 
 from __future__ import annotations
@@ -133,8 +131,10 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
     lowpt = [0] * size
     lowpt2 = [0] * size
     nesting = [0] * size
+    # ref chains the back edges of one interval, high to low, for the trim
+    # walk only. The links only an embedding reads (side, ref of tree edges
+    # and of dropped edges, lowpt_edge) are deliberately absent.
     ref = [-1] * size
-    lowpt_edge = [-1] * size
     stack_bottom: list[Optional[list[int]]] = [None] * size
     resume = [0] * n  # position in out[x] of the tree edge being descended
     S: list[list[int]] = []  # conflict pairs [left.low, left.high, right.low, right.high]
@@ -175,10 +175,12 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                     back ^= bit
                     w = bit.bit_length() - 1
                     lp = height[w]
-                    src[e] = y
                     dst[e] = w
                     lowpt[e] = lp
                     lowpt2[e] = hy
+                    # 2 * lp + 1 gives the same verdicts. Back edges enter out[y]
+                    # before tree edges and the sort is stable, so each would only
+                    # pass its lowpoint's non-chordal tree edges: 2lp, 2lp, 2lp + 1.
                     nesting[e] = 2 * lp
                     out_y.append(e)
                     e += 1
@@ -222,7 +224,6 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                     resume[x] = i
                     x, i = y, 0
                     continue
-                lowpt_edge[ei] = ei  # back edge: its own conflict pair
                 S.append([-1, -1, ei, ei])
             else:
                 ei = parent_edge[x]
@@ -248,79 +249,62 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                     ql, qh, rl, rh = q
                     while qh != -1 and dst[qh] == u:
                         qh = ref[qh]
-                    if qh == -1 and ql != -1:
-                        ref[ql] = rl
+                    if qh == -1:
                         ql = -1
                     while rh != -1 and dst[rh] == u:
                         rh = ref[rh]
-                    if rh == -1 and rl != -1:
-                        ref[rl] = ql
+                    if rh == -1:
                         rl = -1
                     q[:] = ql, qh, rl, rh
-                if lowpt[ei] < hu:  # ei has a return edge
-                    qh = rh = -1
-                    if S:
-                        qh, rh = S[-1][1], S[-1][3]
-                    if qh != -1 and (rh == -1 or lowpt[qh] > lowpt[rh]):
-                        ref[ei] = qh
-                    else:
-                        ref[ei] = rh
                 x, i = u, resume[u]
 
-            # Integrate ei, the i-th out-edge of x.
-            if lowpt[ei] < height[x]:  # ei has a return edge, so x is no root
-                pe = parent_edge[x]
-                if i == 0:
-                    lowpt_edge[pe] = lowpt_edge[ei]
-                else:
-                    # Add constraints: merge the return edges of ei into the
-                    # right interval of a new pair P ...
-                    pll = plh = prl = prh = -1
-                    bottom = stack_bottom[ei]
-                    lpe = lowpt[pe]
-                    while True:
-                        ql, qh, rl, rh = S.pop()
-                        if ql != -1 or qh != -1:
-                            if rl != -1 or rh != -1:
-                                return False
-                            ql, qh, rl, rh = rl, rh, ql, qh
-                        if lowpt[rl] > lpe:
-                            if prl == -1 and prh == -1:
-                                prh = rh
-                            else:
-                                ref[prl] = rh
-                            prl = rl
-                        else:  # align with the parent edge's lowpoint edge
-                            ref[rl] = lowpt_edge[pe]
-                        if (S[-1] if S else None) is bottom:
-                            break
-                    # ... and the conflicting return edges of earlier
-                    # siblings into its left interval. -1 is a valid list
-                    # index, so writes through a slot that may be -1 are
-                    # guarded.
-                    lei = lowpt[ei]
-                    while S:
-                        ql, qh, rl, rh = S[-1]
-                        l_conflict = qh != -1 and lowpt[qh] > lei
-                        r_conflict = rh != -1 and lowpt[rh] > lei
-                        if not (l_conflict or r_conflict):
-                            break
-                        if r_conflict:
-                            if l_conflict:
-                                return False
-                            ql, qh, rl, rh = rl, rh, ql, qh
-                        S.pop()
-                        if prl != -1:
+            # Integrate ei, the i-th out-edge of x; the first one's pairs stay on S.
+            if i > 0 and lowpt[ei] < height[x]:  # ei has a return edge, so x is no root
+                # Add constraints: merge the return edges of ei into the
+                # right interval of a new pair P ...
+                pll = plh = prl = prh = -1
+                bottom = stack_bottom[ei]
+                lpe = lowpt[parent_edge[x]]
+                while True:
+                    ql, qh, rl, rh = S.pop()
+                    if ql != -1 or qh != -1:
+                        if rl != -1 or rh != -1:
+                            return False
+                        ql, qh, rl, rh = rl, rh, ql, qh
+                    if lowpt[rl] > lpe:  # else it aligns with the parent edge and is dropped
+                        if prl == -1 and prh == -1:
+                            prh = rh
+                        else:
                             ref[prl] = rh
-                        if rl != -1:
-                            prl = rl
-                        if pll == -1 and plh == -1:
-                            plh = qh
-                        elif pll != -1:
-                            ref[pll] = qh
-                        pll = ql
-                    if pll != -1 or plh != -1 or prl != -1 or prh != -1:
-                        S.append([pll, plh, prl, prh])
+                        prl = rl
+                    if (S[-1] if S else None) is bottom:
+                        break
+                # ... and the conflicting return edges of earlier siblings
+                # into its left interval. -1 is a valid list index, so
+                # writes through a slot that may be -1 are guarded.
+                lei = lowpt[ei]
+                while S:
+                    ql, qh, rl, rh = S[-1]
+                    l_conflict = qh != -1 and lowpt[qh] > lei
+                    r_conflict = rh != -1 and lowpt[rh] > lei
+                    if not (l_conflict or r_conflict):
+                        break
+                    if r_conflict:
+                        if l_conflict:
+                            return False
+                        ql, qh, rl, rh = rl, rh, ql, qh
+                    S.pop()
+                    if prl != -1:
+                        ref[prl] = rh
+                    if rl != -1:
+                        prl = rl
+                    if pll == -1 and plh == -1:
+                        plh = qh
+                    elif pll != -1:
+                        ref[pll] = qh
+                    pll = ql
+                if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+                    S.append([pll, plh, prl, prh])
             i += 1
     return True
 

@@ -151,7 +151,7 @@ class TestAbelianTable:
 
 
 def _made(text: str) -> np.ndarray:
-    return catalog._table(parse_spec(text))
+    return build(parse_spec(text)).table
 
 
 def _assert_same_bytes(table: np.ndarray, expected: np.ndarray, label: str):
@@ -234,7 +234,7 @@ class TestExtensionTable:
         spec = parse_spec(text)
         tracemalloc.start()
         try:
-            table = catalog._table(spec)
+            table = build(spec).table
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

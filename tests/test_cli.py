@@ -146,8 +146,9 @@ def test_domain_errors_exit_cleanly(capsys):
     assert main(["check", "nosuch:3", "--convention", "punctured"]) == 2
     assert main(["group", "build", "gq:12"]) == 2
     assert main(["check", "file:/nonexistent.tbl", "--convention", "punctured"]) == 2
+    assert main(["verify", "--max-order", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
 
 
 def test_non_group_table_exits_2(tmp_path, capsys):

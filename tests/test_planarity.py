@@ -40,6 +40,10 @@ NAMED = [
     ("W6", wheel_graph(6), True),
     ("W7", wheel_graph(7), True),
     ("W8", wheel_graph(8), True),
+    # K3,3 on {0, 2, 3} x {1, 4, 5} plus the chord 4-5: its DFS merges an
+    # earlier sibling's left interval, which needs the ref[pll] = qh link.
+    ("K33+chord", SimpleGraph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4),
+                                             (2, 5), (3, 4), (3, 5), (4, 5)]), False),
 ]
 
 
@@ -119,6 +123,15 @@ class TestAgreement:
         rng = random.Random(31415)
         for _ in range(250):
             g = random_graph(rng)
+            assert is_planar(g).planar == is_planar_oracle(g)
+
+    def test_sparse_random_agreement(self):
+        # Within the Euler bound, so every graph reaches the left-right test.
+        rng = random.Random(2718)
+        for _ in range(300):
+            v = rng.randint(5, 13)
+            pairs = list(itertools.combinations(range(v), 2))
+            g = SimpleGraph.from_edges(v, rng.sample(pairs, rng.randint(v - 1, 3 * v - 6)))
             assert is_planar(g).planar == is_planar_oracle(g)
 
     @given(data=st.data())

@@ -26,6 +26,7 @@ from gpgraph.verify import (
     check_abelian_planarity_classification,
     check_completeness_abelian,
     check_completeness_nonabelian,
+    check_nonabelian_pgroup_planarity,
     check_pgroup_components,
     check_planarity_prime_lemmas,
     check_prufer_shadow,
@@ -137,6 +138,14 @@ D8_PUNCTURED = GroupFacts(
     abelian_planar_family=False, subgroups_of_order_p=5, v=7, complete=False,
     component_sizes=(3, 1, 1, 1, 1), components_complete=True, planar=True, k5_witness=None)
 
+# Heis(3) under punctured: thirteen K2s, one per subgroup of order 3.
+HEIS3_PUNCTURED = GroupFacts(
+    order=27, cyclic=False, p=3, exponent=3, generalized_quaternion=False, d8=False,
+    abelian_planar_family=True, subgroups_of_order_p=13, v=26, complete=False,
+    component_sizes=(2,) * 13, components_complete=True, planar=True, k5_witness=None)
+
+T51_EXPECTED = "exponent p and (p^n-1)/(p-1) components, each K_{p-1}"
+
 
 class TestClaimsOnHandMadeRecords:
     def test_t34_breaks_on_each_half_of_its_claim(self):
@@ -153,6 +162,35 @@ class TestClaimsOnHandMadeRecords:
         report = check_pgroup_components(OneRecord("dihedral:4", merged), PUNCTURED)
         assert report.counterexamples == [
             Finding("dihedral:4", "4 GP components", "5 components (= subgroups of order p)")]
+
+    def test_t51_breaks_on_each_part_of_its_claim(self):
+        # Every catalog 3- and 5-group with planar GP meets T5.1, so only
+        # hand-made records reach its breaks.
+        def t51(record):
+            return check_nonabelian_pgroup_planarity(OneRecord("heisenberg:3", record), PUNCTURED)[0]
+
+        assert t51(HEIS3_PUNCTURED).verdict == VERDICT_CONFIRMED
+        for changes, observed in [
+            ({"exponent": 9}, "exponent 9 != 3"),
+            ({"component_sizes": (2,) * 12}, "12 components != (p^n-1)/(p-1) = 13"),
+            ({"component_sizes": (3,) + (2,) * 12}, "some component size != 2"),
+            ({"components_complete": False}, "some component is not complete"),
+        ]:
+            report = t51(replace(HEIS3_PUNCTURED, **changes))
+            assert report.verdict == VERDICT_COUNTEREXAMPLES, changes
+            assert report.counterexamples == [Finding("heisenberg:3", observed, T51_EXPECTED)]
+        # The claim speaks only of planar GP.
+        report = t51(replace(HEIS3_PUNCTURED, exponent=9, planar=False))
+        assert report.verdict == VERDICT_CONFIRMED and report.counterexamples == []
+
+    def test_t22_notes_a_broken_only_if_direction(self):
+        # abelian:2,2 is not cyclic, so a complete GP breaks "only if".
+        klein = FactsTable(4, (PUNCTURED,))(parse_spec("abelian:2,2"), PUNCTURED)
+        report = check_completeness_abelian(
+            OneRecord("abelian:2,2", replace(klein, complete=True)), PUNCTURED)
+        assert report.counterexamples == [Finding(
+            "abelian:2,2", "GP complete=True", "GP complete=False (not cyclic of prime-power order)")]
+        assert report.notes == ["'only if' direction broke for 1 group(s)"]
 
 
 class TestIncidenceFacts:
@@ -405,13 +443,15 @@ class TestRunAll:
         import gpgraph.catalog as catalog
 
         made = []
-        table = catalog._table
 
-        def counted(spec):
-            made.append(spec.family)
-            return table(spec)
+        def counted(name, make):
+            def table(params):
+                made.append(name)
+                return make(params)
+            return table
 
-        monkeypatch.setattr(catalog, "_table", counted)
+        for name, family in catalog._FAMILIES.items():
+            monkeypatch.setitem(catalog._FAMILIES, name, family._replace(table=counted(name, family.table)))
         run_all(VerifyConfig(max_order=96))
         assert set(made) == {"heisenberg", "symmetric"}
 
