@@ -2,12 +2,18 @@
 
 A GroupSpec is a cheap, serializable description (family tag + parameters).
 Each family is one `_FAMILIES` record: parameter domain, order, name, table
-maker and, for all but heisenberg and symmetric, a facts maker. A spec is
-checked against its record when it is made, so order() is a stored value
-that agrees with build(), which turns a spec into a FiniteGroup. That group
-makes its Cayley table only when something reads it. Its orders and powers
-come in closed form from the family's facts maker, or from its factors' for
-a product, and else from the table; its abelian flag comes from the record.
+maker and, for all but heisenberg and symmetric, orders and powers makers. A
+spec is checked against its record when it is made, so order() is a stored
+value that agrees with build(), which turns a spec into a FiniteGroup. That
+group makes its Cayley table only when something reads it. Its element
+orders come in closed form from the family's orders maker, or for a product
+as the outer lcm of its factors' orders, and else from the table; its
+powers are made from them only when something reads them; its abelian flag
+comes from the record. catalog_groups builds each catalog group once: a
+product takes its factor groups, with their tables and orders, from the same
+pass, and the dedupe reads element orders alone, so a spec it drops gets no
+powers unless its orders come from its table.
+
 Family tables are made in place and peak near their own size: abelian ones
 as products of cyclic tables, dihedral, dicyclic, gq and Heisenberg ones as
 cyclic extensions N<b>, products as broadcasts. They are groups by
@@ -21,11 +27,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,7 +83,9 @@ class GroupSpec:
     BadParameters for a field of the wrong type, an unknown family,
     parameters outside its domain or an order above MAX_GROUP_ORDER, in that
     order, and tests a prime parameter last. A product's factors were checked
-    when they were made."""
+    when they were made. `is_abelian_family` (an abelian family, or a
+    product of them) is stored when the spec is made, as are its order and
+    hash."""
 
     family: str
     params: tuple[int, ...] = ()
@@ -99,8 +107,9 @@ class GroupSpec:
                 self._refuse("product needs at least two factors")
             orders = [s.order() for s in self.parts]
             order = None if None in orders else _order_within_cap(self, orders)
+            abelian = all(s.is_abelian_family for s in self.parts)
         elif f == EXTERNAL:
-            order = None
+            order, abelian = None, False
         elif f in _FAMILIES:
             family = _FAMILIES[f]
             for rule, holds in family.domain.items():
@@ -109,9 +118,18 @@ class GroupSpec:
             order = _order_within_cap(self, family.factors(p))
             if family.prime and not is_prime(p[0]):  # after the cap: is_prime trial-divides
                 self._refuse(rule)
+            abelian = family.abelian
         else:
             raise BadParameters(f"unknown family {f!r}")
-        object.__setattr__(self, "_order", order)  # not a field: no effect on ==, hash or repr
+        # Not fields, so no effect on == or repr. Each is formed once: a
+        # product's hash and flag read its factors' stored ones, so neither
+        # recurses through the factors again.
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "is_abelian_family", abelian)
+        object.__setattr__(self, "_hash", hash((f, p, self.parts, self.path)))
+
+    def __hash__(self):
+        return self._hash
 
     def _refuse(self, msg: str):
         raise BadParameters(f"{_quote(self.to_text())}: {msg}")
@@ -120,12 +138,6 @@ class GroupSpec:
         """Group order, known without building (None for file specs and
         products with a file: factor)."""
         return self._order
-
-    @property
-    def is_abelian_family(self) -> bool:
-        if self.family == PRODUCT:
-            return all(s.is_abelian_family for s in self.parts)
-        return self.family in _FAMILIES and _FAMILIES[self.family].abelian
 
     @property
     def name(self) -> str:
@@ -290,11 +302,26 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 # memory past the result is O(FACTS_BAND).
 FACTS_BAND = 1 << 16
 
-Facts = tuple[np.ndarray, np.ndarray]  # (orders, powers) as FiniteGroup holds them
+# The orders makers give the element orders alone. Each powers maker takes
+# those orders, whose largest is the width of the power table, as
+# FiniteGroup.powers holds it.
 
 
 def _cyclic_orders(f: int) -> np.ndarray:
     return f // np.gcd(np.arange(f), f)  # order(x) = f / gcd(x, f) in Z_f
+
+
+def _radix(factors: tuple[int, ...]) -> list[int]:
+    # The factors as _abelian_table indexes the group: mixed radix, the
+    # last factor fastest, factors of 1 skipped.
+    return [f for f in factors if f != 1] or [1]
+
+
+def _abelian_orders(factors: tuple[int, ...]) -> np.ndarray:
+    # A digit x of Z_f has order f / gcd(x, f): one outer lcm per factor.
+    radix = _radix(factors)
+    return reduce(lambda o, f: np.lcm.outer(o, _cyclic_orders(f)).ravel(), radix[1:],
+                  _cyclic_orders(radix[0]))
 
 
 def _fill_cyclic_powers(out: np.ndarray) -> np.ndarray:
@@ -313,18 +340,14 @@ def _fill_cyclic_powers(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abelian_facts(factors: tuple[int, ...]) -> Facts:
-    # Indexed as _abelian_table indexes the group: mixed radix, the last
-    # factor fastest, factors of 1 skipped. A digit x of Z_f has order
-    # f / gcd(x, f) and k-th power x k mod f, so orders are an outer lcm and
-    # powers an outer sum of each factor's (f, width) powers times its
-    # radix weight, added in one pass over the result per factor.
-    radix = [f for f in factors if f != 1] or [1]
-    n, width = math.prod(radix), math.lcm(*radix)
-    orders = reduce(lambda o, f: np.lcm.outer(o, _cyclic_orders(f)).ravel(), radix[1:],
-                    _cyclic_orders(radix[0]))
+def _abelian_powers(factors: tuple[int, ...], orders: np.ndarray) -> np.ndarray:
+    # A digit x of Z_f has k-th power x k mod f, so powers are an outer sum
+    # of each factor's (f, width) powers times its radix weight, added in
+    # one pass over the result per factor.
+    radix = _radix(factors)
+    n, width = len(orders), int(orders.max())
     if len(radix) == 1:
-        return orders, _fill_cyclic_powers(np.empty((n, width), dtype=_table_dtype(n)))
+        return _fill_cyclic_powers(np.empty((n, width), dtype=_table_dtype(n)))
     powers = np.zeros((n, width), dtype=_table_dtype(n))
     digits = powers.reshape(*radix, width)
     weight = n
@@ -333,35 +356,36 @@ def _abelian_facts(factors: tuple[int, ...]) -> Facts:
         term = _fill_cyclic_powers(np.empty((f, width), dtype=powers.dtype))
         term *= weight
         digits += term.reshape(f, *(1,) * (len(radix) - axis - 1), width)
-    return orders, powers
+    return powers
 
 
-def _inverting_facts(m: int, t: int) -> Facts:
-    # Z_m<b> with b inverting and b^2 = a^t, t = 0 (dihedral) or m/2
-    # (dicyclic, gq), indexed as _extension_table indexes it: a^x b^j is
-    # j m + x. The rotations are Z_m. Since b x b^-1 = -x, (x b)^2 = b^2 = a^t:
-    # x b has order 2 when t = 0, else order 4 with powers 1, x b, a^t and
-    # (x + t) b.
+# Z_m<b> with b inverting and b^2 = a^t, t = 0 (dihedral) or m/2 (dicyclic,
+# gq), indexed as _extension_table indexes it: a^x b^j is j m + x. The
+# rotations are Z_m. Since b x b^-1 = -x, (x b)^2 = b^2 = a^t: x b has order
+# 2 when t = 0, else order 4 with powers 1, x b, a^t and (x + t) b.
+
+def _inverting_orders(m: int, t: int) -> np.ndarray:
+    return np.concatenate([_cyclic_orders(m), np.full(m, 2 if t == 0 else 4)])
+
+
+def _inverting_powers(m: int, t: int, orders: np.ndarray) -> np.ndarray:
     cycle = 2 if t == 0 else 4
-    width = max(m, cycle)
+    width = int(orders.max())  # max(m, cycle)
     dt = _table_dtype(2 * m)
-    orders = np.concatenate([_cyclic_orders(m), np.full(m, cycle)])
     powers = np.empty((2 * m, width), dtype=dt)
     _fill_cyclic_powers(powers[:m])
     x = np.arange(m, dtype=dt)
     rows = np.stack([np.zeros_like(x), m + x, np.full_like(x, t), m + (x + t) % m], axis=1)
     np.take(rows[:, :cycle], np.arange(width) % cycle, axis=1, out=powers[m:], mode="clip")
-    return orders, powers
+    return powers
 
 
-def _product_facts(a: Facts, b: Facts) -> Facts:
-    # Indexed as _product_table indexes A x B: (x, y) is x |B| + y, of order
-    # lcm(order(x), order(y)), and its k-th power is (x^k, y^k), read from
-    # each factor's wrapped row at k mod that factor's order. The two
-    # (|A|, width) and (|B|, width) reads broadcast into the result.
-    (oa, pa), (ob, pb) = a, b
+def _product_powers(a: FiniteGroup, b: FiniteGroup, orders: np.ndarray) -> np.ndarray:
+    # The k-th power of (x, y) is (x^k, y^k), read from each factor's
+    # wrapped row at k mod that factor's order. The two (|A|, width) and
+    # (|B|, width) reads broadcast into the result.
+    oa, pa, ob, pb = a.orders, a.powers, b.orders, b.powers
     na, nb = len(oa), len(ob)
-    orders = np.lcm.outer(oa, ob).ravel()
     width = int(orders.max())
     dt = _table_dtype(na * nb)  # also for the column indices, which are below width
     k = np.arange(width, dtype=dt)
@@ -370,7 +394,7 @@ def _product_facts(a: Facts, b: Facts) -> Facts:
     right = pb[np.arange(nb)[:, None], k % ob[:, None].astype(dt)]
     powers = np.empty((na, nb, width), dtype=dt)
     np.add(left[:, None], right, out=powers)
-    return orders, powers.reshape(na * nb, width)
+    return powers.reshape(na * nb, width)
 
 
 Params = tuple[int, ...]
@@ -380,17 +404,18 @@ class _Family(NamedTuple):
     """One spec family. `domain` maps each rule's message to its test on the
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
-    message). `facts` makes (orders, powers) in closed form; a family
-    without it has them filled from its table. `abelian` marks the abelian
-    families; a member of another family is abelian iff its order is below
-    6, the least order of a non-abelian group (dihedral:m for m <= 2,
-    symmetric:n for n <= 2)."""
+    message). `orders(params)` and `powers(params, orders)` make those facts
+    in closed form; a family without them has both filled from its table.
+    `abelian` marks the abelian families; a member of another family is
+    abelian iff its order is below 6, the least order of a non-abelian group
+    (dihedral:m for m <= 2, symmetric:n for n <= 2)."""
 
     domain: dict[str, Callable[[Params], bool]]
     factors: Callable[[Params], Iterable[int]]
     name: Callable[[Params], str]
     table: Callable[[Params], np.ndarray]
-    facts: Callable[[Params], Facts] | None = None
+    orders: Callable[[Params], np.ndarray] | None = None
+    powers: Callable[[Params, np.ndarray], np.ndarray] | None = None
     prime: bool = False
     abelian: bool = False
 
@@ -399,38 +424,43 @@ def _one_at_least(low: int) -> Callable[[Params], bool]:
     return lambda p: len(p) == 1 and p[0] >= low
 
 
-# The table and facts makers are called through their module names, so a
-# test can replace one.
+# The table, orders and powers makers are called through their module
+# names, so a test can replace one.
 _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
         {"cyclic:n needs n >= 1": _one_at_least(1)},
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
-        table=lambda p: _cyclic_table(p[0]), facts=lambda p: _abelian_facts(p), abelian=True),
+        table=lambda p: _cyclic_table(p[0]), orders=lambda p: _abelian_orders(p),
+        powers=lambda p, orders: _abelian_powers(p, orders), abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
-        table=lambda p: _abelian_table(p), facts=lambda p: _abelian_facts(p), abelian=True),
+        table=lambda p: _abelian_table(p), orders=lambda p: _abelian_orders(p),
+        powers=lambda p, orders: _abelian_powers(p, orders), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         # range, unlike itertools.repeat, takes a rank above sys.maxsize
         factors=lambda p: (p[0] for _ in range(p[1])), name=lambda p: f"Z{p[0]}^{p[1]}",
-        table=lambda p: _abelian_table((p[0],) * p[1]),
-        facts=lambda p: _abelian_facts((p[0],) * p[1]), prime=True, abelian=True),
+        table=lambda p: _abelian_table((p[0],) * p[1]), orders=lambda p: _abelian_orders((p[0],) * p[1]),
+        powers=lambda p, orders: _abelian_powers((p[0],) * p[1], orders), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
         table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
-        facts=lambda p: _inverting_facts(p[0], 0)),
+        orders=lambda p: _inverting_orders(p[0], 0),
+        powers=lambda p, orders: _inverting_powers(p[0], 0, orders)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
-        table=lambda p: _dicyclic_table(p[0]), facts=lambda p: _inverting_facts(2 * p[0], p[0])),
+        table=lambda p: _dicyclic_table(p[0]), orders=lambda p: _inverting_orders(2 * p[0], p[0]),
+        powers=lambda p, orders: _inverting_powers(2 * p[0], p[0], orders)),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
              lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
-        table=lambda p: _dicyclic_table(p[0] // 4), facts=lambda p: _inverting_facts(p[0] // 2, p[0] // 4)),
+        table=lambda p: _dicyclic_table(p[0] // 4), orders=lambda p: _inverting_orders(p[0] // 2, p[0] // 4),
+        powers=lambda p, orders: _inverting_powers(p[0] // 2, p[0] // 4, orders)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
         factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
@@ -443,37 +473,52 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-def build(spec: GroupSpec) -> FiniteGroup:
+def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y, of
+    order lcm(order(x), order(y)). Its table, orders and powers are made
+    from the factors' when first read."""
+    return FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
+                       orders=lambda: np.lcm.outer(a.orders, b.orders).ravel(),
+                       powers=lambda orders: _product_powers(a, b, orders),
+                       abelian=a.is_abelian and b.is_abelian)
+
+
+def build(spec: GroupSpec, *,
+          factors: Mapping[GroupSpec, FiniteGroup] = MappingProxyType({})) -> FiniteGroup:
     """Construct the group described by a spec.
 
     The spec's parameters and order were checked when it was made. A family
-    group or product gets its orders and powers from its family's closed
-    form or from its factors, and makes its Cayley table only when
-    something reads it. A file: table, alone or as a factor, is read and
+    group or product gets its orders from its family's closed form or from
+    its factors' orders, its powers the same way when they are first read,
+    and makes its Cayley table only when something reads it. A product
+    takes a factor found in `factors` from there, with whatever it has
+    made, and builds the others; catalog_groups passes the groups its pass
+    has built. A file: table, alone or as a factor, is read and
     validated in full, and a product with a file: factor raises
     BadParameters when its order exceeds MAX_GROUP_ORDER, before anything of
     the product is made.
     """
-    return _build(spec)
+    return _build(spec, factors)
 
 
-def _build(spec: GroupSpec) -> FiniteGroup:
-    # build() for a spec and each of its factors; factors are built here,
-    # not through build(), so a spec is one build() call.
+def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteGroup:
+    # build() for a spec and each of its factors; a spec found in `factors`
+    # is taken from there, and other factors are built here, not through
+    # build(), so a spec is one build() call.
+    if spec in factors:
+        return factors[spec]
     if spec.family == EXTERNAL:
         return read_cayley_table(spec.path)
     if spec.family == PRODUCT:
-        parts = [_build(part) for part in spec.parts]
-        order = spec.order()
-        if order is None:  # a file: factor, whose size is known now
-            order = _order_within_cap(spec, (g.n for g in parts))
-        return FiniteGroup(
-            lambda: reduce(_product_table, (g.table for g in parts)), order=order,
-            facts=lambda: reduce(_product_facts, ((g.orders, g.powers) for g in parts)),
-            abelian=all(g.is_abelian for g in parts))
-    family = _FAMILIES[spec.family]
-    facts = family.facts and (lambda: family.facts(spec.params))
-    return FiniteGroup(lambda: family.table(spec.params), order=spec.order(), facts=facts,
+        parts = [_build(part, factors) for part in spec.parts]
+        if spec.order() is None:  # a file: factor, whose size is known now
+            _order_within_cap(spec, (g.n for g in parts))
+        return reduce(_product, parts)
+    family, params = _FAMILIES[spec.family], spec.params
+    closed = family.orders is not None
+    return FiniteGroup(lambda: family.table(params), order=spec.order(),
+                       orders=(lambda: family.orders(params)) if closed else None,
+                       powers=(lambda orders: family.powers(params, orders)) if closed else None,
                        abelian=family.abelian or spec.order() < 6)
 
 
@@ -586,12 +631,33 @@ def catalog_up_to(max_order: int, dedupe: bool = True) -> tuple[GroupSpec, ...]:
 def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupSpec, FiniteGroup]]:
     """(spec, group) for each catalog spec in order, building each group once.
 
+    Each spec is one build() call. A product's factors are catalog specs
+    that come earlier, and the product takes them, with their tables and
+    orders, from the groups this pass has built. The pass holds a factor
+    until its last product; the products of one base are contiguous, so it
+    holds the abelian factors and one base at a time. Every base comes
+    before every product, so a factor is held without the powers that its
+    own facts make (FiniteGroup.without_powers), and makes them again once,
+    when its first product reads them: holding every base's powers until
+    its products come grows as N^3.
+
     With dedupe=True, a spec whose group shares an (order, element-order
-    multiset, abelian) fingerprint with an earlier one is skipped.
+    histogram, abelian) fingerprint with an earlier one is skipped. The
+    fingerprint reads element orders only, so a skipped spec gets powers
+    only when its orders come from its table (heisenberg, symmetric) or a
+    kept product of it reads them.
     """
+    specs = catalog_up_to(max_order, False)
+    last_read = {part: i for i, spec in enumerate(specs) for part in spec.parts}
+    built: dict[GroupSpec, FiniteGroup] = {}
     seen: set = set()
-    for spec in catalog_up_to(max_order, False):
-        group = build(spec)
+    for i, spec in enumerate(specs):
+        group = build(spec, factors=built)
+        if spec in last_read:
+            built[spec] = group.without_powers()
+        for part in spec.parts:
+            if last_read[part] == i:
+                del built[part]
         if dedupe:
             fp = group.fingerprint()
             if fp in seen:

@@ -117,29 +117,33 @@ class FiniteGroup:
     permutation closures). Tables from outside go through validate_and_build.
 
     `table` is the Cayley table, or a function that makes it; then `order`
-    is required, and the table is made on its first read. `facts` is a
-    function that makes (orders, powers) as the properties of those names
-    hold them, for a group whose family or factors give them without the
-    table; without it they are filled from the table. `abelian`, when
-    given, is what is_abelian returns. The catalog builds its groups this
-    way, so a group whose facts are all a reader wants never has a table.
+    is required, and the table is made on its first read. `orders` and
+    `powers`, given together, are functions for a group whose family or
+    factors give those properties without the table: orders() makes the
+    element orders, and powers(orders) the power table from them, so the
+    orders are made once and the powers only when something reads them.
+    Without them, both are filled from the table in one pass. `abelian`,
+    when given, is what is_abelian returns. The catalog builds its groups
+    this way, so a group whose facts are all a reader wants never has a
+    table.
     """
 
-    __slots__ = ("n", "_table", "_make_table", "_make_facts", "_inverses", "_orders",
-                 "_abelian", "_prime_incidence", "_powers")
+    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_inverses",
+                 "_orders", "_abelian", "_prime_incidence", "_powers")
 
     identity = 0
 
     def __init__(self, table: np.ndarray | Callable[[], np.ndarray], *,
                  order: Optional[int] = None,
-                 facts: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]] = None,
+                 orders: Optional[Callable[[], np.ndarray]] = None,
+                 powers: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  abelian: Optional[bool] = None):
         if callable(table):
             self.n, self._table, self._make_table = order, None, table
         else:
             table.setflags(write=False)
             self.n, self._table, self._make_table = table.shape[0], table, None
-        self._make_facts = facts
+        self._make_orders, self._make_powers = orders, powers
         self._abelian = abelian
         self._inverses: Optional[np.ndarray] = None
         self._powers: Optional[np.ndarray] = None
@@ -193,20 +197,39 @@ class FiniteGroup:
 
     @property
     def orders(self) -> np.ndarray:
-        """Orders of all elements (intp), recorded by the powers fill."""
+        """Orders of all elements (intp), from the orders maker, else
+        recorded by the table's power fill."""
         if self._orders is None:
-            self._fill_powers()
+            if self._make_orders is None:
+                self._fill_powers()
+            else:
+                self._orders = self._make_orders()
         return self._orders
 
     def _fill_powers(self) -> None:
-        if self._make_facts is None:
+        if self._make_powers is None:
             orders, powers = self._doubling_fill()
         else:
-            orders, powers = self._make_facts()
+            orders = self.orders
+            powers = self._make_powers(orders)
         powers.setflags(write=False)
         # Each property tests its own attribute, so a concurrent reader never gets None.
         self._orders = orders
         self._powers = powers
+
+    def without_powers(self) -> FiniteGroup:
+        """This group as a new FiniteGroup that shares its table (or table
+        maker), its orders (made now if they were not) and its abelian flag,
+        and makes its own powers when they are first read. A group that
+        fills its orders from its table is returned as it is, since its
+        powers come with its orders. For holding a group whose powers are
+        not read again for a while."""
+        if self._make_powers is None:
+            return self
+        orders = self.orders
+        return FiniteGroup(self._make_table if self._table is None else self._table,
+                           order=self.n, orders=lambda: orders, powers=self._make_powers,
+                           abelian=self._abelian)
 
     def _doubling_fill(self) -> tuple[np.ndarray, np.ndarray]:
         # Doubling, built transposed (row k holds g^k for every g, so each
@@ -323,12 +346,15 @@ class FiniteGroup:
         ids = set(self.prime_subgroup_incidence()[:, column].tolist()) - {-1}
         return sorted(tuple(sorted(row)) for row in self.powers[sorted(ids), :p].tolist())
 
-    def fingerprint(self) -> tuple[int, tuple[int, ...], bool]:
-        """(order, sorted element-order multiset, abelian flag).
+    def fingerprint(self) -> tuple[int, bytes, bool]:
+        """(order, element-order histogram, abelian flag).
 
-        Not an isomorphism test; used only to dedupe the catalog.
+        The histogram is np.bincount(orders) as bytes: entry k counts the
+        elements of order k, so it is the element-order multiset in one
+        small key, read off the orders alone. Not an isomorphism test; used
+        only to dedupe the catalog.
         """
-        return (self.n, tuple(sorted(self.orders.tolist())), self.is_abelian)
+        return (self.n, np.bincount(self.orders).tobytes(), self.is_abelian)
 
 
 def _generating_set(table: np.ndarray) -> list[int]:

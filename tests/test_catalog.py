@@ -19,6 +19,7 @@ from gpgraph.catalog import (
     SpecParseError,
     abelian_specs_of_order,
     build,
+    catalog_groups,
     catalog_up_to,
     enumerate_abelian_up_to,
     parse_spec,
@@ -273,6 +274,36 @@ class TestClosedForms:
             assert g.fingerprint() == fill.fingerprint(), text
 
 
+class TestOrdersFirst:
+    def test_closed_form_orders_match_the_fill_over_the_table(self, monkeypatch):
+        # Orders come without powers: no powers maker runs while they are
+        # read, for any catalog spec. Heisenberg and symmetric groups, alone
+        # or as factors, fill both from their table.
+        for maker in ("_abelian_powers", "_inverting_powers", "_product_powers"):
+            monkeypatch.setattr(catalog, maker, _no_table)
+        for spec in catalog_up_to(256, False):
+            g = build(spec)
+            orders = g.orders
+            filled = FiniteGroup(np.array(g.table)).orders
+            assert orders.dtype == filled.dtype and np.array_equal(orders, filled), spec
+
+    def test_groups_from_the_pass_match_groups_built_alone(self):
+        # The pass hands each product the factor groups it built earlier,
+        # held with their tables and orders but without their powers; read
+        # as the harness reads them, while the pass goes on, the groups must
+        # be what a group built alone gives.
+        specs = []
+        for spec, g in catalog_groups(128, dedupe=False):
+            specs.append(spec)
+            alone = build(spec)
+            for name in ("orders", "powers"):
+                made, own = getattr(g, name), getattr(alone, name)
+                assert made.dtype == own.dtype and np.array_equal(made, own), (spec, name)
+            assert np.array_equal(g.prime_subgroup_incidence(), alone.prime_subgroup_incidence()), spec
+            assert g.is_abelian == alone.is_abelian, spec
+        assert specs == list(catalog_up_to(128, False))
+
+
 class TestProductTable:
     def test_catalog_products_match_kron_and_tile(self):
         for spec in catalog_up_to(96, False):
@@ -459,7 +490,8 @@ def _assert_stopped_at_the_cap(reads: list[tuple[GroupSpec, list[int]]]) -> None
 
 class TestOrderCap:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
-        for maker in ("_cyclic_table", "_product_table", "_abelian_facts", "_product_facts"):
+        for maker in ("_cyclic_table", "_product_table", "_abelian_orders", "_abelian_powers",
+                      "_product_powers"):
             monkeypatch.setattr(catalog, maker, _no_table)
         for text in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)",
                      f"cyclic:{MAX_GROUP_ORDER + 1}"):
@@ -496,7 +528,7 @@ class TestOrderCap:
         # the message must not quote the whole spec.
         reads = _spy_on_orders(monkeypatch)
         monkeypatch.setattr(catalog, "_abelian_table", _no_table)
-        monkeypatch.setattr(catalog, "_abelian_facts", _no_table)
+        monkeypatch.setattr(catalog, "_abelian_powers", _no_table)
         long = "abelian:" + ",".join(["2"] * 10**5)
         for text in (long, f"product:({long})x(cyclic:2)", f"product:(cyclic:2)x({long})"):
             with pytest.raises(BadParameters, match="exceeds the cap") as err:

@@ -183,6 +183,30 @@ class TestClaimsOnHandMadeRecords:
         report = t51(replace(HEIS3_PUNCTURED, exponent=9, planar=False))
         assert report.verdict == VERDICT_CONFIRMED and report.counterexamples == []
 
+    def test_a_break_that_punctured_shares_is_a_counterexample(self):
+        # L4.1-L4.3 and T4.4 report a break as a convention discrepancy only
+        # when the Punctured record of the same group meets the claim.
+        # OneRecord gives one record under every convention, so these break
+        # under Strict and Punctured alike, which no catalog group does:
+        # they must be counterexamples, and make `gpgraph verify` fail.
+        planar_d14 = GroupFacts(
+            order=14, cyclic=False, p=None, exponent=14, generalized_quaternion=False, d8=False,
+            abelian_planar_family=False, subgroups_of_order_p=None, v=13, complete=False,
+            component_sizes=(6,) + (1,) * 7, components_complete=True, planar=True, k5_witness=None)
+        planar_z8 = GroupFacts(
+            order=8, cyclic=True, p=2, exponent=8, generalized_quaternion=False, d8=False,
+            abelian_planar_family=False, subgroups_of_order_p=1, v=3, complete=True,
+            component_sizes=(3,), components_complete=True, planar=True, k5_witness=None)
+        for convention in (STRICT, PUNCTURED):
+            l42 = check_planarity_prime_lemmas(OneRecord("dihedral:7", planar_d14), convention)[1]
+            t44 = check_abelian_planarity_classification(OneRecord("cyclic:8", planar_z8), convention)
+            assert l42.theorem == "L4.2" and t44.theorem == "T4.4"
+            for report, spec in ((l42, "dihedral:7"), (t44, "cyclic:8")):
+                assert report.verdict == VERDICT_COUNTEREXAMPLES, (report.theorem, convention)
+                assert report.discrepancies == [], (report.theorem, convention)
+                assert [f.group for f in report.counterexamples] == [spec]
+                assert punctured_counterexample_free([report]) == (convention != PUNCTURED)
+
     def test_t22_notes_a_broken_only_if_direction(self):
         # abelian:2,2 is not cyclic, so a complete GP breaks "only if".
         klein = FactsTable(4, (PUNCTURED,))(parse_spec("abelian:2,2"), PUNCTURED)
@@ -412,8 +436,8 @@ class TestRunAll:
         spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
 
-        def counting_build(spec):
-            group = build(spec)
+        def counting_build(spec, **kwargs):  # the catalog pass passes the factors it built
+            group = build(spec, **kwargs)
             built.append((spec.to_text(), group))
             spec_of[id(group)] = spec.to_text()
             return group
@@ -435,6 +459,62 @@ class TestRunAll:
                 for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions
                                    if needs_graph(text, group, c)})
             assert {text for text, _ in graphs} == {"cyclic:6", "dihedral:6"}
+
+    def test_each_table_and_power_fill_is_made_once(self, monkeypatch):
+        # Products take their factors from the catalog pass, and dedupe reads
+        # element orders only. At 96 the tables of S3 and S4 are made once
+        # each, and heisenberg:3, S3 and S4 fill orders and powers from their
+        # tables once each. Powers are made once for each group the facts
+        # table reads, and once for each closed-form factor that a kept
+        # product reads, as the pass holds factors without their powers;
+        # symmetric:3 is the one spec that dedupe drops (it is D6) with
+        # powers, which come with the orders of its table fill.
+        import gpgraph.catalog as catalog
+        import gpgraph.verify as verify
+        from gpgraph.groups import FiniteGroup
+
+        kept = [s.to_text() for s in catalog_up_to(96, True) if s.order() >= 2]
+        targets = ["cyclic:210"]  # the only target outside the catalog at 96
+        factors = {f"factor {part.to_text()}" for s in catalog_up_to(96, True) for part in s.parts
+                   if part.family not in ("heisenberg", "symmetric")}
+        spec_of, alive, filled, counts = {}, [], [], Counter()
+
+        def counting_build(spec, **kwargs):
+            group = build(spec, **kwargs)
+            alive.append(group)  # so that no id is reused
+            spec_of[id(group)] = spec.to_text()
+            return group
+
+        def held(group):
+            twin = without_powers(group)
+            alive.append(twin)
+            if twin is not group:
+                spec_of[id(twin)] = f"factor {spec_of[id(group)]}"
+            return twin
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, call)
+
+        def fill_powers(group):
+            filled.append(spec_of.get(id(group), f"a group of order {group.n} outside build"))
+            return fill(group)
+
+        fill, without_powers = FiniteGroup._fill_powers, FiniteGroup.without_powers
+        counted(catalog, "_symmetric_table")
+        counted(FiniteGroup, "_doubling_fill")
+        monkeypatch.setattr(FiniteGroup, "_fill_powers", fill_powers)
+        monkeypatch.setattr(FiniteGroup, "without_powers", held)
+        monkeypatch.setattr(catalog, "build", counting_build)
+        monkeypatch.setattr(verify, "build", counting_build)
+        run_all(VerifyConfig(max_order=96))
+        assert counts == {"_symmetric_table": 2, "_doubling_fill": 3}
+        assert Counter(filled) == Counter(kept + targets + ["symmetric:3"] + sorted(factors))
+        assert (len(filled), len(factors)) == (424, 47)
 
     def test_tables_are_made_only_without_closed_forms(self, monkeypatch):
         # The harness reads orders, powers and the abelian flag, which every
@@ -589,6 +669,10 @@ class TestDeterminismAndJson:
          "33741dbc94367d050006dd114e36d5486e9c0a57b4df72ad0abe104e878fb848", True),
         (24, DEFAULT_CONVENTIONS,
          "d83392ade73d96d4fd9a7beece511b87801ebabaf84d6a33a7c1a47fc32e861e", False),
+        # the first order with S4 and Heis3 as product factors and with
+        # products that dedupe drops
+        (128, DEFAULT_CONVENTIONS,
+         "2bf94981e4a99c30b63206e321d03760f6c4eea168d365c861244c77153ddce2", True),
     ])
     def test_canonical_json_is_pinned(self, max_order, conventions, sha256, dedupe):
         config = VerifyConfig(max_order=max_order, conventions=conventions, dedupe=dedupe)
