@@ -108,7 +108,7 @@ def _cmd_check(args) -> int:
     group = build(spec)
     convention = VertexConvention.from_flag(args.convention)
     graph = generalized_power_graph(group, convention)
-    [facts] = _graph_facts([(group.prime_subgroup_incidence()[graph.labels], group.n)])
+    [facts] = _graph_facts(group.prime_subgroup_incidence()[graph.labels], [graph.v], [group.n])
     verdict = is_planar(graph)
     sizes = sorted(facts["component_sizes"], reverse=True)
     print(f"group: {spec.to_text()} ({spec.name}, order {group.n})")

@@ -296,20 +296,22 @@ class FiniteGroup:
         Row g, column j is the id of the subgroup <g^(m/p)> of order p,
         where m is the order of g and p the j-th smallest prime dividing the
         group order; it is -1 when p does not divide m. A subgroup's id is
-        its least non-identity element. Read-only, n x omega(n).
+        its least non-identity element. Read-only, n x omega(n). This is
+        GroupBatch.prime_subgroup_incidence on a batch of this group alone.
 
         <x> and <y> meet non-trivially iff their rows share an id: a
         non-trivial intersection is a cyclic group, so it has a subgroup of
         prime order, and <x> has exactly one subgroup of each order p | m.
+
+        The ids come from one cycle per subgroup. For y of prime order p
+        and r a primitive root mod p, y -> y^r sends y^k to y^(kr), and k
+        -> kr mod p runs through all of 1..p-1, so the p - 1 generators of
+        <y>, its non-identity elements, form one cycle of that map. The id
+        is the least label on the cycle, which min-label pointer doubling
+        finds in ceil(log2(p - 1)) rounds with one power read per element.
         """
         if self._prime_incidence is None:
-            powers, orders = self.powers, self.orders
-            primes = sorted(prime_factors(self.n))
-            inc = np.full((self.n, len(primes)), -1, dtype=_table_dtype(self.n))
-            for j, p in enumerate(primes):
-                elems = np.nonzero(orders % p == 0)[0]
-                h = powers[elems, orders[elems] // p]  # of order p
-                inc[elems, j] = powers[h, 1:p].min(axis=1)
+            inc = GroupBatch([self]).prime_subgroup_incidence()
             inc.setflags(write=False)
             self._prime_incidence = inc
         return self._prime_incidence
@@ -349,12 +351,105 @@ class FiniteGroup:
     def fingerprint(self) -> tuple[int, bytes, bool]:
         """(order, element-order histogram, abelian flag).
 
-        The histogram is np.bincount(orders) as bytes: entry k counts the
-        elements of order k, so it is the element-order multiset in one
-        small key, read off the orders alone. Not an isomorphism test; used
-        only to dedupe the catalog.
+        The histogram is its nonzero entries as bytes: the orders that occur,
+        ascending, then how many elements have each, as intp. So it is the
+        element-order multiset in one small key, read off the orders alone.
+        Not an isomorphism test; used only to dedupe the catalog.
         """
-        return (self.n, np.bincount(self.orders).tobytes(), self.is_abelian)
+        counts = np.bincount(self.orders)
+        present = counts.nonzero()[0]
+        return (self.n, present.tobytes() + counts[present].tobytes(), self.is_abelian)
+
+
+def primitive_root(p: int) -> int:
+    """The least r in 1..p-1 whose powers mod the prime p run through all
+    of 1..p-1: r^((p-1)/q) != 1 for every prime q dividing p - 1. 1 for p = 2."""
+    factors = prime_factors(p - 1)
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors))
+
+
+class GroupBatch:
+    """Several groups side by side, for the facts that are read off all of
+    their element orders at once.
+
+    Batch element i is element local[i] of group group[i], so group g holds
+    batch elements starts[g] .. starts[g] + sizes[g] - 1, and `orders`
+    concatenates the groups' element orders. The element-order histograms
+    are kept as their nonzero entries, ascending by group and then by
+    order: group hist_group[k] has hist_count[k] elements of order
+    hist_order[k], and batch element i is counted in entry entry[i]. Every
+    group has an entry for order 1, its identity. `primes` lists the prime
+    orders present, ascending; root_of[m] is primitive_root(m) for each of
+    them, and 0 at every other m up to the largest order.
+    """
+
+    def __init__(self, groups: Sequence[FiniteGroup]):
+        self.groups = groups
+        self.sizes = sizes = np.array([g.n for g in groups], dtype=np.intp)
+        self.starts = starts = sizes.cumsum() - sizes
+        self.orders = orders = np.concatenate([g.orders for g in groups])
+        self.group = group = np.repeat(np.arange(len(groups)), sizes)
+        base = starts[group]
+        self.local = np.arange(len(orders)) - base
+        # One bincount slot per order 0..n of each group, group g's from
+        # starts[g] + g on; no element fills a slot of order 0.
+        slots = orders + base + group
+        counts = np.bincount(slots)
+        filled = counts.nonzero()[0]
+        self.entry = entry = filled.searchsorted(slots)
+        self.hist_group = np.empty(len(filled), dtype=np.intp)
+        self.hist_group[entry] = group
+        self.hist_order = np.empty(len(filled), dtype=np.intp)
+        self.hist_order[entry] = orders
+        self.hist_count = counts[filled]
+        distinct = np.bincount(self.hist_order).nonzero()[0].tolist()
+        self.primes = [m for m in distinct if is_prime(m)]
+        self.root_of = np.zeros(distinct[-1] + 1, dtype=np.intp)
+        self.root_of[self.primes] = [primitive_root(p) for p in self.primes]
+
+    def prime_subgroup_incidence(self) -> np.ndarray:
+        """Every group's FiniteGroup.prime_subgroup_incidence, stacked: row i
+        is batch element i's row, padded with -1 to the most columns any
+        group has. Each group's powers are read by one fancy index."""
+        # By Cauchy's theorem the primes dividing a group's order are the
+        # prime orders of its elements; column j of a group is its j-th.
+        prime = self.root_of[self.hist_order] > 0
+        prime_group, prime_order = self.hist_group[prime], self.hist_order[prime]
+        column = np.arange(len(prime_group)) - prime_group.searchsorted(prime_group)
+        group_primes = np.full((len(self.groups), int(column.max(initial=-1)) + 1),
+                               len(self.root_of))  # divides no order
+        group_primes[prime_group, column] = prime_order
+        # The power that column j of an element x of order m reads, for the
+        # j-th prime p of its group: h = x^(m/p), of order p, when p divides
+        # m, and none (0) otherwise. When m = p, x^r for the primitive root
+        # r mod p, the next generator after x on the cycle of <x>: its label
+        # is x's, and it is x's only read, so it is x's pointer.
+        order = self.hist_order[:, None]
+        quotient, rest = np.divmod(order, group_primes[self.hist_group])
+        exps = quotient * (rest == 0)
+        exps = np.where(exps == 1, self.root_of[order], exps).take(self.entry, axis=0)
+        shape, wanted = exps.shape, exps.ravel().nonzero()[0]
+        elem, exps = wanted // shape[1], exps.ravel()[wanted]
+        rows = self.local[elem]
+        got = np.empty(len(elem), dtype=np.intp)
+        bounds = elem.searchsorted(self.starts).tolist() + [len(elem)]
+        for g, lo, hi in zip(self.groups, bounds, bounds[1:]):
+            got[lo:hi] = g.powers[rows[lo:hi], exps[lo:hi]]
+        got += elem - rows  # as batch elements
+        # Min-label pointer doubling: after r rounds label[y] is the least
+        # of y and the next 2^r - 1 generators on its cycle, and the cycle
+        # of <y> has p - 1 <= 2^r of them. An element of composite order
+        # points where one of its reads went; nothing points to it, and its
+        # label is never read.
+        nxt = np.arange(len(self.orders))
+        nxt[elem] = got
+        label = self.local
+        for _ in range((max(self.primes, default=2) - 2).bit_length()):
+            label = np.minimum(label, label[nxt])
+            nxt = nxt[nxt]
+        inc = np.full(shape, -1, dtype=_table_dtype(int(self.sizes.max())))
+        inc.ravel()[wanted] = label[got]
+        return inc
 
 
 def _generating_set(table: np.ndarray) -> list[int]:

@@ -28,6 +28,17 @@ class VertexConvention(enum.Enum):
     PUNCTURED = "punctured"              # all non-identity elements
     FULL = "full"                        # all elements
 
+    @property
+    def keeps_identity(self) -> bool:
+        """Whether the identity is a vertex (of the trivial group, only if it
+        also keeps generators); GP(G) leaves it isolated."""
+        return self in (VertexConvention.STRICT_WITH_IDENTITY, VertexConvention.FULL)
+
+    @property
+    def drops_generators(self) -> bool:
+        """Whether the elements that generate the group are left out."""
+        return self in (VertexConvention.STRICT, VertexConvention.STRICT_WITH_IDENTITY)
+
     @classmethod
     def from_flag(cls, flag: str) -> "VertexConvention":
         for member in cls:
@@ -41,20 +52,12 @@ class VertexConvention(enum.Enum):
 
 def vertex_elements(group: FiniteGroup, convention: VertexConvention) -> list[int]:
     """Element indices forming the vertex set, ascending."""
-    return vertex_index(group, convention).tolist()
-
-
-def vertex_index(group: FiniteGroup, convention: VertexConvention) -> np.ndarray:
-    """vertex_elements as an index array, for selecting rows of per-element arrays."""
     n = group.n
-    if convention is VertexConvention.FULL:
-        return np.arange(n)
-    if convention is VertexConvention.PUNCTURED:
-        return np.arange(1, n)
+    if not convention.drops_generators:
+        return list(range(0 if convention.keeps_identity else 1, n))
     proper = group.orders != n  # <g> is a proper subgroup
-    if convention is VertexConvention.STRICT:
-        proper[0] = False
-    return np.flatnonzero(proper)
+    proper[0] &= convention.keeps_identity
+    return np.flatnonzero(proper).tolist()
 
 
 def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:

@@ -11,10 +11,13 @@ vertex set is empty under a convention are noted as vacuous and excluded
 from both lists.
 
 Facts come first: the claims read a FactsTable, which builds each group
-once, reads GP(G)'s components off the prime-subgroup incidence in batched
-numpy passes (_graph_facts), builds GP(G) only where planarity needs it,
-and keeps only GroupFacts records of small values. Each claim is a census
-plus a judge over those records, run by one evaluator, _claim.
+once and makes the facts of a batch of groups in one numpy pass over their
+element orders: the invariants from the order histograms, the
+prime-subgroup incidence of all of them at once (groups.GroupBatch), and
+GP(G)'s components from the incidence rows of every vertex set
+(_graph_facts). It builds GP(G) only where planarity needs it, and keeps
+only GroupFacts records of small values. Each claim is a census plus a
+judge over those records, run by one evaluator, _claim.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .catalog import GroupSpec, build, catalog_groups, parse_spec
-from .groups import FiniteGroup, is_prime, prime_factors
+from .groups import FiniteGroup, GroupBatch, is_prime, prime_factors
 from .planarity import is_planar
-from .powergraph import VertexConvention, generalized_power_graph, vertex_index
+from .powergraph import VertexConvention, generalized_power_graph
 
 VERDICT_CONFIRMED = "Confirmed"
 VERDICT_COUNTEREXAMPLES = "CounterexamplesFound"
@@ -40,8 +43,6 @@ DEFAULT_MAX_ORDER = 64
 DEFAULT_CONVENTIONS = (VertexConvention.STRICT, VertexConvention.PUNCTURED)
 
 PRUFER_SHADOW_CAP = 4096
-
-_IDENTITY_BEARING = (VertexConvention.FULL, VertexConvention.STRICT_WITH_IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -114,49 +115,48 @@ class GroupFacts:
     k5_witness: tuple[int, ...] | None  # five elements of one C_P of 5 or more vertices
 
 
-def _group_invariants(group: FiniteGroup) -> dict:
-    """The group-level fields of GroupFacts."""
-    n, p, exponent = group.n, group.p_group_prime(), group.exponent()
-    cyclic = int(group.orders.max()) == n
-    involutions = int((group.orders == 2).sum())
-    subgroups = None
-    if p is not None:
-        # A p-group's incidence has one column, p's, and each subgroup of
-        # order p is one id in it; id -1 counts at 0.
-        ids = group.prime_subgroup_incidence()[:, 0]
-        subgroups = int(np.count_nonzero(np.bincount(ids + 1)[1:]))
-    return dict(
-        order=n,
-        cyclic=cyclic,
-        p=p,
-        exponent=exponent,
-        # a non-abelian 2-group (order >= 8) with a unique involution
-        generalized_quaternion=p == 2 and n >= 8 and involutions == 1 and not group.is_abelian,
-        d8=n == 8 and involutions == 5 and not group.is_abelian,
-        # elementary abelian 2/3/5-group, Z_4 or Z_6
-        abelian_planar_family=(p in (2, 3, 5) and exponent == p) or (n in (4, 6) and cyclic),
-        subgroups_of_order_p=subgroups,
-    )
+def _group_invariants(batch: GroupBatch) -> list[dict]:
+    """The group-level fields of GroupFacts for each group of the batch,
+    read off the nonzero entries of its element-order histogram h."""
+    sizes = batch.sizes
+    first = batch.hist_group.searchsorted(np.arange(len(sizes)))  # each group's h[1]
+    largest = batch.hist_order[np.append(first[1:], len(batch.hist_order)) - 1]
+    exponent = np.lcm.reduceat(batch.hist_order, first)
+    two = batch.hist_order == 2
+    involutions = np.zeros(len(sizes), dtype=np.intp)
+    involutions[batch.hist_group[two]] = batch.hist_count[two]
+    # A group is a p-group iff p is the only prime order in it; then its
+    # least order after 1 is p, and each of its subgroups of order p holds
+    # p - 1 elements of order p. (A trivial group has no entry after h[1].)
+    prime = batch.root_of[batch.hist_order] > 0
+    p_group = np.bincount(batch.hist_group[prime], minlength=len(sizes)) == 1
+    after_one = np.minimum(first + 1, len(batch.hist_order) - 1)
+    p = np.where(p_group, batch.hist_order[after_one], 0)
+    subgroups = batch.hist_count[after_one] // np.maximum(p - 1, 1)
+    out = []
+    for group, n, cyclic, p, exponent, involutions, subgroups in zip(
+            batch.groups, sizes.tolist(), (largest == sizes).tolist(), p.tolist(), exponent.tolist(),
+            involutions.tolist(), subgroups.tolist()):
+        p = p or None
+        out.append(dict(
+            order=n,
+            cyclic=cyclic,
+            p=p,
+            exponent=exponent,
+            # a non-abelian 2-group (order >= 8) with a unique involution
+            generalized_quaternion=p == 2 and n >= 8 and involutions == 1 and not group.is_abelian,
+            d8=n == 8 and involutions == 5 and not group.is_abelian,
+            # elementary abelian 2/3/5-group, Z_4 or Z_6
+            abelian_planar_family=(p in (2, 3, 5) and exponent == p) or (n in (4, 6) and cyclic),
+            subgroups_of_order_p=subgroups if p else None,
+        ))
+    return out
 
 
-# FactsTable reads the graph fields of its pending records in one numpy pass
-# (_graph_facts) once they hold this many incidence rows, and at the end of a
-# fill or a lookup; so the pending rows, not the catalog, size its memory.
+# FactsTable reads its pending groups in one numpy pass once they hold this
+# many elements, and at the end of a fill or a lookup; so the pending
+# groups, not the catalog, size its memory.
 FACTS_BATCH_ROWS = 1 << 12
-
-
-@dataclass
-class _Pending:
-    """A record waiting for its batch: the incidence rows of one vertex set,
-    the (spec, convention) keys it serves, and the group and convention
-    that build GP(G) if the cliques leave its planarity open."""
-
-    keys: list[tuple[GroupSpec, VertexConvention]]
-    invariants: dict
-    rows: np.ndarray
-    labels: np.ndarray                  # the element of each row
-    group: FiniteGroup
-    convention: VertexConvention
 
 
 class FactsTable:
@@ -169,11 +169,15 @@ class FactsTable:
     read Punctured, and conventions with one vertex set share one record (a
     non-cyclic group has two).
 
-    The graph fields come from the prime-subgroup incidence, not from GP(G):
-    each vertex set's incidence rows wait in a batch that _graph_facts reads
-    in one pass. That pass decides planarity, with a K5 witness, wherever
-    the cliques C_P do; GP(G) is built only for the vertex sets they leave
-    open. A batch keeps each record's rows and its group until the flush.
+    Groups wait in a batch, and one numpy pass over the batch's element
+    orders (GroupBatch) makes every field of every record in it: the group
+    invariants from the order histograms, the prime-subgroup incidence of
+    all the groups at once, each vertex set as a mask over the
+    concatenated orders, and the graph fields from the incidence rows of
+    every vertex set (_graph_facts), without GP(G). That pass decides
+    planarity, with a K5 witness, wherever the cliques C_P do; GP(G) is
+    built only for the vertex sets they leave open. A batch keeps its
+    groups until the flush.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -183,8 +187,8 @@ class FactsTable:
         self.conventions = tuple(dict.fromkeys((*conventions, VertexConvention.PUNCTURED)))
         self._facts: dict[tuple[GroupSpec, VertexConvention], GroupFacts] = {}
         self._catalog: list[GroupSpec] | None = None
-        self._pending: list[_Pending] = []
-        self._pending_rows = 0
+        self._pending: list[tuple[GroupSpec, FiniteGroup]] = []
+        self._pending_elements = 0
         self._primes: dict[int, frozenset[int]] = {}
 
     def fill(self) -> None:
@@ -200,11 +204,13 @@ class FactsTable:
 
     def census(self, pred, targets: tuple[str, ...] = ()) -> list[GroupSpec]:
         """Catalog specs of order 2..max_order satisfying pred, in catalog
-        order, then each target spec text that is not among them."""
+        order, then each target spec that is not among them."""
         self.fill()
         specs = [s for s in self._catalog if pred(s)]
-        texts = {s.to_text() for s in specs}
-        return specs + [parse_spec(t) for t in targets if t not in texts]
+        if targets:
+            kept = set(specs)
+            specs += [t for t in map(parse_spec, targets) if t not in kept]
+        return specs
 
     def primes(self, spec: GroupSpec) -> frozenset[int]:
         """The primes dividing the spec's order; each order is factored once
@@ -221,43 +227,65 @@ class FactsTable:
         return self._facts[spec, convention]
 
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
-        invariants = _group_invariants(group)
-        incidence = group.prime_subgroup_incidence()
-        records: dict[tuple[int, bool], _Pending] = {}
-        for convention in self.conventions:
-            verts = vertex_index(group, convention)
-            key = (len(verts), verts[:1].tolist() == [0])  # tells one group's vertex sets apart
-            if key not in records:
-                records[key] = _Pending([], invariants, incidence[verts], verts, group, convention)
-                self._pending.append(records[key])
-                self._pending_rows += len(verts)
-            records[key].keys.append((spec, convention))
-        if self._pending_rows >= FACTS_BATCH_ROWS:
+        self._pending.append((spec, group))
+        self._pending_elements += group.n
+        if self._pending_elements >= FACTS_BATCH_ROWS:
             self._flush()
 
     def _flush(self) -> None:
-        """Read the graph fields of every pending record in one pass."""
-        pending, self._pending, self._pending_rows = self._pending, [], 0
-        for rec, fields in zip(pending, _graph_facts([(r.rows, r.group.n) for r in pending])):
-            if fields["planar"] is None:
-                fields["planar"] = is_planar(generalized_power_graph(rec.group, rec.convention)).planar
-            if fields["k5_witness"] is not None:
-                fields["k5_witness"] = tuple(rec.labels[list(fields["k5_witness"])].tolist())
-            record = GroupFacts(**rec.invariants, **fields)
-            for key in rec.keys:
-                self._facts[key] = record
+        """Make the records of every pending group in one pass."""
+        pending, self._pending, self._pending_elements = self._pending, [], 0
+        if not pending:
+            return
+        batch = GroupBatch([group for _, group in pending])
+        invariants = _group_invariants(batch)
+        cyclic = np.array([inv["cyclic"] for inv in invariants])
+        # Each vertex set that some group reads, as a mask over the batch,
+        # named (keeps the identity, drops generators): a set that drops
+        # generators is read by the cyclic groups, and its set with them by
+        # the others too, which have none. The rows of a record, one group's
+        # set, are contiguous and ascend by element.
+        read = [(c, c.keeps_identity, c.drops_generators) for c in self.conventions]
+        requested = {(keeps, drops) for _, keeps, drops in read}
+        records, rows, sizes = [], [], []
+        for keeps, drops in sorted(requested | {(keeps, False) for keeps, _ in requested}):
+            owned = cyclic if drops else ~cyclic | ((keeps, False) in requested)
+            keep = owned[batch.group] & ((batch.local > 0) | keeps)
+            if drops:
+                keep &= batch.orders != batch.sizes[batch.group]
+            rows.append(np.flatnonzero(keep))
+            sizes.append(np.bincount(batch.group[rows[-1]], minlength=len(pending))[owned])
+            records += [(g, (keeps, drops)) for g in np.flatnonzero(owned).tolist()]
+        rows, sizes = np.concatenate(rows), np.concatenate(sizes)
+        owner = [g for g, _ in records]
+        fields = _graph_facts(batch.prime_subgroup_incidence()[rows], sizes, batch.sizes[owner])
+        made = {}
+        for (g, vertex_set), f, end, size in zip(records, fields, np.cumsum(sizes).tolist(), sizes.tolist()):
+            if f["planar"] is None:
+                convention = next(c for c, keeps, drops in read
+                                  if (keeps, drops and cyclic[g]) == vertex_set)
+                f["planar"] = is_planar(generalized_power_graph(pending[g][1], convention)).planar
+            if f["k5_witness"] is not None:
+                at = rows[end - size:end][list(f["k5_witness"])]
+                f["k5_witness"] = tuple(batch.local[at].tolist())
+            made[g, vertex_set] = GroupFacts(**invariants[g], **f)
+        for g, ((spec, _), cyc) in enumerate(zip(pending, cyclic.tolist())):
+            for convention, keeps, drops in read:
+                self._facts[spec, convention] = made[g, (keeps, drops and cyc)]
 
 
-def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
+def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) -> list[dict]:
     """v, complete, component_sizes, components_complete, planar and
     k5_witness of GP(G) on each block's vertex set, read off its
     prime-subgroup incidence rows in one numpy pass; the one reading of GP's
     components, for the harness and `gpgraph check` alike.
 
-    A block is (rows, n): the incidence rows of the vertex set, ascending by
-    element (FiniteGroup.prime_subgroup_incidence), and the group order,
-    which bounds their subgroup ids. GP(G) is the union of the cliques
-    C_P = {x : P <= <x>}, so vertices are joined iff they share an id:
+    The blocks lie one after another in `rows`: block b is the next
+    sizes[b] rows, the incidence rows of its vertex set, ascending by
+    element (FiniteGroup.prime_subgroup_incidence), and its ids are below
+    bounds[b], the group order; -1 pads a row. GP(G) is the union of the
+    cliques C_P = {x : P <= <x>}, so vertices are joined iff they share an
+    id:
     - components come from min-label propagation over ids, ordered by least
       vertex; a row without ids (the identity) is a component of its own;
     - a component is a clique iff one id is held by all of its vertices.
@@ -276,19 +304,14 @@ def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
     - planar is None otherwise: the cliques leave it open.
     Ids are offset per block, so blocks never meet.
     """
-    sizes = np.array([len(rows) for rows, _ in blocks], dtype=np.int64)
-    total = int(sizes.sum())
-    width = max([1, *(rows.shape[1] for rows, _ in blocks)])  # order 1 has no columns
+    sizes, bounds = np.asarray(sizes, dtype=np.intp), np.asarray(bounds, dtype=np.intp)
+    offsets = np.cumsum(bounds) - bounds
+    total = len(rows)
     # ids[j, i] is the j-th id of row i, or -1; columns are rows, so that
-    # reductions over a row's few ids run along the first axis
-    ids = np.full((width, total), -1, dtype=np.int32)
-    offsets = np.zeros(len(blocks), dtype=np.int32)
-    start = offset = 0
-    for b, (rows, n) in enumerate(blocks):
-        ids[:rows.shape[1], start:start + len(rows)] = rows.T
-        offsets[b] = offset
-        start += len(rows)
-        offset += n
+    # reductions over a row's few ids run along the first axis. Order 1 has
+    # no columns, and gets one of -1.
+    ids = np.full((max(1, rows.shape[1]), total), -1, dtype=np.int32)
+    ids[:rows.shape[1]] = rows.T
     held = ids >= 0
     ids += np.where(held, np.repeat(offsets, sizes), 0)
     # dense ids 0..nids-1 from one sort; nids is a sentinel for "no id"
@@ -326,10 +349,10 @@ def _graph_facts(blocks: list[tuple[np.ndarray, int]]) -> list[dict]:
     spans = (holders[ids].max(axis=0) == comp_size_of_row) | lone
     clique = np.bincount(comp_of_row, weights=spans, minlength=len(comp_sizes)) > 0
     by_least = np.argsort(first)
-    block_of_row = np.repeat(np.arange(len(blocks)), sizes)
+    block_of_row = np.repeat(np.arange(len(sizes)), sizes)
     block_of_comp = block_of_row[first[by_least]]
-    comps_per_block = np.bincount(block_of_comp, minlength=len(blocks)).tolist()
-    broken_per_block = np.bincount(block_of_comp, weights=~clique[by_least], minlength=len(blocks)).tolist()
+    comps_per_block = np.bincount(block_of_comp, minlength=len(sizes)).tolist()
+    broken_per_block = np.bincount(block_of_comp, weights=~clique[by_least], minlength=len(sizes)).tolist()
     ordered_sizes = comp_sizes[by_least].tolist()
     # the five first holders of each id held 5 or more times, sorted
     # lexicographically, which sorts them by block first
@@ -466,7 +489,7 @@ def check_completeness_nonabelian(facts: FactsTable, convention: VertexConventio
 def check_pgroup_components(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
     """T3.4, p-groups: every GP component complete; #components = #subgroups
     of order p. NotApplicable under the identity-bearing conventions."""
-    if convention in _IDENTITY_BEARING:
+    if convention.keeps_identity:
         return _claim("T3.4", facts, convention, [], lambda f: (), notes=[
             f"T3.4 counts components; under {convention.value} the isolated "
             "identity shifts the count by one (reported, not silently adjusted)"])

@@ -9,7 +9,8 @@ coordinate arrays for each family catalog._extension_table makes (dihedral,
 dicyclic and generalized quaternion, Heisenberg), np.kron and np.tile for
 catalog._product_table, one element's power walk over the Cayley table for
 every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
-order, GP adjacency, element orders), the closure of a set under all
+order, GP adjacency, element orders) and, read at every (m/p)-th power,
+for FiniteGroup.prime_subgroup_incidence, the closure of a set under all
 products for groups._generating_set, and a per-token parse for
 groups.parse_cayley_table. The kernels must agree with them on every input.
 """
@@ -166,6 +167,29 @@ def _walk(rows: list[list[int]], g: int) -> list[int]:
         elems.append(cur)
         cur = rows[cur][g]
     return sorted(elems)
+
+
+def prime_subgroup_incidence(group: FiniteGroup) -> list[list[int]]:
+    """Row x, column j: the least non-identity element of <x^(m/p)>, for m
+    the order of x and p the j-th smallest prime dividing the group order,
+    or -1 when p does not divide m. The powers x^0 .. x^(m-1) are walked by
+    multiplying by x until the identity (element 0) comes back, and
+    <x^(m/p)> is every (m/p)-th of them."""
+    rows = group.table.tolist()
+    n = len(rows)
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    incidence = []
+    for x in range(n):
+        powers = [0]
+        cur = x
+        while cur != 0:
+            if len(powers) == n:
+                raise ValueError(f"the powers of {x} never reach the identity")
+            powers.append(cur)
+            cur = rows[cur][x]
+        m = len(powers)
+        incidence.append([min(powers[m // p::m // p]) if m % p == 0 else -1 for p in primes])
+    return incidence
 
 
 def cyclic_subgroups(group: FiniteGroup) -> list[list[int]]:

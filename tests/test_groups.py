@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from gpgraph.groups import (
     _permutation_table,
     closure_from_permutations,
     format_cayley_table,
+    is_prime,
     parse_cayley_table,
     prime_factors,
+    primitive_root,
     read_cayley_table,
     validate_and_build,
     write_cayley_table,
@@ -440,6 +443,29 @@ class TestInvariants:
                     assert len(inside) <= 1, (spec, x, p)
                     assert int(inc[x, j]) == expected, (spec, x, p)
 
+    def test_incidence_matches_the_walks(self, tmp_path):
+        # Each id is checked against the least non-identity element of
+        # <x^(m/p)>, walked over the table, so an id read off a cycle of
+        # generators before the doubling has covered it fails here.
+        specs = [*catalog_up_to(256, False), parse_spec("heisenberg:5"), parse_spec("symmetric:5")]
+        cases = itertools.chain(((spec, build(spec)) for spec in specs),
+                                [("file:", _relabelled_file_group(tmp_path, "symmetric:4"))])
+        for spec, g in cases:
+            assert g.prime_subgroup_incidence().tolist() == oracle.prime_subgroup_incidence(g), spec
+
+    def test_primitive_roots_generate_every_unit(self):
+        # r, r^2, ... mod p for every prime p up to the order cap at once:
+        # the first k with r^k = 1 is the order of r, and it must be p - 1.
+        primes = [p for p in range(2, MAX_GROUP_ORDER + 1) if is_prime(p)]
+        primes, roots = np.array(primes), np.array([primitive_root(p) for p in primes])
+        assert ((1 <= roots) & (roots < primes)).all()
+        order = np.zeros(len(primes), dtype=np.intp)
+        power = roots % primes
+        for k in range(1, int(primes.max())):
+            order[(power == 1) & (order == 0)] = k
+            power = power * roots % primes
+        assert np.array_equal(order, primes - 1)
+
     @given(n=st.integers(min_value=1, max_value=60))
     @settings(max_examples=30, deadline=None)
     def test_cyclic_group_orders(self, n):
@@ -524,7 +550,9 @@ class TestPowerTable:
             walks = oracle.cyclic_subgroups(g)
             orders = oracle.element_orders(walks)
             abelian = bool((g.table == g.table.T).all())
-            assert g.fingerprint() == (g.n, np.bincount(orders).tobytes(), abelian), spec
+            histogram = sorted(Counter(orders).items())  # (order, count), ascending
+            key = np.array(histogram, dtype=np.intp).T.tobytes()
+            assert g.fingerprint() == (g.n, key, abelian), spec
             assert g.exponent() == math.lcm(*orders), spec
             for x, walk in enumerate(walks):
                 assert g.cyclic_subgroup(x) == walk, (spec, x)

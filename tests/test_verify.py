@@ -311,8 +311,17 @@ class TestIncidenceFacts:
             ("cyclic:8", FULL), ("cyclic:7", STRICT), ("dihedral:6", PUNCTURED),
             ("cyclic:1", FULL), ("abelian:2,2,2", PUNCTURED), ("cyclic:30", STRICT)]]
         blocks = [(g.prime_subgroup_incidence()[vertex_elements(g, c)], g.n) for g, c in groups]
-        assert _graph_facts(blocks) == [_graph_facts([block])[0] for block in blocks]
-        assert _graph_facts([]) == []
+        assert read_blocks(blocks) == [read_blocks([block])[0] for block in blocks]
+        assert read_blocks([]) == []
+
+
+def read_blocks(blocks):
+    """_graph_facts on (rows, n) blocks laid one after another, each block's
+    rows padded with -1 to the widest."""
+    width = max([0, *(rows.shape[1] for rows, _ in blocks)])
+    rows = [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows, _ in blocks]
+    return _graph_facts(np.concatenate(rows) if rows else np.empty((0, 0), dtype=int),
+                        [len(r) for r in rows], [n for _, n in blocks])
 
 
 def edge_ids(v, edges):
@@ -344,13 +353,13 @@ class TestCliqueRules:
     K33 = edge_ids(6, K33_EDGES)
 
     def test_five_holders_of_one_id_span_a_k5(self):
-        [f] = _graph_facts([self.FIVE_SHARE])
+        [f] = read_blocks([self.FIVE_SHARE])
         assert (f["planar"], f["k5_witness"]) == (False, (0, 1, 2, 3, 4))
-        [f] = _graph_facts([self.TWO_IDS])
+        [f] = read_blocks([self.TWO_IDS])
         assert (f["planar"], f["k5_witness"]) == (False, (0, 2, 3, 4, 5))
 
     def test_cliques_of_at_most_four_rows_are_planar(self):
-        [f] = _graph_facts([self.SMALL_CLIQUES])
+        [f] = read_blocks([self.SMALL_CLIQUES])
         assert f["component_sizes"] == (4, 3, 1, 2) and f["components_complete"]
         assert (f["planar"], f["k5_witness"]) == (True, None)
 
@@ -359,13 +368,13 @@ class TestCliqueRules:
         # K5 and K3,3 are not planar, yet no id has 5 holders: the cliques
         # decide nothing, and only GP(G) can.
         assert not is_planar(SimpleGraph.from_edges(v, edges)).planar
-        [f] = _graph_facts([edge_ids(v, edges)])
+        [f] = read_blocks([edge_ids(v, edges)])
         assert f["component_sizes"] == (v,) and not f["components_complete"]
         assert (f["planar"], f["k5_witness"]) == (None, None)
 
     def test_hand_made_blocks_in_one_batch_read_as_alone(self):
         blocks = [self.K5, self.FIVE_SHARE, self.SMALL_CLIQUES, self.K33, self.TWO_IDS]
-        assert _graph_facts(blocks) == [_graph_facts([block])[0] for block in blocks]
+        assert read_blocks(blocks) == [read_blocks([block])[0] for block in blocks]
 
 
 class TestRunAll:
@@ -550,8 +559,8 @@ class TestRunAll:
         assert set(factored) >= {s.order() for s in catalog_up_to(96) if s.order() >= 2}
 
     def test_subgroup_counts_match_the_subgroup_lists(self):
-        # The count comes from the incidence column of p; subgroups_of_order_p
-        # lists the subgroups themselves.
+        # The count comes from the element-order histogram, h[p] / (p - 1);
+        # subgroups_of_order_p lists the subgroups themselves.
         table = FactsTable(128, (PUNCTURED,))
         for spec in table.census(lambda s: True):
             group = build(spec)
@@ -614,6 +623,18 @@ class TestRunAll:
         assert per_record._facts == one_batch._facts
         assert list(per_record._facts) == list(one_batch._facts)
 
+    def test_batches_cut_inside_the_catalog_give_the_same_records(self, monkeypatch):
+        # Batches of 97 or more elements end after other groups than
+        # batches of 4096 do, and mix fewer orders.
+        import gpgraph.verify as verify
+
+        one_batch = FactsTable(128, tuple(VertexConvention))
+        one_batch.fill()
+        monkeypatch.setattr(verify, "FACTS_BATCH_ROWS", 97)
+        cut = FactsTable(128, tuple(VertexConvention))
+        cut.fill()
+        assert cut._facts == one_batch._facts
+
     def test_t34_not_applicable_under_full(self):
         reports = run_all(VerifyConfig(max_order=16, conventions=(FULL,)))
         t34 = next(r for r in reports if r.theorem == "T3.4")
@@ -673,6 +694,10 @@ class TestDeterminismAndJson:
         # products that dedupe drops
         (128, DEFAULT_CONVENTIONS,
          "2bf94981e4a99c30b63206e321d03760f6c4eea168d365c861244c77153ddce2", True),
+        # every record kind at once: cyclic groups read under all four
+        # conventions give four records, the others two
+        (96, tuple(VertexConvention),
+         "f0d0b147546184c18115851f18fcac054a9423ed30706e0e36089834bb9e514a", True),
     ])
     def test_canonical_json_is_pinned(self, max_order, conventions, sha256, dedupe):
         config = VerifyConfig(max_order=max_order, conventions=conventions, dedupe=dedupe)
