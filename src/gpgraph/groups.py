@@ -7,7 +7,6 @@ relabelled). All heavy table arithmetic goes through numpy.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -315,23 +314,6 @@ class FiniteGroup:
             inc.setflags(write=False)
             self._prime_incidence = inc
         return self._prime_incidence
-
-    def exponent(self) -> int:
-        """Least common multiple of all element orders."""
-        return math.lcm(*self.orders.tolist())
-
-    def p_group_prime(self) -> Optional[int]:
-        """The prime p if |G| = p^k (k >= 1), else None.
-
-        The trivial group returns None: it is vacuously a p-group for every
-        prime and picking one would be arbitrary; callers branch on n == 1.
-        """
-        if self.n == 1:
-            return None
-        fact = prime_factors(self.n)
-        if len(fact) == 1:
-            return next(iter(fact))
-        return None
 
     def subgroups_of_order_p(self, p: int) -> list[tuple[int, ...]]:
         """All distinct subgroups of order p, as sorted element tuples.

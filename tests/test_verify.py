@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kernel_oracles as oracle
 from kernel_oracles import components_complete
 from gpgraph.catalog import abelian_specs_of_order, build, catalog_up_to, parse_spec
 from gpgraph.cli import main
@@ -219,20 +220,16 @@ class TestClaimsOnHandMadeRecords:
 
 class TestIncidenceFacts:
     """Records on each path of the incidence reading: no vertices, an
-    isolated identity, planarity decided by the cliques alone, and the
-    graph fallback."""
+    isolated identity, cliques with and without a K5, and components that
+    are not cliques."""
 
     @staticmethod
-    def lookup(text, convention, monkeypatch, graph_calls=None):
-        """The record of one off-catalog lookup; GP(G) builds are appended to
-        graph_calls, and refused when it is None."""
+    def lookup(text, convention, monkeypatch):
+        """The record of one off-catalog lookup, with GP(G) builds refused."""
         import gpgraph.verify as verify
 
         def gp(group, conv):
-            if graph_calls is None:
-                raise AssertionError(f"GP({text}) built under {conv.value}")
-            graph_calls.append((text, conv))
-            return generalized_power_graph(group, conv)
+            raise AssertionError(f"GP({text}) built under {conv.value}")
 
         monkeypatch.setattr(verify, "generalized_power_graph", gp)
         return FactsTable(2, (convention,))(parse_spec(text), convention)
@@ -271,13 +268,64 @@ class TestIncidenceFacts:
         ("symmetric:5", STRICT),
     ])
     def test_graph_fallback(self, text, convention, monkeypatch):
-        calls = []
-        f = self.lookup(text, convention, monkeypatch, calls)
-        assert calls == [(text, convention)]
+        # The vertex sets that once fell back to GP(G): no id has 5 holders,
+        # so no K5, and a component with 5 vertices is not a clique.
+        f = self.lookup(text, convention, monkeypatch)
         g = generalized_power_graph(build(parse_spec(text)), convention)
         comps = g.connected_components()
         assert not components_complete(g, comps) and g.contains_k5_clique() is None
         assert f.planar == is_planar(g).planar is True
+        assert max(f.component_sizes) <= 5
+
+    def test_planar_iff_no_prime_order_subgroup_has_five_holders(self, tmp_path):
+        # The rule against the table walks alone: P has prime order, its
+        # holders are the vertices x with P <= <x>, and vertices are joined
+        # when they hold a common P. Where every P has at most 4 holders, a
+        # component has at most 5 vertices, and 5 are never a K5; so GP(G)
+        # is planar exactly then (Kuratowski). A file: table with its
+        # labels shuffled, identity not at 0, goes through the same reading.
+        rng = np.random.default_rng(3)
+        d12 = build(parse_spec("dihedral:6")).table
+        label = rng.permutation(12)
+        relabelled = np.empty_like(d12)
+        relabelled[np.ix_(label, label)] = label[d12]
+        path = tmp_path / "d12.tbl"
+        path.write_text("12\n" + "\n".join(" ".join(map(str, row)) for row in relabelled) + "\n")
+        table = FactsTable(96, tuple(VertexConvention), dedupe=False)
+        specs = [*catalog_up_to(96, False), *map(parse_spec, [
+            "symmetric:5", "heisenberg:5", "cyclic:210", f"file:{path}"])]
+        five = 0
+        for spec in specs:
+            group = build(spec)
+            walks = [frozenset(w) for w in oracle.cyclic_subgroups(group)]
+            prime_order = {w for w in walks if is_prime(len(w))}
+            for convention in VertexConvention:
+                verts = [x for x, w in enumerate(walks)
+                         if (x > 0 or convention.keeps_identity)
+                         and not (convention.drops_generators and len(w) == group.n)]
+                holders = [[x for x in verts if p <= walks[x]] for p in prime_order]
+                planar = all(len(h) <= 4 for h in holders)
+                assert table(spec, convention).planar == planar, (spec.to_text(), convention)
+                if not planar:
+                    continue
+                root = {x: x for x in verts}
+
+                def find(x):
+                    while root[x] != x:
+                        x = root[x]
+                    return x
+
+                for h in holders:
+                    for x in h[1:]:
+                        root[find(x)] = find(h[0])
+                comps = Counter(find(x) for x in verts)
+                assert max(comps.values(), default=0) <= 5, (spec.to_text(), convention)
+                for c in (c for c, size in comps.items() if size == 5):
+                    five += 1
+                    comp = [x for x in verts if find(x) == c]
+                    assert any(len(walks[x] & walks[y]) == 1 for x in comp for y in comp), (
+                        spec.to_text(), convention)
+        assert five > 0
 
     def test_witness_is_the_least_tuple_of_five_first_holders(self):
         # The record's witness is read off one C_P; the K5 search's is the
@@ -365,12 +413,14 @@ class TestCliqueRules:
 
     @pytest.mark.parametrize("v, edges", [(5, K5_EDGES), (6, K33_EDGES)])
     def test_graphs_of_two_row_ids_are_left_open(self, v, edges):
-        # K5 and K3,3 are not planar, yet no id has 5 holders: the cliques
-        # decide nothing, and only GP(G) can.
+        # K5 and K3,3 are not planar, yet no id has 5 holders, so the rule
+        # reads them as planar. These hand-made blocks are no group's
+        # incidence: in a group's, every P held by at most 4 vertices leaves
+        # components of at most 5 vertices, none a K5 (_graph_facts).
         assert not is_planar(SimpleGraph.from_edges(v, edges)).planar
         [f] = read_blocks([edge_ids(v, edges)])
         assert f["component_sizes"] == (v,) and not f["components_complete"]
-        assert (f["planar"], f["k5_witness"]) == (None, None)
+        assert (f["planar"], f["k5_witness"]) == (True, None)
 
     def test_hand_made_blocks_in_one_batch_read_as_alone(self):
         blocks = [self.K5, self.FIVE_SHARE, self.SMALL_CLIQUES, self.K33, self.TWO_IDS]
@@ -420,54 +470,35 @@ class TestRunAll:
     def test_each_group_built_once_and_graphs_only_where_planarity_needs_them(self, monkeypatch):
         # Every build in a run is counted: the catalog pass, which builds the
         # specs that dedupe drops too, and the lookups of off-catalog targets.
-        # The graph fields and L4.1's witnesses come from the incidence, so
-        # GP(G) is built only for a vertex set whose planarity its cliques
-        # leave open: no 5 vertices share a subgroup of prime order, and
-        # some component is not a clique of at most 4 vertices. Never twice
-        # for one vertex set, and never for L4.1's target.
+        # The graph fields, planarity and L4.1's witnesses all come from the
+        # incidence, so no graph is made at all: the spy on SimpleGraph's
+        # constructor catches one made through any import.
         import gpgraph.catalog as catalog
         import gpgraph.verify as verify
 
         targets = ["cyclic:210"]  # L4.1's target, the only one above 24
-        kept = [s.to_text() for s in catalog_up_to(24, True) if s.order() >= 2] + targets
         every = [s.to_text() for s in catalog_up_to(24, False)] + targets
-        groups = {text: build(parse_spec(text)) for text in kept}
-
-        def needs_graph(text, group, convention):
-            verts = vertex_elements(group, convention)
-            member = group.cyclic_membership()[verts]  # member[i, h]: h in <verts[i]>
-            if any(member[:, h].sum() >= 5 for h in range(1, group.n) if is_prime(group.order_of(h))):
-                return False
-            g = generalized_power_graph(group, convention)
-            comps = g.connected_components()
-            return not (components_complete(g, comps) and all(len(c) <= 4 for c in comps))
-
-        spec_of = {}  # id(group) -> spec text; the groups are kept alive below
         built, graphs = [], []
 
         def counting_build(spec, **kwargs):  # the catalog pass passes the factors it built
-            group = build(spec, **kwargs)
-            built.append((spec.to_text(), group))
-            spec_of[id(group)] = spec.to_text()
-            return group
+            built.append(spec.to_text())
+            return build(spec, **kwargs)
 
-        def counting_gp(group, convention):
-            graphs.append((spec_of[id(group)], tuple(vertex_elements(group, convention))))
-            return generalized_power_graph(group, convention)
+        real_init = SimpleGraph.__init__
+
+        def counting_init(graph, *args, **kwargs):
+            graphs.append(args)
+            real_init(graph, *args, **kwargs)
 
         monkeypatch.setattr(catalog, "build", counting_build)
         monkeypatch.setattr(verify, "build", counting_build)
-        monkeypatch.setattr(verify, "generalized_power_graph", counting_gp)
+        monkeypatch.setattr(SimpleGraph, "__init__", counting_init)
         for conventions in (DEFAULT_CONVENTIONS, tuple(VertexConvention)):
             built.clear()
             graphs.clear()
             run_all(VerifyConfig(max_order=24, conventions=conventions))
-            assert Counter(text for text, _ in built) == Counter(every)
-            assert Counter(graphs) == Counter(
-                (text, vertex_set) for text, group in groups.items()
-                for vertex_set in {tuple(vertex_elements(group, c)) for c in conventions
-                                   if needs_graph(text, group, c)})
-            assert {text for text, _ in graphs} == {"cyclic:6", "dihedral:6"}
+            assert Counter(built) == Counter(every)
+            assert graphs == []
 
     def test_each_table_and_power_fill_is_made_once(self, monkeypatch):
         # Products take their factors from the catalog pass, and dedupe reads
