@@ -2,17 +2,21 @@
 
 A GroupSpec is a cheap, serializable description (family tag + parameters).
 Each family is one `_FAMILIES` record: parameter domain, order, name, table
-maker and, for all but heisenberg and symmetric, orders and powers makers. A
-spec is checked against its record when it is made, so order() is a stored
-value that agrees with build(), which turns a spec into a FiniteGroup. That
-group makes its Cayley table only when something reads it. Its element
-orders come in closed form from the family's orders maker, or for a product
-as the outer lcm of its factors' orders, and else from the table; its
-powers are made from them only when something reads them; its abelian flag
-comes from the record. catalog_groups builds each catalog group once: a
-product takes its factor groups, with their tables and orders, from the same
-pass, and the dedupe reads element orders alone, so a spec it drops gets no
-powers unless its orders come from its table.
+maker and, for all but heisenberg and symmetric, orders, powers and point
+power makers. A spec is checked against its record when it is made, so
+order() is a stored value that agrees with build(), which turns a spec into
+a FiniteGroup. That group makes its Cayley table only when something reads
+it. Its element orders come in closed form from the family's orders maker,
+or for a product as the outer lcm of its factors' orders, and else from the
+table. Single powers x^k (FiniteGroup.power_at), which the prime-subgroup
+incidence, cyclic_subgroup and subgroups_of_order_p read, come from the
+family's point form, or for a product from its factors' point forms, and
+make no power table. The whole n x L power table, which P(G) reads, is made
+from the orders only when something reads it; a group without closed forms
+fills it together with its orders from the table, and its point reads read
+that fill. Its abelian flag comes from the record. catalog_groups builds
+each catalog group once: a product takes its factor groups from the same
+pass, and the dedupe reads element orders alone.
 
 Family tables are made in place and peak near their own size: abelian ones
 as products of cyclic tables, dihedral, dicyclic, gq and Heisenberg ones as
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -380,6 +385,40 @@ def _inverting_powers(m: int, t: int, orders: np.ndarray) -> np.ndarray:
     return powers
 
 
+# Point forms: x^k at arrays of elements x and exponents k, for
+# FiniteGroup.power_at. They read no table, so a reader of n omega(n)
+# powers makes n omega(n) of them; over the whole n x L grid they are
+# several times slower than the table makers above.
+
+def _cyclic_power(f: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    return x * k % f  # x^k = x k mod f in Z_f
+
+
+def _abelian_power(factors: tuple[int, ...], x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # Digit by digit, the last factor fastest: a digit d of Z_f goes to d k mod f.
+    power, weight = 0, 1
+    for f in reversed(_radix(factors)):
+        x, digit = np.divmod(x, f)
+        power = power + digit * k % f * weight
+        weight *= f
+    return power
+
+
+def _inverting_power(m: int, t: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # A rotation goes to x k mod m. A reflection x = m + j, that is a^j b,
+    # has (a^j b)^2 = a^t, so (a^j b)^(2q + r) = a^(t q) (a^j b)^r: the
+    # rotation s = t q mod m for even k, else the reflection m + (j + s) mod m.
+    s = k // 2 * t % m
+    flip = np.where(k % 2 == 1, (x + s) % m + m, s)
+    return np.where(x < m, _cyclic_power(m, x, k), flip)
+
+
+def _product_power(a: FiniteGroup, b: FiniteGroup, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # (x_A, x_B)^k = (x_A^k, x_B^k), each read from its factor's point form,
+    # or its power table for a factor without one.
+    return a.power_at(x // b.n, k) * b.n + b.power_at(x % b.n, k)
+
+
 def _product_powers(a: FiniteGroup, b: FiniteGroup, orders: np.ndarray) -> np.ndarray:
     # The k-th power of (x, y) is (x^k, y^k), read from each factor's
     # wrapped row at k mod that factor's order. The two (|A|, width) and
@@ -404,8 +443,9 @@ class _Family(NamedTuple):
     """One spec family. `domain` maps each rule's message to its test on the
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
-    message). `orders(params)` and `powers(params, orders)` make those facts
-    in closed form; a family without them has both filled from its table.
+    message). `orders(params)`, `powers(params, orders)` and the point form
+    `power(params, x, k)` make those facts in closed form; a family without
+    them has orders and powers filled from its table.
     `abelian` marks the abelian families; a member of another family is
     abelian iff its order is below 6, the least order of a non-abelian group
     (dihedral:m for m <= 2, symmetric:n for n <= 2)."""
@@ -416,6 +456,7 @@ class _Family(NamedTuple):
     table: Callable[[Params], np.ndarray]
     orders: Callable[[Params], np.ndarray] | None = None
     powers: Callable[[Params, np.ndarray], np.ndarray] | None = None
+    power: Callable[[Params, np.ndarray, np.ndarray], np.ndarray] | None = None
     prime: bool = False
     abelian: bool = False
 
@@ -424,43 +465,49 @@ def _one_at_least(low: int) -> Callable[[Params], bool]:
     return lambda p: len(p) == 1 and p[0] >= low
 
 
-# The table, orders and powers makers are called through their module
-# names, so a test can replace one.
+# The table, orders, powers and point-form makers are called through their
+# module names, so a test can replace one.
 _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
         {"cyclic:n needs n >= 1": _one_at_least(1)},
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
         table=lambda p: _cyclic_table(p[0]), orders=lambda p: _abelian_orders(p),
-        powers=lambda p, orders: _abelian_powers(p, orders), abelian=True),
+        powers=lambda p, orders: _abelian_powers(p, orders),
+        power=lambda p, x, k: _cyclic_power(p[0], x, k), abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
         table=lambda p: _abelian_table(p), orders=lambda p: _abelian_orders(p),
-        powers=lambda p, orders: _abelian_powers(p, orders), abelian=True),
+        powers=lambda p, orders: _abelian_powers(p, orders),
+        power=lambda p, x, k: _abelian_power(p, x, k), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         # range, unlike itertools.repeat, takes a rank above sys.maxsize
         factors=lambda p: (p[0] for _ in range(p[1])), name=lambda p: f"Z{p[0]}^{p[1]}",
         table=lambda p: _abelian_table((p[0],) * p[1]), orders=lambda p: _abelian_orders((p[0],) * p[1]),
-        powers=lambda p, orders: _abelian_powers((p[0],) * p[1], orders), prime=True, abelian=True),
+        powers=lambda p, orders: _abelian_powers((p[0],) * p[1], orders),
+        power=lambda p, x, k: _abelian_power((p[0],) * p[1], x, k), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
         table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
         orders=lambda p: _inverting_orders(p[0], 0),
-        powers=lambda p, orders: _inverting_powers(p[0], 0, orders)),
+        powers=lambda p, orders: _inverting_powers(p[0], 0, orders),
+        power=lambda p, x, k: _inverting_power(p[0], 0, x, k)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
         table=lambda p: _dicyclic_table(p[0]), orders=lambda p: _inverting_orders(2 * p[0], p[0]),
-        powers=lambda p, orders: _inverting_powers(2 * p[0], p[0], orders)),
+        powers=lambda p, orders: _inverting_powers(2 * p[0], p[0], orders),
+        power=lambda p, x, k: _inverting_power(2 * p[0], p[0], x, k)),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
              lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
         table=lambda p: _dicyclic_table(p[0] // 4), orders=lambda p: _inverting_orders(p[0] // 2, p[0] // 4),
-        powers=lambda p, orders: _inverting_powers(p[0] // 2, p[0] // 4, orders)),
+        powers=lambda p, orders: _inverting_powers(p[0] // 2, p[0] // 4, orders),
+        power=lambda p, x, k: _inverting_power(p[0] // 2, p[0] // 4, x, k)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
         factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
@@ -476,10 +523,12 @@ _FAMILIES: dict[str, _Family] = {
 def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y, of
     order lcm(order(x), order(y)). Its table, orders and powers are made
-    from the factors' when first read."""
+    from the factors' when first read, and its point powers read the
+    factors' point powers."""
     return FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
                        orders=lambda: np.lcm.outer(a.orders, b.orders).ravel(),
                        powers=lambda orders: _product_powers(a, b, orders),
+                       power=lambda x, k: _product_power(a, b, x, k),
                        abelian=a.is_abelian and b.is_abelian)
 
 
@@ -519,6 +568,7 @@ def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteG
     return FiniteGroup(lambda: family.table(params), order=spec.order(),
                        orders=(lambda: family.orders(params)) if closed else None,
                        powers=(lambda orders: family.powers(params, orders)) if closed else None,
+                       power=(lambda x, k: family.power(params, x, k)) if closed else None,
                        abelian=family.abelian or spec.order() < 6)
 
 
@@ -632,20 +682,19 @@ def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupS
     """(spec, group) for each catalog spec in order, building each group once.
 
     Each spec is one build() call. A product's factors are catalog specs
-    that come earlier, and the product takes them, with their tables and
-    orders, from the groups this pass has built. The pass holds a factor
+    that come earlier, and the product takes them, with whatever they have
+    made, from the groups this pass has built. The pass holds a factor
     until its last product; the products of one base are contiguous, so it
-    holds the abelian factors and one base at a time. Every base comes
-    before every product, so a factor is held without the powers that its
-    own facts make (FiniteGroup.without_powers), and makes them again once,
-    when its first product reads them: holding every base's powers until
-    its products come grows as N^3.
+    holds the abelian factors and one base at a time. The harness reads
+    point powers, which make no power table for a closed-form factor, and
+    a factor without closed forms made its power table with its orders;
+    so under the harness a held factor holds no power table it did not
+    need for its orders.
 
     With dedupe=True, a spec whose group shares an (order, element-order
     histogram, abelian) fingerprint with an earlier one is skipped. The
-    fingerprint reads element orders only, so a skipped spec gets powers
-    only when its orders come from its table (heisenberg, symmetric) or a
-    kept product of it reads them.
+    fingerprint reads element orders only, so a skipped spec gets a power
+    table only when its orders come from its table (heisenberg, symmetric).
     """
     specs = catalog_up_to(max_order, False)
     last_read = {part: i for i, spec in enumerate(specs) for part in spec.parts}
@@ -654,7 +703,7 @@ def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupS
     for i, spec in enumerate(specs):
         group = build(spec, factors=built)
         if spec in last_read:
-            built[spec] = group.without_powers()
+            built[spec] = group
         for part in spec.parts:
             if last_read[part] == i:
                 del built[part]

@@ -116,19 +116,21 @@ class FiniteGroup:
     permutation closures). Tables from outside go through validate_and_build.
 
     `table` is the Cayley table, or a function that makes it; then `order`
-    is required, and the table is made on its first read. `orders` and
-    `powers`, given together, are functions for a group whose family or
-    factors give those properties without the table: orders() makes the
-    element orders, and powers(orders) the power table from them, so the
-    orders are made once and the powers only when something reads them.
-    Without them, both are filled from the table in one pass. `abelian`,
-    when given, is what is_abelian returns. The catalog builds its groups
-    this way, so a group whose facts are all a reader wants never has a
-    table.
+    is required, and the table is made on its first read. `orders`,
+    `powers` and `power`, given together, are functions for a group whose
+    family or factors give those properties without the table: orders()
+    makes the element orders, powers(orders) the power table from them, and
+    power(x, k) the powers x^k at element and exponent arrays alone (the
+    point form). So the orders are made once, point reads (power_at) make
+    nothing, and the power table is made only when something reads it
+    whole. Without them, orders and powers are filled from the table in one
+    pass, and power_at reads that fill. `abelian`, when given, is what
+    is_abelian returns. The catalog builds its groups this way, so a group
+    whose facts are all a reader wants never has a table.
     """
 
-    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_inverses",
-                 "_orders", "_abelian", "_prime_incidence", "_powers")
+    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_make_power",
+                 "_inverses", "_orders", "_abelian", "_prime_incidence", "_powers")
 
     identity = 0
 
@@ -136,13 +138,14 @@ class FiniteGroup:
                  order: Optional[int] = None,
                  orders: Optional[Callable[[], np.ndarray]] = None,
                  powers: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 power: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
                  abelian: Optional[bool] = None):
         if callable(table):
             self.n, self._table, self._make_table = order, None, table
         else:
             table.setflags(write=False)
             self.n, self._table, self._make_table = table.shape[0], table, None
-        self._make_orders, self._make_powers = orders, powers
+        self._make_orders, self._make_powers, self._make_power = orders, powers, power
         self._abelian = abelian
         self._inverses: Optional[np.ndarray] = None
         self._powers: Optional[np.ndarray] = None
@@ -189,7 +192,9 @@ class FiniteGroup:
     def powers(self) -> np.ndarray:
         """Read-only n x L array with powers[g, k] = g^k, L the largest
         element order (so never larger than the table). Row g runs through
-        <g> and wraps: powers[g, k] = g^(k mod order(g))."""
+        <g> and wraps: powers[g, k] = g^(k mod order(g)). Made on the first
+        read, for readers of whole rows (cyclic_membership, so P(G), and a
+        product's powers); power_at reads single powers without it."""
         if self._powers is None:
             self._fill_powers()
         return self._powers
@@ -216,19 +221,16 @@ class FiniteGroup:
         self._orders = orders
         self._powers = powers
 
-    def without_powers(self) -> FiniteGroup:
-        """This group as a new FiniteGroup that shares its table (or table
-        maker), its orders (made now if they were not) and its abelian flag,
-        and makes its own powers when they are first read. A group that
-        fills its orders from its table is returned as it is, since its
-        powers come with its orders. For holding a group whose powers are
-        not read again for a while."""
-        if self._make_powers is None:
-            return self
-        orders = self.orders
-        return FiniteGroup(self._make_table if self._table is None else self._table,
-                           order=self.n, orders=lambda: orders, powers=self._make_powers,
-                           abelian=self._abelian)
+    def power_at(self, x, k) -> np.ndarray:
+        """x^k as an intp array, for an array of elements x and an array of
+        exponents 0 <= k < 2^40 that broadcast together (a point form may
+        form x k in intp). From the point form given at construction, so no
+        power table is made; else read from the power table at k mod
+        order(x)."""
+        x, k = np.asarray(x, dtype=np.intp), np.asarray(k, dtype=np.intp)
+        if self._make_power is not None:
+            return self._make_power(x, k)
+        return self.powers[x, k % self.orders[x]].astype(np.intp)
 
     def _doubling_fill(self) -> tuple[np.ndarray, np.ndarray]:
         # Doubling, built transposed (row k holds g^k for every g, so each
@@ -273,7 +275,7 @@ class FiniteGroup:
     def cyclic_subgroup(self, g: int) -> list[int]:
         """<g> as a sorted list; its size equals order_of(g)."""
         self._check_index(g)
-        return sorted(self.powers[g, :self.orders[g]].tolist())
+        return sorted(self.power_at(g, np.arange(self.orders[g])).tolist())
 
     def cyclic_membership(self) -> np.ndarray:
         """Boolean n x n matrix M with M[g, e] true iff e is in <g>."""
@@ -327,8 +329,9 @@ class FiniteGroup:
         if self.n % p:
             return []
         column = sorted(prime_factors(self.n)).index(p)
-        ids = set(self.prime_subgroup_incidence()[:, column].tolist()) - {-1}
-        return sorted(tuple(sorted(row)) for row in self.powers[sorted(ids), :p].tolist())
+        ids = sorted(set(self.prime_subgroup_incidence()[:, column].tolist()) - {-1})
+        rows = self.power_at(np.array(ids, dtype=np.intp)[:, None], np.arange(p))
+        return sorted(tuple(sorted(row)) for row in rows.tolist())
 
     def fingerprint(self) -> tuple[int, bytes, bool]:
         """(order, element-order histogram, abelian flag).
@@ -392,7 +395,8 @@ class GroupBatch:
     def prime_subgroup_incidence(self) -> np.ndarray:
         """Every group's FiniteGroup.prime_subgroup_incidence, stacked: row i
         is batch element i's row, padded with -1 to the most columns any
-        group has. Each group's powers are read by one fancy index."""
+        group has. Each group's powers are read at just the elements and
+        exponents wanted, by one power_at call per group."""
         # By Cauchy's theorem the primes dividing a group's order are the
         # prime orders of its elements; column j of a group is its j-th.
         prime = self.root_of[self.hist_order] > 0
@@ -416,7 +420,7 @@ class GroupBatch:
         got = np.empty(len(elem), dtype=np.intp)
         bounds = elem.searchsorted(self.starts).tolist() + [len(elem)]
         for g, lo, hi in zip(self.groups, bounds, bounds[1:]):
-            got[lo:hi] = g.powers[rows[lo:hi], exps[lo:hi]]
+            got[lo:hi] = g.power_at(rows[lo:hi], exps[lo:hi])
         got += elem - rows  # as batch elements
         # Min-label pointer doubling: after r rounds label[y] is the least
         # of y and the next 2^r - 1 generators on its cycle, and the cycle

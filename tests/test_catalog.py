@@ -274,6 +274,59 @@ class TestClosedForms:
             assert g.fingerprint() == fill.fingerprint(), text
 
 
+class TestPointPowers:
+    def test_point_forms_match_the_fill_over_the_table(self, tmp_path):
+        # power_at at every element and every k in 0..2 order(x), so each
+        # row wraps twice, against the doubling fill over the Cayley table;
+        # the power table stays byte-identical to that fill. Catalog products
+        # pair a family member with an abelian group, so factors without a
+        # point form on either side, a file: factor and a nested product
+        # are added.
+        path = tmp_path / "dic3.tbl"
+        write_cayley_table(build(parse_spec("dicyclic:3")), path)
+        extra = ["product:(cyclic:2)x(heisenberg:3)", "product:(abelian:2,2)x(symmetric:3)",
+                 "product:(symmetric:3)x(heisenberg:3)", f"file:{path}",
+                 f"product:(file:{path})x(dihedral:4)", f"product:(cyclic:3)x(file:{path})",
+                 "product:(product:(gq:8)x(cyclic:3))x(dihedral:5)",
+                 "product:(cyclic:2)x(product:(symmetric:3)x(dicyclic:2))"]
+        for spec in list(catalog_up_to(128, False)) + [parse_spec(t) for t in extra]:
+            g = build(spec)
+            fill = FiniteGroup(np.array(g.table))
+            orders = fill.orders
+            reps = 2 * orders + 1  # k = 0 .. 2 order(x) for each x
+            x = np.repeat(np.arange(g.n), reps)
+            k = np.arange(len(x)) - np.repeat(np.cumsum(reps) - reps, reps)
+            got = g.power_at(x, k)
+            assert got.dtype == np.intp, spec
+            assert np.array_equal(got, fill.powers[x, k % orders[x]]), spec
+            assert (g.powers.dtype, g.powers.shape) == (fill.powers.dtype, fill.powers.shape), spec
+            assert g.powers.tobytes() == fill.powers.tobytes(), spec
+
+    def test_point_readers_make_no_power_table(self, monkeypatch):
+        # cyclic_subgroup, subgroups_of_order_p, GP(G) and `gpgraph check`
+        # read single powers, so a closed-form group or product makes no
+        # power table for them: cyclic:8192's would be 8192 x 8192.
+        from gpgraph.cli import main
+        from gpgraph.powergraph import VertexConvention, generalized_power_graph
+
+        def fill_powers(group):
+            raise TableMade
+
+        monkeypatch.setattr(FiniteGroup, "_fill_powers", fill_powers)
+        for text in ("cyclic:8192", "abelian:12,6", "elemab:3,4", "dihedral:15", "dicyclic:6",
+                     "gq:64", "product:(product:(gq:8)x(cyclic:3))x(dihedral:5)"):
+            g = build(parse_spec(text))
+            for x in (1, g.n - 1):
+                assert len(g.cyclic_subgroup(x)) == g.order_of(x), (text, x)
+            for p in prime_factors(g.n):
+                assert all(len(sub) == p for sub in g.subgroups_of_order_p(p))
+            for convention in VertexConvention:
+                generalized_power_graph(build(parse_spec(text)), convention)
+                assert main(["check", text, "--convention", convention.value]) == 0
+            with pytest.raises(TableMade):  # the spy is in place
+                g.powers
+
+
 class TestOrdersFirst:
     def test_closed_form_orders_match_the_fill_over_the_table(self, monkeypatch):
         # Orders come without powers: no powers maker runs while they are
@@ -289,9 +342,9 @@ class TestOrdersFirst:
 
     def test_groups_from_the_pass_match_groups_built_alone(self):
         # The pass hands each product the factor groups it built earlier,
-        # held with their tables and orders but without their powers; read
-        # as the harness reads them, while the pass goes on, the groups must
-        # be what a group built alone gives.
+        # with whatever they have made; read as the harness reads them,
+        # while the pass goes on, the groups must be what a group built
+        # alone gives.
         specs = []
         for spec, g in catalog_groups(128, dedupe=False):
             specs.append(spec)

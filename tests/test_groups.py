@@ -580,19 +580,6 @@ class TestPowerTable:
         assert g.powers.shape == (2048, 2048)
         assert peak <= 2.1 * g.powers.nbytes
 
-    def test_without_powers_shares_all_but_the_powers(self):
-        for text in ("dihedral:12", "product:(gq:8)x(cyclic:3)", "abelian:4,2"):
-            g = build(parse_spec(text))
-            g.powers
-            twin = g.without_powers()
-            assert twin is not g and twin.orders is g.orders and twin.n == g.n, text
-            assert twin.powers is not g.powers and np.array_equal(twin.powers, g.powers), text
-            assert twin.is_abelian == g.is_abelian and np.array_equal(twin.table, g.table), text
-        # A group that fills its orders from its table has its powers with
-        # them, so it is its own twin.
-        for g in (build(parse_spec("symmetric:4")), FiniteGroup(build(parse_spec("cyclic:6")).table)):
-            assert g.without_powers() is g
-
     def test_powers_that_never_reach_the_identity(self):
         # Some element's powers never reach 0. Wrapped without validation,
         # every reader of the power table must refuse.

@@ -501,22 +501,17 @@ class TestRunAll:
             assert graphs == []
 
     def test_each_table_and_power_fill_is_made_once(self, monkeypatch):
-        # Products take their factors from the catalog pass, and dedupe reads
-        # element orders only. At 96 the tables of S3 and S4 are made once
-        # each, and heisenberg:3, S3 and S4 fill orders and powers from their
-        # tables once each. Powers are made once for each group the facts
-        # table reads, and once for each closed-form factor that a kept
-        # product reads, as the pass holds factors without their powers;
-        # symmetric:3 is the one spec that dedupe drops (it is D6) with
-        # powers, which come with the orders of its table fill.
+        # Products take their factors from the catalog pass, dedupe reads
+        # element orders only, and the incidence reads point powers, which
+        # every family but heisenberg and symmetric, and every product of
+        # them, gives without a table. So at 96 power tables are filled only
+        # by the groups whose orders come from their tables, once each, with
+        # those orders: heisenberg:3, symmetric:3 (which dedupe drops, as it
+        # is D6) and symmetric:4; their products read the factor's fill.
         import gpgraph.catalog as catalog
         import gpgraph.verify as verify
         from gpgraph.groups import FiniteGroup
 
-        kept = [s.to_text() for s in catalog_up_to(96, True) if s.order() >= 2]
-        targets = ["cyclic:210"]  # the only target outside the catalog at 96
-        factors = {f"factor {part.to_text()}" for s in catalog_up_to(96, True) for part in s.parts
-                   if part.family not in ("heisenberg", "symmetric")}
         spec_of, alive, filled, counts = {}, [], [], Counter()
 
         def counting_build(spec, **kwargs):
@@ -524,13 +519,6 @@ class TestRunAll:
             alive.append(group)  # so that no id is reused
             spec_of[id(group)] = spec.to_text()
             return group
-
-        def held(group):
-            twin = without_powers(group)
-            alive.append(twin)
-            if twin is not group:
-                spec_of[id(twin)] = f"factor {spec_of[id(group)]}"
-            return twin
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -544,17 +532,15 @@ class TestRunAll:
             filled.append(spec_of.get(id(group), f"a group of order {group.n} outside build"))
             return fill(group)
 
-        fill, without_powers = FiniteGroup._fill_powers, FiniteGroup.without_powers
+        fill = FiniteGroup._fill_powers
         counted(catalog, "_symmetric_table")
         counted(FiniteGroup, "_doubling_fill")
         monkeypatch.setattr(FiniteGroup, "_fill_powers", fill_powers)
-        monkeypatch.setattr(FiniteGroup, "without_powers", held)
         monkeypatch.setattr(catalog, "build", counting_build)
         monkeypatch.setattr(verify, "build", counting_build)
         run_all(VerifyConfig(max_order=96))
         assert counts == {"_symmetric_table": 2, "_doubling_fill": 3}
-        assert Counter(filled) == Counter(kept + targets + ["symmetric:3"] + sorted(factors))
-        assert (len(filled), len(factors)) == (424, 47)
+        assert filled == ["heisenberg:3", "symmetric:3", "symmetric:4"]
 
     def test_tables_are_made_only_without_closed_forms(self, monkeypatch):
         # The harness reads orders, powers and the abelian flag, which every
