@@ -12,10 +12,14 @@ seed the script runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in that copy and once in the working tree, one
 run at a time, with N from BENCHMARK.json unless --seconds is given. The
 side that runs first alternates from pair to pair (the parent first in the
-first pair). Each tree runs its own perfbench. The
-result file, rewritten after every pair, gives each end-to-end metric of
-BENCHMARK.json per side as median and inclusive quartiles, the number of
-pairs the change won, and every run. A claim (workload:metric) is met when
+first pair). Each tree runs its own perfbench. After each run, the same
+tree runs one cold `gpgraph verify --max-order 96` process, whose own peak
+RSS (ru_maxrss from wait4, so Linux or another Unix) is recorded beside the
+run: perfbench's peak_rss_mb grows with the number of passes a run makes,
+and this number does not. The result file, rewritten after every pair,
+gives each end-to-end metric of BENCHMARK.json per side as median and
+inclusive quartiles, the number of pairs the change won, and every run, and
+the cold peaks the same way. A claim (workload:metric) is met when
 the change wins at least nine tenths of the pairs and the medians differ,
 in the better direction, by more than the distance between the parent's
 quartiles. Standard library only.
@@ -37,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WIN_SHARE = 0.9
+COLD_VERIFY_MAX_ORDER = 96
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,6 +74,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def cold_peak_rss_mb(tree: Path, max_order: int = COLD_VERIFY_MAX_ORDER) -> float:
+    """Peak RSS in MB of one fresh `gpgraph verify --max-order N` process
+    run from tree's own src/, read from that child's rusage alone."""
+    cmd = [sys.executable, "-m", "gpgraph", "verify", "--max-order", str(max_order)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}")
+    return usage.ru_maxrss / 1024  # kB on Linux
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:  # after the first pair of a run
         values = values * 2
@@ -78,7 +97,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-workload summary of paired runs; runs[i] = {"seed", "first",
-    "parent": result, "change": result}, metrics as BENCHMARK.json's end_to_end."""
+    "parent": result, "change": result, "cold_peak_rss_mb": {"parent": MB,
+    "change": MB}}, metrics as BENCHMARK.json's end_to_end."""
     out = {
         "pairs": len(runs),
         "seeds": [r["seed"] for r in runs],
@@ -87,6 +107,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         "failed_ops": {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")},
         "attempted_ops": {side: sum(r[side]["attempted"] for r in runs) for side in ("parent", "change")},
         "metrics": {},
+    }
+    cold = {side: [r["cold_peak_rss_mb"][side] for r in runs] for side in ("parent", "change")}
+    out["cold_peak_rss_mb"] = {
+        "max_order": COLD_VERIFY_MAX_ORDER,
+        **{side: quartiles(values) for side, values in cold.items()},
+        **{f"{side}_runs": [round(v, 2) for v in values] for side, values in cold.items()},
     }
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -168,7 +194,9 @@ def main(argv=None) -> int:
             f"seed ({args.seeds}), one run at a time, the side that runs first alternating from "
             "pair to pair, the parent first in the first pair. q1/q3 are inclusive "
             "(linear-interpolation) quartiles of one side's runs; median_change is (change median "
-            "- parent median) / parent median; runs are listed in seed order."),
+            "- parent median) / parent median; runs are listed in seed order. After each run "
+            f"the same tree runs one `python -m gpgraph verify --max-order {COLD_VERIFY_MAX_ORDER}` "
+            "process; cold_peak_rss_mb is that process's ru_maxrss."),
         "hardware": f"{os.cpu_count()} CPU {platform.machine()}, Python {platform.python_version()}, "
                     f"numpy {numpy_version}",
         "claim": None,
@@ -185,8 +213,10 @@ def main(argv=None) -> int:
                 for side in (first, "change" if first == "parent" else "parent"):
                     tree = parent_tree if side == "parent" else ROOT
                     pair[side] = run_once(tree, workload, seed, seconds)
+                    pair.setdefault("cold_peak_rss_mb", {})[side] = cold_peak_rss_mb(tree)
                     print(f"{workload} seed {seed} {side}: wall_s "
-                          f"{pair[side]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+                          f"{pair[side]['metrics']['wall_s']['value']:.4f}, cold verify peak "
+                          f"{pair['cold_peak_rss_mb'][side]:.1f} MB", file=sys.stderr)
                 runs.append(pair)
                 report["workloads"][workload] = summarize(runs, metrics)
                 if claim and claim[0] == workload:

@@ -2,16 +2,18 @@
 
 A GroupSpec is a cheap, serializable description (family tag + parameters).
 Each family is one `_FAMILIES` record: parameter domain, order, name, table
-maker and, for all but heisenberg and symmetric, orders, powers and point
-power makers. A spec is checked against its record when it is made, so
+maker and, for all but heisenberg and symmetric, orders and powers makers
+and its leaves. A spec is checked against its record when it is made, so
 order() is a stored value that agrees with build(), which turns a spec into
 a FiniteGroup. That group makes its Cayley table only when something reads
 it. Its element orders come in closed form from the family's orders maker,
 or for a product as the outer lcm of its factors' orders, and else from the
-table. Single powers x^k (FiniteGroup.power_at), which the prime-subgroup
-incidence, cyclic_subgroup and subgroups_of_order_p read, come from the
-family's point form, or for a product from its factors' point forms, and
-make no power table. The whole n x L power table, which P(G) reads, is made
+table. Single powers x^k (FiniteGroup.power_at and groups.GroupBatch),
+which the prime-subgroup incidence, cyclic_subgroup and subgroups_of_order_p
+read, come from the group's leaves: the family's mixed radix of cyclic and
+inverting leaves, or for a product its factors' leaves one after the other,
+a factor without closed forms as one table leaf. They make no power table
+for a closed-form leaf. The whole n x L power table, which P(G) reads, is made
 from the orders only when something reads it; a group without closed forms
 fills it together with its orders from the table, and its point reads read
 that fill. Its abelian flag comes from the record. catalog_groups builds
@@ -43,8 +45,11 @@ import numpy as np
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
+    Leaf,
     _permutation_table,
     _table_dtype,
+    cyclic_leaf,
+    inverting_leaf,
     is_prime,
     prime_factors,
     read_cayley_table,
@@ -322,6 +327,10 @@ def _radix(factors: tuple[int, ...]) -> list[int]:
     return [f for f in factors if f != 1] or [1]
 
 
+def _abelian_leaves(factors: tuple[int, ...]) -> tuple[Leaf, ...]:
+    return tuple(map(cyclic_leaf, _radix(factors)))
+
+
 def _abelian_orders(factors: tuple[int, ...]) -> np.ndarray:
     # A digit x of Z_f has order f / gcd(x, f): one outer lcm per factor.
     radix = _radix(factors)
@@ -365,9 +374,10 @@ def _abelian_powers(factors: tuple[int, ...], orders: np.ndarray) -> np.ndarray:
 
 
 # Z_m<b> with b inverting and b^2 = a^t, t = 0 (dihedral) or m/2 (dicyclic,
-# gq), indexed as _extension_table indexes it: a^x b^j is j m + x. The
-# rotations are Z_m. Since b x b^-1 = -x, (x b)^2 = b^2 = a^t: x b has order
-# 2 when t = 0, else order 4 with powers 1, x b, a^t and (x + t) b.
+# gq), indexed as _extension_table indexes it: a^x b^j is j m + x, the
+# inverting leaf (groups.inverting_leaf). The rotations are Z_m. Since
+# b x b^-1 = -x, (x b)^2 = b^2 = a^t: x b has order 2 when t = 0, else order
+# 4 with powers 1, x b, a^t and (x + t) b.
 
 def _inverting_orders(m: int, t: int) -> np.ndarray:
     return np.concatenate([_cyclic_orders(m), np.full(m, 2 if t == 0 else 4)])
@@ -383,40 +393,6 @@ def _inverting_powers(m: int, t: int, orders: np.ndarray) -> np.ndarray:
     rows = np.stack([np.zeros_like(x), m + x, np.full_like(x, t), m + (x + t) % m], axis=1)
     np.take(rows[:, :cycle], np.arange(width) % cycle, axis=1, out=powers[m:], mode="clip")
     return powers
-
-
-# Point forms: x^k at arrays of elements x and exponents k, for
-# FiniteGroup.power_at. They read no table, so a reader of n omega(n)
-# powers makes n omega(n) of them; over the whole n x L grid they are
-# several times slower than the table makers above.
-
-def _cyclic_power(f: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return x * k % f  # x^k = x k mod f in Z_f
-
-
-def _abelian_power(factors: tuple[int, ...], x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # Digit by digit, the last factor fastest: a digit d of Z_f goes to d k mod f.
-    power, weight = 0, 1
-    for f in reversed(_radix(factors)):
-        x, digit = np.divmod(x, f)
-        power = power + digit * k % f * weight
-        weight *= f
-    return power
-
-
-def _inverting_power(m: int, t: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # A rotation goes to x k mod m. A reflection x = m + j, that is a^j b,
-    # has (a^j b)^2 = a^t, so (a^j b)^(2q + r) = a^(t q) (a^j b)^r: the
-    # rotation s = t q mod m for even k, else the reflection m + (j + s) mod m.
-    s = k // 2 * t % m
-    flip = np.where(k % 2 == 1, (x + s) % m + m, s)
-    return np.where(x < m, _cyclic_power(m, x, k), flip)
-
-
-def _product_power(a: FiniteGroup, b: FiniteGroup, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # (x_A, x_B)^k = (x_A^k, x_B^k), each read from its factor's point form,
-    # or its power table for a factor without one.
-    return a.power_at(x // b.n, k) * b.n + b.power_at(x % b.n, k)
 
 
 def _product_powers(a: FiniteGroup, b: FiniteGroup, orders: np.ndarray) -> np.ndarray:
@@ -443,9 +419,12 @@ class _Family(NamedTuple):
     """One spec family. `domain` maps each rule's message to its test on the
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
-    message). `orders(params)`, `powers(params, orders)` and the point form
-    `power(params, x, k)` make those facts in closed form; a family without
-    them has orders and powers filled from its table.
+    message). `orders(params)` and `powers(params, orders)` make those facts
+    in closed form, and `leaves(params)` is the group's mixed radix of
+    groups.Leaf digits, from which power_at computes single powers (Z_f per
+    abelian factor, one inverting leaf for dihedral, dicyclic and gq); a
+    family without them has orders and powers filled from its table and is
+    one table leaf.
     `abelian` marks the abelian families; a member of another family is
     abelian iff its order is below 6, the least order of a non-abelian group
     (dihedral:m for m <= 2, symmetric:n for n <= 2)."""
@@ -456,7 +435,7 @@ class _Family(NamedTuple):
     table: Callable[[Params], np.ndarray]
     orders: Callable[[Params], np.ndarray] | None = None
     powers: Callable[[Params, np.ndarray], np.ndarray] | None = None
-    power: Callable[[Params, np.ndarray, np.ndarray], np.ndarray] | None = None
+    leaves: Callable[[Params], tuple[Leaf, ...]] | None = None
     prime: bool = False
     abelian: bool = False
 
@@ -465,7 +444,7 @@ def _one_at_least(low: int) -> Callable[[Params], bool]:
     return lambda p: len(p) == 1 and p[0] >= low
 
 
-# The table, orders, powers and point-form makers are called through their
+# The table, orders, powers and leaves makers are called through their
 # module names, so a test can replace one.
 _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
@@ -473,33 +452,33 @@ _FAMILIES: dict[str, _Family] = {
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
         table=lambda p: _cyclic_table(p[0]), orders=lambda p: _abelian_orders(p),
         powers=lambda p, orders: _abelian_powers(p, orders),
-        power=lambda p, x, k: _cyclic_power(p[0], x, k), abelian=True),
+        leaves=lambda p: _abelian_leaves(p), abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
         table=lambda p: _abelian_table(p), orders=lambda p: _abelian_orders(p),
         powers=lambda p, orders: _abelian_powers(p, orders),
-        power=lambda p, x, k: _abelian_power(p, x, k), abelian=True),
+        leaves=lambda p: _abelian_leaves(p), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         # range, unlike itertools.repeat, takes a rank above sys.maxsize
         factors=lambda p: (p[0] for _ in range(p[1])), name=lambda p: f"Z{p[0]}^{p[1]}",
         table=lambda p: _abelian_table((p[0],) * p[1]), orders=lambda p: _abelian_orders((p[0],) * p[1]),
         powers=lambda p, orders: _abelian_powers((p[0],) * p[1], orders),
-        power=lambda p, x, k: _abelian_power((p[0],) * p[1], x, k), prime=True, abelian=True),
+        leaves=lambda p: _abelian_leaves((p[0],) * p[1]), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
         table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
         orders=lambda p: _inverting_orders(p[0], 0),
         powers=lambda p, orders: _inverting_powers(p[0], 0, orders),
-        power=lambda p, x, k: _inverting_power(p[0], 0, x, k)),
+        leaves=lambda p: (inverting_leaf(p[0], 0),)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
         table=lambda p: _dicyclic_table(p[0]), orders=lambda p: _inverting_orders(2 * p[0], p[0]),
         powers=lambda p, orders: _inverting_powers(2 * p[0], p[0], orders),
-        power=lambda p, x, k: _inverting_power(2 * p[0], p[0], x, k)),
+        leaves=lambda p: (inverting_leaf(2 * p[0], p[0]),)),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
@@ -507,7 +486,7 @@ _FAMILIES: dict[str, _Family] = {
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
         table=lambda p: _dicyclic_table(p[0] // 4), orders=lambda p: _inverting_orders(p[0] // 2, p[0] // 4),
         powers=lambda p, orders: _inverting_powers(p[0] // 2, p[0] // 4, orders),
-        power=lambda p, x, k: _inverting_power(p[0] // 2, p[0] // 4, x, k)),
+        leaves=lambda p: (inverting_leaf(p[0] // 2, p[0] // 4),)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
         factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
@@ -523,12 +502,12 @@ _FAMILIES: dict[str, _Family] = {
 def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y, of
     order lcm(order(x), order(y)). Its table, orders and powers are made
-    from the factors' when first read, and its point powers read the
-    factors' point powers."""
+    from the factors' when first read, and its leaves are A's then B's, so
+    a nested product is one flat radix."""
     return FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
                        orders=lambda: np.lcm.outer(a.orders, b.orders).ravel(),
                        powers=lambda orders: _product_powers(a, b, orders),
-                       power=lambda x, k: _product_power(a, b, x, k),
+                       leaves=lambda: a.leaves + b.leaves,
                        abelian=a.is_abelian and b.is_abelian)
 
 
@@ -568,7 +547,7 @@ def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteG
     return FiniteGroup(lambda: family.table(params), order=spec.order(),
                        orders=(lambda: family.orders(params)) if closed else None,
                        powers=(lambda orders: family.powers(params, orders)) if closed else None,
-                       power=(lambda x, k: family.power(params, x, k)) if closed else None,
+                       leaves=(lambda: family.leaves(params)) if closed else None,
                        abelian=family.abelian or spec.order() < 6)
 
 

@@ -7,7 +7,8 @@ relabelled). All heavy table arithmetic goes through numpy.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +109,35 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+CYCLIC_LEAF, INVERTING_LEAF, TABLE_LEAF = "cyclic", "inverting", "table"
+
+
+class Leaf(NamedTuple):
+    """One digit of a group's mixed radix (FiniteGroup.leaves), of `size`
+    elements. Its kind says how x^k is read at a digit x:
+    - CYCLIC_LEAF, Z_m: x k mod m;
+    - INVERTING_LEAF, Z_m<b> with b inverting and b^2 = a^t, indexed a^j b^i
+      = i m + j: the rotations are Z_m, and since (a^j b)^2 = a^t, a
+      reflection's k = 2q + r -th power is the rotation t q mod m for r = 0
+      and the reflection a^(j + t q) b for r = 1;
+    - TABLE_LEAF, `group`: its power table, powers[x, k mod order(x)].
+    """
+
+    kind: str
+    size: int
+    m: int = 0
+    t: int = 0
+    group: Optional["FiniteGroup"] = None
+
+
+def cyclic_leaf(m: int) -> Leaf:
+    return Leaf(CYCLIC_LEAF, m, m)
+
+
+def inverting_leaf(m: int, t: int) -> Leaf:
+    return Leaf(INVERTING_LEAF, 2 * m, m, t)
+
+
 class FiniteGroup:
     """Immutable finite group; element 0 is the identity.
 
@@ -117,20 +147,22 @@ class FiniteGroup:
 
     `table` is the Cayley table, or a function that makes it; then `order`
     is required, and the table is made on its first read. `orders`,
-    `powers` and `power`, given together, are functions for a group whose
+    `powers` and `leaves`, given together, are functions for a group whose
     family or factors give those properties without the table: orders()
-    makes the element orders, powers(orders) the power table from them, and
-    power(x, k) the powers x^k at element and exponent arrays alone (the
-    point form). So the orders are made once, point reads (power_at) make
-    nothing, and the power table is made only when something reads it
-    whole. Without them, orders and powers are filled from the table in one
-    pass, and power_at reads that fill. `abelian`, when given, is what
-    is_abelian returns. The catalog builds its groups this way, so a group
-    whose facts are all a reader wants never has a table.
+    makes the element orders, powers(orders) the power table from them,
+    and leaves() the group as a mixed radix of Leaf digits, the last
+    fastest, from which point reads (power_at, GroupBatch) compute x^k. So
+    the orders and leaves are made once, on their first read, point reads
+    make nothing, and the power table is made only when something reads it
+    whole. Without them, orders and powers are filled from the table in
+    one pass, and the group is one table leaf, whose point reads read that
+    fill. `abelian`, when given, is what is_abelian returns. The catalog
+    builds its groups this way, so a group whose facts are all a reader
+    wants never has a table.
     """
 
-    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_make_power",
-                 "_inverses", "_orders", "_abelian", "_prime_incidence", "_powers")
+    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_make_leaves",
+                 "_inverses", "_orders", "_abelian", "_prime_incidence", "_powers", "_leaves")
 
     identity = 0
 
@@ -138,15 +170,16 @@ class FiniteGroup:
                  order: Optional[int] = None,
                  orders: Optional[Callable[[], np.ndarray]] = None,
                  powers: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 power: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+                 leaves: Optional[Callable[[], tuple[Leaf, ...]]] = None,
                  abelian: Optional[bool] = None):
         if callable(table):
             self.n, self._table, self._make_table = order, None, table
         else:
             table.setflags(write=False)
             self.n, self._table, self._make_table = table.shape[0], table, None
-        self._make_orders, self._make_powers, self._make_power = orders, powers, power
+        self._make_orders, self._make_powers, self._make_leaves = orders, powers, leaves
         self._abelian = abelian
+        self._leaves: Optional[tuple[Leaf, ...]] = None
         self._inverses: Optional[np.ndarray] = None
         self._powers: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
@@ -221,16 +254,24 @@ class FiniteGroup:
         self._orders = orders
         self._powers = powers
 
+    @property
+    def leaves(self) -> tuple[Leaf, ...]:
+        """The group's mixed radix of Leaf digits, from the leaves maker on
+        the first read, else the group as one table leaf (made on each
+        read, so that the group holds no reference to itself)."""
+        if self._leaves is None:
+            if self._make_leaves is None:
+                return (Leaf(TABLE_LEAF, self.n, group=self),)
+            self._leaves = self._make_leaves()
+        return self._leaves
+
     def power_at(self, x, k) -> np.ndarray:
         """x^k as an intp array, for an array of elements x and an array of
-        exponents 0 <= k < 2^40 that broadcast together (a point form may
-        form x k in intp). From the point form given at construction, so no
-        power table is made; else read from the power table at k mod
-        order(x)."""
+        exponents 0 <= k < 2^40 that broadcast together (a leaf may form
+        x k in intp). The leaf evaluator of GroupBatch on this group alone,
+        so a group with closed-form leaves makes no power table."""
         x, k = np.asarray(x, dtype=np.intp), np.asarray(k, dtype=np.intp)
-        if self._make_power is not None:
-            return self._make_power(x, k)
-        return self.powers[x, k % self.orders[x]].astype(np.intp)
+        return _leaf_power([self], None, x, k)
 
     def _doubling_fill(self) -> tuple[np.ndarray, np.ndarray]:
         # Doubling, built transposed (row k holds g^k for every g, so each
@@ -346,6 +387,7 @@ class FiniteGroup:
         return (self.n, present.tobytes() + counts[present].tobytes(), self.is_abelian)
 
 
+@lru_cache(maxsize=1 << 10)  # every batch asks again for the roots of the same few primes
 def primitive_root(p: int) -> int:
     """The least r in 1..p-1 whose powers mod the prime p run through all
     of 1..p-1: r^((p-1)/q) != 1 for every prime q dividing p - 1. 1 for p = 2."""
@@ -366,6 +408,11 @@ class GroupBatch:
     group has an entry for order 1, its identity. `primes` lists the prime
     orders present, ascending; root_of[m] is primitive_root(m) for each of
     them, and 0 at every other m up to the largest order.
+
+    Powers are read from the groups' leaves (FiniteGroup.leaves): the
+    groups of one leaf shape, the tuple of their leaf kinds, are read
+    together in one pass of _leaf_power, with the leaf parameters as
+    per-row arrays. FiniteGroup.power_at is that pass on one group.
     """
 
     def __init__(self, groups: Sequence[FiniteGroup]):
@@ -395,8 +442,9 @@ class GroupBatch:
     def prime_subgroup_incidence(self) -> np.ndarray:
         """Every group's FiniteGroup.prime_subgroup_incidence, stacked: row i
         is batch element i's row, padded with -1 to the most columns any
-        group has. Each group's powers are read at just the elements and
-        exponents wanted, by one power_at call per group."""
+        group has. The powers are read at just the elements and exponents
+        wanted, in one leaf evaluator pass per leaf shape (_leaf_power), so
+        the groups of one shape are read together."""
         # By Cauchy's theorem the primes dividing a group's order are the
         # prime orders of its elements; column j of a group is its j-th.
         prime = self.root_of[self.hist_order] > 0
@@ -418,9 +466,8 @@ class GroupBatch:
         elem, exps = wanted // shape[1], exps.ravel()[wanted]
         rows = self.local[elem]
         got = np.empty(len(elem), dtype=np.intp)
-        bounds = elem.searchsorted(self.starts).tolist() + [len(elem)]
-        for g, lo, hi in zip(self.groups, bounds, bounds[1:]):
-            got[lo:hi] = g.power_at(rows[lo:hi], exps[lo:hi])
+        for members, sel, at in self._by_leaf_shape(self.group[elem]):
+            got[sel] = _leaf_power(members, at, rows[sel], exps[sel])
         got += elem - rows  # as batch elements
         # Min-label pointer doubling: after r rounds label[y] is the least
         # of y and the next 2^r - 1 generators on its cycle, and the cycle
@@ -436,6 +483,70 @@ class GroupBatch:
         inc = np.full(shape, -1, dtype=_table_dtype(int(self.sizes.max())))
         inc.ravel()[wanted] = label[got]
         return inc
+
+    def _by_leaf_shape(self, group: np.ndarray):
+        """For the rows of groups `group` (ascending), each leaf shape's
+        (member groups, its rows, each row's index among the members, or
+        None for one member)."""
+        shapes: dict[tuple[str, ...], list[int]] = {}
+        for g, member in enumerate(self.groups):
+            shapes.setdefault(tuple([leaf.kind for leaf in member.leaves]), []).append(g)
+        if len(shapes) == 1:
+            (members,) = shapes.values()
+            yield self.groups, slice(None), None if len(members) == 1 else group
+            return
+        shape_of = np.empty(len(self.groups), dtype=np.intp)
+        slot = np.empty(len(self.groups), dtype=np.intp)
+        for s, members in enumerate(shapes.values()):
+            shape_of[members] = s
+            slot[members] = np.arange(len(members))
+        row_shape = shape_of[group]
+        by_shape = np.argsort(row_shape, kind="stable")
+        bounds = row_shape[by_shape].searchsorted(np.arange(len(shapes) + 1)).tolist()
+        for members, lo, hi in zip(shapes.values(), bounds, bounds[1:]):
+            sel = by_shape[lo:hi]
+            yield ([self.groups[g] for g in members], sel,
+                   None if len(members) == 1 else slot[group[sel]])
+
+
+def _leaf_power(groups: Sequence[FiniteGroup], at: Optional[np.ndarray],
+                x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x^k as intp, for groups of one leaf shape: x is an element of
+    groups[at], row by row (of groups[0] when `at` is None), and k an
+    exponent. The digits are read from the last leaf, the fastest, each
+    leaf's parameters as per-row arrays (scalars for one group), and each
+    digit's power is added back at its radix weight."""
+    def per_row(values):
+        return values[0] if at is None else np.array(values)[at]
+
+    columns = list(zip(*(g.leaves for g in groups)))  # the j-th leaf of every group
+    power, weight = None, 1
+    for j in range(len(columns) - 1, -1, -1):
+        leaves = columns[j]
+        size = per_row([leaf.size for leaf in leaves])
+        x, digit = np.divmod(x, size) if j else (None, x)  # the first digit is what is left
+        kind = leaves[0].kind
+        if kind == CYCLIC_LEAF:
+            got = digit * k % size
+        elif kind == INVERTING_LEAF:
+            m, t = per_row([leaf.m for leaf in leaves]), per_row([leaf.t for leaf in leaves])
+            s = (k >> 1) * t % m  # k >= 0, so k >> 1 is k // 2 and k & 1 is k mod 2
+            got = np.where(digit < m, digit * k % m, np.where(k & 1 == 1, (digit + s) % m + m, s))
+        else:
+            tables = list({id(leaf.group): leaf.group for leaf in leaves}.values())
+            powers, orders = tables[0].powers, tables[0].orders
+            if len(tables) > 1:  # the tables' rows one after another, padded to the widest
+                starts = np.cumsum([0] + [g.n for g in tables]).tolist()
+                powers = np.zeros((starts[-1], max(g.powers.shape[1] for g in tables)), dtype=np.intp)
+                for g, lo in zip(tables, starts):
+                    powers[lo:lo + g.n, :g.powers.shape[1]] = g.powers
+                orders = np.concatenate([g.orders for g in tables])
+                first = {id(g): lo for g, lo in zip(tables, starts)}
+                digit = digit + per_row([first[id(leaf.group)] for leaf in leaves])
+            got = powers[digit, k % orders[digit]].astype(np.intp)
+        power = got if power is None else power + got * weight
+        weight = weight * size
+    return power
 
 
 def _generating_set(table: np.ndarray) -> list[int]:

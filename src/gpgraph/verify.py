@@ -155,8 +155,16 @@ def _group_invariants(batch: GroupBatch) -> list[dict]:
 
 # FactsTable reads its pending groups in one numpy pass once they hold this
 # many elements, and at the end of a fill or a lookup; so the pending
-# groups, not the catalog, size its memory.
-FACTS_BATCH_ROWS = 1 << 12
+# groups, not the catalog, size its memory. Each pass pays a fixed cost in
+# numpy calls, per pass and per leaf shape, and a larger pass a larger
+# working set, which the C allocator hands back to the system after each
+# pass once it outgrows the largest array freed so far. Filled in process
+# on a 2-vCPU host, N = 96 (21,121 elements) took the same at 1 << 12, 13
+# and 14 rows, and N = 1024 took 2.2-2.5 s at 1 << 12 or 13 against
+# 2.7-3.2 s at 1 << 14, which page-faulted about 200,000 times a fill. At
+# 1 << 13 the N = 96 fill is 3 passes, and N = 256's tracemalloc peak
+# (all four conventions) 5.0 MB, against 4.0 at 1 << 12.
+FACTS_BATCH_ROWS = 1 << 13
 
 
 class FactsTable:
@@ -172,11 +180,11 @@ class FactsTable:
     Groups wait in a batch, and one numpy pass over the batch's element
     orders (GroupBatch) makes every field of every record in it: the group
     invariants from the order histograms, the prime-subgroup incidence of
-    all the groups at once, each vertex set as a mask over the
-    concatenated orders, and the graph fields from the incidence rows of
-    every vertex set (_graph_facts), without GP(G); planarity too, from
-    the number of vertices holding each subgroup of prime order. A batch
-    keeps its groups until the flush.
+    all the groups at once (its powers read one pass per leaf shape), each
+    vertex set as a mask over the concatenated orders, and the graph fields
+    from the incidence rows of every vertex set (_graph_facts), without
+    GP(G); planarity too, from the number of vertices holding each subgroup
+    of prime order. A batch keeps its groups until the flush.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],

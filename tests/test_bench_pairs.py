@@ -19,9 +19,10 @@ def result(wall, failed=0):
             "metrics": {"wall_s": {"value": wall}, "ops_per_s": {"value": 40 / wall}}}
 
 
-def pairs(parent_walls, change_walls):
+def pairs(parent_walls, change_walls, cold=(30.0, 31.0)):
     return [{"seed": 60 + i, "first": "parent" if i % 2 == 0 else "change",
-             "parent": result(p), "change": result(c)}
+             "parent": result(p), "change": result(c),
+             "cold_peak_rss_mb": {"parent": cold[0] + i, "change": cold[1] + i}}
             for i, (p, c) in enumerate(zip(parent_walls, change_walls))]
 
 
@@ -56,3 +57,20 @@ def test_claim_needs_nine_in_ten_wins_and_a_gap_past_the_parent_iqr():
     summary = bench_pairs.summarize(pairs(parent, within_iqr), METRICS)
     claim = bench_pairs.judge_claim(summary, "wall_s", lower=True)
     assert claim["change_wins"] == 10 and not claim["met"]
+
+
+def test_summary_gives_the_cold_peaks_per_side_and_pair():
+    summary = bench_pairs.summarize(pairs([0.2] * 4, [0.1] * 4, cold=(30.0, 32.5)), METRICS)
+    cold = summary["cold_peak_rss_mb"]
+    assert cold["max_order"] == 96
+    assert cold["parent_runs"] == [30.0, 31.0, 32.0, 33.0]
+    assert cold["change_runs"] == [32.5, 33.5, 34.5, 35.5]
+    assert cold["parent"] == {"median": 31.5, "q1": 30.75, "q3": 32.25}
+    assert cold["change"]["median"] == 34.0
+
+
+def test_cold_peak_is_one_verify_process_of_the_tree():
+    # The working tree's own verify, at a small order to keep it quick: a
+    # python process with numpy loaded peaks at tens of MB.
+    peak = bench_pairs.cold_peak_rss_mb(SCRIPT.parent.parent, max_order=16)
+    assert 10 < peak < 500

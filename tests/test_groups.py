@@ -23,6 +23,7 @@ from gpgraph.groups import (
     OrderCapExceeded,
     CayleyTableError,
     FiniteGroup,
+    GroupBatch,
     _generating_set,
     _permutation_table,
     closure_from_permutations,
@@ -516,6 +517,48 @@ def _relabelled_file_group(tmp_path, spec: str) -> FiniteGroup:
     path = tmp_path / "relabelled.tbl"
     path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, r)) for r in relabelled) + "\n")
     return build(parse_spec(f"file:{path}"))
+
+
+class TestLeafPowers:
+    def test_a_mixed_batch_reads_every_leaf_shape(self, tmp_path):
+        # One batch holds every leaf shape, and several groups of one shape
+        # with other parameters: cyclic and inverting leaves of other sizes,
+        # table leaves of other tables (read through one stacked table).
+        # Each group's rows of the batch incidence must be its incidence
+        # alone and the walks' over its table, with -1 past its own
+        # columns; so must they when a cut splits the batch in two, at
+        # every place, which splits shape classes between two batches.
+        path = tmp_path / "dic3.tbl"
+        write_cayley_table(build(parse_spec("dicyclic:3")), path)
+        texts = ["cyclic:12", "cyclic:7", "abelian:1,6,1,2", "abelian:4,2", "abelian:1,1",
+                 "elemab:2,3", "elemab:3,2", "dihedral:5", "dihedral:6", "dicyclic:3", "dicyclic:4",
+                 "gq:8", "gq:16", "heisenberg:3", "symmetric:3", "symmetric:4", f"file:{path}",
+                 "product:(heisenberg:3)x(cyclic:2)", "product:(symmetric:3)x(cyclic:3)",
+                 "product:(cyclic:2)x(heisenberg:3)", "product:(abelian:2,2)x(symmetric:3)",
+                 "product:(symmetric:3)x(abelian:2,2)", f"product:(file:{path})x(dihedral:4)",
+                 f"product:(cyclic:3)x(file:{path})", "product:(symmetric:3)x(heisenberg:3)",
+                 "product:(product:(gq:8)x(cyclic:3))x(dihedral:5)",
+                 "product:(cyclic:2)x(product:(symmetric:3)x(dicyclic:2))",
+                 "product:(product:(dihedral:3)x(cyclic:2))x(product:(cyclic:3)x(dihedral:4))"]
+        groups = [build(parse_spec(t)) for t in texts]
+        shapes = {tuple(leaf.kind for leaf in g.leaves) for g in groups}
+        assert {("cyclic",), ("inverting",), ("table",), ("table", "cyclic"),
+                ("cyclic", "table")} <= shapes
+        expected = []
+        for text, g in zip(texts, groups):
+            alone = build(parse_spec(text)).prime_subgroup_incidence().tolist()
+            assert alone == oracle.prime_subgroup_incidence(g), text
+            expected.append(alone)
+        for cut in range(len(groups) + 1):
+            for part, want in ((groups[:cut], expected[:cut]), (groups[cut:], expected[cut:])):
+                if not part:
+                    continue
+                batch = GroupBatch(part)
+                inc = batch.prime_subgroup_incidence()
+                for g, rows, lo in zip(part, want, batch.starts.tolist()):
+                    width = len(rows[0])
+                    assert inc[lo:lo + g.n, :width].tolist() == rows, (cut, texts[groups.index(g)])
+                    assert (inc[lo:lo + g.n, width:] == -1).all()
 
 
 class TestPowerTable:
