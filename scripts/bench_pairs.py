@@ -22,7 +22,10 @@ inclusive quartiles, the number of pairs the change won, and every run, and
 the cold peaks the same way. A claim (workload:metric) is met when
 the change wins at least nine tenths of the pairs and the medians differ,
 in the better direction, by more than the distance between the parent's
-quartiles. Standard library only.
+quartiles. Each workload's `regressions` lists the end-to-end metrics that
+the change made worse by the mirror of that rule: worse in at least nine
+tenths of the pairs, with the medians apart in the worse direction by more
+than the parent's IQR. Standard library only.
 """
 
 from __future__ import annotations
@@ -119,34 +122,42 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         out["metrics"][name] = {
             "unit": metric["unit"],
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_better_in_pairs": wins,
+            "change_worse_in_pairs": losses,
             "median_change": round((c_med - p_med) / p_med, 4) if p_med else None,
             "parent_runs": [round(v, 4) for v in parent],
             "change_runs": [round(v, 4) for v in change],
         }
+    out["regressions"] = [m["name"] for m in metrics
+                          if judge_claim(out, m["name"], m["better"] == "lower", mirror=True)["met"]]
     return out
 
 
-def judge_claim(summary: dict, metric: str, lower: bool) -> dict:
-    """The claim rule: wins in at least CLAIM_WIN_SHARE of the pairs, and a
-    median gap in the better direction wider than the parent's IQR."""
+def judge_claim(summary: dict, metric: str, lower: bool, mirror: bool = False) -> dict:
+    """The claim rule: the change wins at least CLAIM_WIN_SHARE of the
+    pairs, and the medians differ in the better direction by more than the
+    parent's IQR. With mirror=True, the mirrored rule, which marks a
+    regression: the change loses that share of the pairs, and the medians
+    differ in the worse direction by more than the parent's IQR."""
     m = summary["metrics"][metric]
     gap = m["parent"]["median"] - m["change"]["median"]
-    if not lower:
+    if lower == mirror:
         gap = -gap
+    count = m["change_worse_in_pairs" if mirror else "change_better_in_pairs"]
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
     return {
         "metric": metric,
-        "change_wins": m["change_better_in_pairs"],
+        "change_losses" if mirror else "change_wins": count,
         "pairs": summary["pairs"],
         "median_difference": round(gap, 4),
         "parent_iqr": round(iqr, 4),
-        "met": m["change_better_in_pairs"] >= CLAIM_WIN_SHARE * summary["pairs"] and gap > iqr,
+        "met": count >= CLAIM_WIN_SHARE * summary["pairs"] and gap > iqr,
     }
 
 
@@ -223,6 +234,10 @@ def main(argv=None) -> int:
                     report["claim"] = {"workload": workload,
                                        **judge_claim(report["workloads"][workload], *claim[1:])}
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
+            regressions = report["workloads"][workload]["regressions"]
+            if regressions:
+                print(f"{workload}: the change is worse by the mirrored claim rule in "
+                      f"{', '.join(regressions)}", file=sys.stderr)
     return 0
 
 

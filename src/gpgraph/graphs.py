@@ -23,6 +23,14 @@ MAX_EDGE_LIST_VERTICES = 1 << 14
 INDUCED_BAND = 256
 
 
+def rows_from_packed(packed: np.ndarray) -> list[int]:
+    """Bitset rows from a 2-D uint8 array of rows packed little-endian
+    (np.packbits(..., axis=1, bitorder="little")): one int per row, read
+    from slices of one bytes copy."""
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width or 1)]
+
+
 class SimpleGraph:
     """Immutable simple graph; labels map vertices back to group elements.
 
@@ -70,7 +78,7 @@ class SimpleGraph:
         return self.rows[i].bit_count()
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (a, b) with a < b, sorted."""
@@ -101,6 +109,10 @@ class SimpleGraph:
         while unseen:
             start = (unseen & -unseen).bit_length() - 1
             comp = 1 << start
+            if not self.rows[start]:  # a lone vertex
+                unseen ^= comp
+                comps.append([start])
+                continue
             frontier = comp
             while frontier:
                 reach = 0
@@ -123,16 +135,22 @@ class SimpleGraph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "SimpleGraph":
         """Subgraph on the given vertices (sorted, repeats dropped), labels
-        inherited.
+        inherited. Raises IndexOutOfRange for a vertex outside range(v).
 
-        The selected rows are packed into bytes and unpacked INDUCED_BAND at
-        a time, cut to the selected columns and packed again, so working
-        memory is O(v * INDUCED_BAND) booleans.
+        A range of vertices lo .. hi, which a lone vertex, the whole graph
+        and many components are, keeps bits lo .. hi of each of its rows, a
+        shift and a mask. Otherwise the selected rows are packed into bytes
+        and unpacked INDUCED_BAND at a time, cut to the selected columns and
+        packed again, so working memory is O(v * INDUCED_BAND) booleans.
         """
         verts = sorted(set(vertices))
         for x in verts:
             if not 0 <= x < self.v:
                 raise IndexOutOfRange(x, self.v)
+        labels = [self.labels[x] for x in verts]
+        if not verts or verts[-1] - verts[0] == len(verts) - 1:  # a range lo .. hi
+            lo, width = verts[0] if verts else 0, (1 << len(verts)) - 1
+            return SimpleGraph([self.rows[x] >> lo & width for x in verts], labels)
         nbytes = (self.v + 7) // 8
         rows = []
         for lo in range(0, len(verts), INDUCED_BAND):
@@ -140,9 +158,8 @@ class SimpleGraph:
             band = np.frombuffer(b"".join(self.rows[x].to_bytes(nbytes, "little") for x in chunk),
                                  dtype=np.uint8).reshape(len(chunk), nbytes)
             bits = np.unpackbits(band, axis=1, count=self.v, bitorder="little")[:, verts]
-            rows.extend(int.from_bytes(r.tobytes(), "little")
-                        for r in np.packbits(bits, axis=1, bitorder="little"))
-        return SimpleGraph(rows, [self.labels[x] for x in verts])
+            rows.extend(rows_from_packed(np.packbits(bits, axis=1, bitorder="little")))
+        return SimpleGraph(rows, labels)
 
     def contains_k5_clique(self) -> Optional[list[int]]:
         """Some 5-clique as a sorted vertex list, or None.

@@ -7,6 +7,8 @@ relabelled). All heavy table arithmetic goes through numpy.
 
 from __future__ import annotations
 
+import math
+import operator
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -22,6 +24,11 @@ PERMUTATION_CLOSURE_CAP = 2048
 # Light's test compares this many rows of the table at a time, so its working
 # memory is O(n * ASSOCIATIVITY_BAND) entries.
 ASSOCIATIVITY_BAND = 256
+
+# cyclic_membership scatters the power table's rows this many entries at a
+# time, so its working memory beyond the result is O(MEMBERSHIP_BAND_CELLS)
+# indices.
+MEMBERSHIP_BAND_CELLS = 1 << 16
 
 # The only bytes a table body may hold for parse_cayley_table to read it in
 # one np.loadtxt call.
@@ -314,15 +321,78 @@ class FiniteGroup:
         return self._abelian
 
     def cyclic_subgroup(self, g: int) -> list[int]:
-        """<g> as a sorted list; its size equals order_of(g)."""
-        self._check_index(g)
-        return sorted(self.power_at(g, np.arange(self.orders[g])).tolist())
+        """<g> as a sorted list; its size equals order_of(g).
 
-    def cyclic_membership(self) -> np.ndarray:
-        """Boolean n x n matrix M with M[g, e] true iff e is in <g>."""
-        member = np.zeros((self.n, self.n), dtype=bool)
-        member[np.arange(self.n)[:, None], self.powers] = True
-        return member
+        Read off g's row of the power table when that table exists (a table
+        group's, or one that P(G) made). Otherwise read from g's digits in
+        the leaves by plain integer arithmetic, with no numpy call and no
+        power table: <g> is its one nonzero digit's cyclic subgroup in that
+        leaf, at the leaf's radix weight, or else the sums, term by term,
+        of its nonzero digits' power cycles, each repeated to order_of(g)
+        terms."""
+        self._check_index(g)
+        if self._powers is not None:
+            return sorted(self._powers[g, :self.orders[g]].tolist())
+        terms = first = None  # the powers so far, from the second nonzero digit on
+        weight = 1
+        for leaf in reversed(self.leaves):
+            g, digit = divmod(g, leaf.size)
+            if digit:
+                if first is None:
+                    first = (leaf, digit, weight)
+                else:
+                    if terms is None:
+                        terms = _leaf_cycle(*first)
+                    cycle = _leaf_cycle(leaf, digit, weight)
+                    if len(terms) % len(cycle):  # repeat terms to the lcm of the two lengths
+                        terms *= len(cycle) // math.gcd(len(terms), len(cycle))
+                    terms = list(map(operator.add, terms, cycle * (len(terms) // len(cycle))))
+            weight *= leaf.size
+        if terms is None:
+            return _leaf_subgroup(*first) if first else [0]
+        return sorted(terms)
+
+    def cyclic_membership(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Boolean matrix M with M[i, j] true iff elements[j] is in
+        <elements[i]>, for ascending distinct `elements`; by default all of
+        them, so M[g, e] iff e is in <g>.
+
+        Only the selected rows are made. The power table's rows are
+        scattered by ascending element order, MEMBERSHIP_BAND_CELLS entries
+        at a time, each band only up to its largest order (a row wraps after
+        its element's order). When `elements` is a range lo .. n-1, as every
+        vertex set but the strict ones of a cyclic group is, the columns are
+        the element indices and M is a view of the last n - lo of them.
+        Otherwise each power goes straight to its selected column, and a
+        power outside `elements` to one spare column, left off the result.
+        So M is made at its final size, with no n x n matrix to gather from.
+        """
+        n, powers, orders = self.n, self.powers, self.orders
+        rows = np.arange(n) if elements is None else np.asarray(elements, dtype=np.intp).reshape(-1)
+        k = len(rows)
+        first = n - k
+        if not k or rows[0] == first:  # ascending and distinct, so first .. n - 1
+            column, width = None, n
+        else:
+            column, width = np.full(n, k, dtype=np.intp), k + 1
+            column[rows] = np.arange(k)
+        member = np.zeros((k, width), dtype=bool)
+        flat = member.reshape(-1)
+        by_order = np.argsort(orders[rows], kind="stable")
+        sorted_orders = orders[rows[by_order]].tolist()
+        lo = 0
+        while lo < k:
+            # At most MEMBERSHIP_BAND_CELLS entries: as many rows as fit at
+            # the order of the row that many rows on, the band's widest.
+            reach = sorted_orders[min(k, lo + max(1, MEMBERSHIP_BAND_CELLS // sorted_orders[lo])) - 1]
+            hi = min(k, lo + max(1, MEMBERSHIP_BAND_CELLS // reach))
+            at = by_order[lo:hi]
+            got = powers[rows[at], :sorted_orders[hi - 1]]
+            got = got.astype(np.intp) if column is None else column[got]
+            got += (at * width)[:, None]
+            flat[got.ravel()] = True
+            lo = hi
+        return member[:, first:] if column is None else member[:, :k]
 
     def cyclic_subgroup_masks(self) -> list[int]:
         """Bitmask of <g> for every g; mask bit e set iff e is a power of g.
@@ -359,20 +429,26 @@ class FiniteGroup:
         return self._prime_incidence
 
     def subgroups_of_order_p(self, p: int) -> list[tuple[int, ...]]:
-        """All distinct subgroups of order p, as sorted element tuples.
+        """All distinct subgroups of order p, as sorted element tuples, in
+        ascending order.
 
-        Every one is <h> for some h of order p, so its id (its least
-        non-identity element, which generates it) appears in the incidence
-        column of p.
+        Every one is <h> for each of its p - 1 elements h of order p, and
+        two of them share only the identity. So walking the elements of
+        order p upwards, each h not yet seen is the least generator of a new
+        subgroup, read by one cyclic_subgroup call; the incidence is not
+        needed.
         """
         if not is_prime(p):
             raise NotPrime(p)
         if self.n % p:
             return []
-        column = sorted(prime_factors(self.n)).index(p)
-        ids = sorted(set(self.prime_subgroup_incidence()[:, column].tolist()) - {-1})
-        rows = self.power_at(np.array(ids, dtype=np.intp)[:, None], np.arange(p))
-        return sorted(tuple(sorted(row)) for row in rows.tolist())
+        subgroups, seen = [], set()
+        for h in np.flatnonzero(self.orders == p).tolist():
+            if h not in seen:
+                subgroup = self.cyclic_subgroup(h)
+                seen.update(subgroup)
+                subgroups.append(tuple(subgroup))
+        return subgroups
 
     def fingerprint(self) -> tuple[int, bytes, bool]:
         """(order, element-order histogram, abelian flag).
@@ -547,6 +623,35 @@ def _leaf_power(groups: Sequence[FiniteGroup], at: Optional[np.ndarray],
         power = got if power is None else power + got * weight
         weight = weight * size
     return power
+
+
+def _leaf_cycle(leaf: Leaf, digit: int, weight: int) -> list[int]:
+    """digit^k * weight for k = 0 .. order(digit) - 1, for a nonzero digit,
+    by the leaf's integer arithmetic (Leaf); the scalar twin of a
+    _leaf_power digit."""
+    kind, _, m, t, table = leaf
+    if kind != TABLE_LEAF and digit < m:  # Z_m, or the rotations of an inverting leaf
+        if m % digit == 0:  # then d k mod m is d k
+            return list(range(0, m * weight, digit * weight))
+        return [digit * k % m * weight for k in range(m // math.gcd(digit, m))]
+    if kind == INVERTING_LEAF:  # the reflection a^j b: the rotation t q, then a^(j + t q) b
+        return [p * weight for q in range(m // math.gcd(t, m))
+                for p in (t * q % m, (digit + t * q) % m + m)]
+    return [p * weight for p in table.powers[digit, :table.orders[digit]].tolist()]
+
+
+def _leaf_subgroup(leaf: Leaf, digit: int, weight: int) -> list[int]:
+    """sorted(_leaf_cycle(leaf, digit, weight)). In Z_m, <d> is the
+    multiples of gcd(d, m); a reflection a^j b generates the rotations by
+    multiples of s = gcd(t, m) and the reflections a^i b with i = j mod s."""
+    kind, _, m, t, _ = leaf
+    if kind != TABLE_LEAF and digit < m:
+        return list(range(0, m * weight, math.gcd(digit, m) * weight))
+    if kind == INVERTING_LEAF:
+        s = math.gcd(t, m)  # divides m, so digit = m + j is j mod s
+        return [*range(0, m * weight, s * weight),
+                *range((m + digit % s) * weight, 2 * m * weight, s * weight)]
+    return sorted(_leaf_cycle(leaf, digit, weight))
 
 
 def _generating_set(table: np.ndarray) -> list[int]:

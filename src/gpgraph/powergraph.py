@@ -16,8 +16,12 @@ import enum
 
 import numpy as np
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, rows_from_packed
 from .groups import FiniteGroup
+
+# power_graph ORs the membership matrix with its transpose in square blocks
+# of this side.
+PG_TILE = 256
 
 
 class VertexConvention(enum.Enum):
@@ -89,12 +93,24 @@ def generalized_power_graph(group: FiniteGroup, convention: VertexConvention) ->
 def power_graph(group: FiniteGroup, convention: VertexConvention) -> SimpleGraph:
     """P(G): x ~ y iff x is a power of y or y is a power of x.
 
-    With M the cyclic-subgroup membership matrix (M[x, y] iff y is in <x>),
-    the adjacency is M or its transpose, restricted to the vertex set.
+    With M the cyclic-subgroup membership matrix on the vertex set (M[i, j]
+    iff vertex j is in <vertex i>, FiniteGroup.cyclic_membership, which
+    scatters the power table straight to the vertex columns), the adjacency
+    is M or its transpose, without the diagonal. The OR runs one
+    PG_TILE x PG_TILE block at a time, so each block's transposed read stays
+    in cache, and each band of PG_TILE rows becomes bitset rows as soon as
+    it is done: beyond M and the result, working memory is one band.
     """
     verts = vertex_elements(group, convention)
-    sub = group.cyclic_membership()[np.ix_(verts, verts)]
-    adj = sub | sub.T
-    np.fill_diagonal(adj, 0)
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return SimpleGraph([int.from_bytes(r.tobytes(), "little") for r in rows], verts)
+    member = group.cyclic_membership(verts)
+    v, rows = len(verts), []
+    band = np.empty((min(v, PG_TILE), v), dtype=bool)
+    for lo in range(0, v, PG_TILE):
+        hi = min(lo + PG_TILE, v)
+        block = band[:hi - lo]
+        for c in range(0, v, PG_TILE):
+            np.bitwise_or(member[lo:hi, c:c + PG_TILE], member[c:c + PG_TILE, lo:hi].T,
+                          out=block[:, c:c + PG_TILE])
+        block[np.arange(hi - lo), np.arange(lo, hi)] = False  # x is in <x>: no loops
+        rows += rows_from_packed(np.packbits(block, axis=1, bitorder="little"))
+    return SimpleGraph(rows, verts)

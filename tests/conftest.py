@@ -6,7 +6,11 @@ import itertools
 import random
 from typing import Optional
 
+import numpy as np
+
+from gpgraph.catalog import build, parse_spec
 from gpgraph.graphs import SimpleGraph
+from gpgraph.groups import FiniteGroup
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -99,3 +103,17 @@ def partition_count(k: int) -> int:
         for total in range(part, k + 1):
             counts[total] += counts[total - part]
     return counts[k]
+
+
+def relabelled_file_group(tmp_path, spec: str, name: str = "relabelled.tbl") -> FiniteGroup:
+    """`spec` written as a `file:` table under a relabelling that moves the
+    identity off index 0, then loaded back: one table leaf."""
+    table = np.array(build(parse_spec(spec)).table)
+    perm = np.random.default_rng(7).permutation(len(table))
+    if perm[0] == 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    relabelled = np.empty_like(table)
+    relabelled[perm[:, None], perm[None, :]] = perm[table]
+    path = tmp_path / name
+    path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, r)) for r in relabelled) + "\n")
+    return build(parse_spec(f"file:{path}"))

@@ -74,3 +74,24 @@ def test_cold_peak_is_one_verify_process_of_the_tree():
     # python process with numpy loaded peaks at tens of MB.
     peak = bench_pairs.cold_peak_rss_mb(SCRIPT.parent.parent, max_order=16)
     assert 10 < peak < 500
+
+
+def test_regressions_mirror_the_claim_rule():
+    # A metric is listed when the change is worse in at least nine pairs in
+    # ten and its median is worse by more than the parent's IQR, in the
+    # metric's own direction: wall_s up is worse, ops_per_s down is worse.
+    parent = [0.20 + 0.001 * i for i in range(10)]
+    summary = bench_pairs.summarize(pairs(parent, [p + 0.03 for p in parent]), METRICS)
+    assert summary["regressions"] == ["wall_s", "ops_per_s"]
+    assert summary["metrics"]["wall_s"]["change_worse_in_pairs"] == 10
+    mirror = bench_pairs.judge_claim(summary, "wall_s", lower=True, mirror=True)
+    assert mirror["change_losses"] == 10 and mirror["median_difference"] == 0.03
+    # A gain is no regression, and neither are eight losses in ten or a
+    # loss in every pair by less than the IQR.
+    assert bench_pairs.summarize(pairs(parent, [p - 0.03 for p in parent]), METRICS)["regressions"] == []
+    eight_losses = [p + 0.03 for p in parent[:8]] + [p - 0.01 for p in parent[8:]]
+    assert bench_pairs.summarize(pairs(parent, eight_losses), METRICS)["regressions"] == []
+    within_iqr = [p + 0.002 for p in parent]
+    summary = bench_pairs.summarize(pairs(parent, within_iqr), METRICS)
+    assert summary["metrics"]["wall_s"]["change_worse_in_pairs"] == 10
+    assert summary["regressions"] == []

@@ -137,9 +137,19 @@ class TestQueries:
         empty = k5.induced_subgraph([])
         assert empty.v == 0
 
+    def test_induced_on_no_vertex_or_one(self):
+        # Returned without reading the adjacency, with the labels kept.
+        k3 = SimpleGraph(complete_graph(3).rows, [10, 11, 12])
+        for verts, labels in (([], []), ([1], [11]), ([2, 2, 2], [12]), ((0,), [10])):
+            sub = k3.induced_subgraph(verts)
+            assert (sub.v, sub.rows, sub.labels) == (len(labels), [0] * len(labels), labels)
+            assert sub.edge_count() == 0 and sub.is_complete()
+
     def test_induced_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            complete_graph(3).induced_subgraph([0, 9])
+        # The range check comes before the short path for one vertex.
+        for verts in ([0, 9], [9], [-1], [3], [1, -1]):
+            with pytest.raises(IndexOutOfRange):
+                complete_graph(3).induced_subgraph(verts)
 
     @given(st.one_of(random_graph_strategy(), sparse_graph_strategy()), st.data())
     @settings(max_examples=60, deadline=None)
@@ -162,7 +172,10 @@ class TestQueries:
     def test_induced_selects_several_bands(self):
         g = SimpleGraph.from_edges(
             600, [(a, b) for a in range(600) for b in (a * 7 % 600, (a * a + 3) % 600) if a != b])
-        for verts in (range(600), range(599, -1, -3), [5, 599, 5, 300, 8, 7]):
+        # Ranges lo .. hi take the shift-and-mask path, the rest the bands.
+        skip_one = [x for x in range(600) if x != 300]
+        for verts in (range(600), range(599, -1, -3), [5, 599, 5, 300, 8, 7], skip_one,
+                      range(100, 400), [301, 299, 300]):
             assert g.induced_subgraph(verts).rows == induced_rows(g, verts)
 
     def test_k5_clique_examples(self):

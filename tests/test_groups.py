@@ -37,6 +37,7 @@ from gpgraph.groups import (
     write_cayley_table,
 )
 import gpgraph.groups as groups_module
+from conftest import relabelled_file_group
 import kernel_oracles as oracle
 from kernel_oracles import permutation_closure, permutation_table
 
@@ -451,7 +452,7 @@ class TestInvariants:
         # generators before the doubling has covered it fails here.
         specs = [*catalog_up_to(256, False), parse_spec("heisenberg:5"), parse_spec("symmetric:5")]
         cases = itertools.chain(((spec, build(spec)) for spec in specs),
-                                [("file:", _relabelled_file_group(tmp_path, "symmetric:4"))])
+                                [("file:", relabelled_file_group(tmp_path, "symmetric:4"))])
         for spec, g in cases:
             assert g.prime_subgroup_incidence().tolist() == oracle.prime_subgroup_incidence(g), spec
 
@@ -505,20 +506,6 @@ class TestInvariants:
         assert len(set(results)) == 1
 
 
-def _relabelled_file_group(tmp_path, spec: str) -> FiniteGroup:
-    """`spec` written as a `file:` table under a relabelling that moves the
-    identity off index 0, then loaded back."""
-    table = np.array(build(parse_spec(spec)).table)
-    perm = np.random.default_rng(7).permutation(len(table))
-    if perm[0] == 0:
-        perm[[0, 1]] = perm[[1, 0]]
-    relabelled = np.empty_like(table)
-    relabelled[perm[:, None], perm[None, :]] = perm[table]
-    path = tmp_path / "relabelled.tbl"
-    path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, r)) for r in relabelled) + "\n")
-    return build(parse_spec(f"file:{path}"))
-
-
 class TestLeafPowers:
     def test_a_mixed_batch_reads_every_leaf_shape(self, tmp_path):
         # One batch holds every leaf shape, and several groups of one shape
@@ -564,7 +551,7 @@ class TestLeafPowers:
 class TestPowerTable:
     def test_powers_and_its_readers(self, tmp_path):
         groups = [build(s) for s in catalog_up_to(32)]
-        groups.append(_relabelled_file_group(tmp_path, "product:(dihedral:3)x(cyclic:4)"))
+        groups.append(relabelled_file_group(tmp_path, "product:(dihedral:3)x(cyclic:4)"))
         for g in groups:
             assert not g.table.flags.writeable
             powers = g.powers

@@ -1,13 +1,18 @@
 import itertools
+import sys
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
+from conftest import relabelled_file_group
 from gpgraph.catalog import build, catalog_up_to, parse_spec
 from gpgraph.graphs import SimpleGraph
+from gpgraph.groups import MEMBERSHIP_BAND_CELLS, TABLE_LEAF
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import (
+    PG_TILE,
     VertexConvention,
     generalized_power_graph,
     power_graph,
@@ -178,6 +183,74 @@ class TestPowerGraph:
             gp = generalized_power_graph(group, PUNCTURED)
             for i, j in pg.edges():
                 assert gp.has_edge(i, j)
+
+
+def assert_power_graph_is_pairwise(group, convention):
+    """power_graph against the definition, pair by pair, with <x> walked
+    over the Cayley table."""
+    subgroups = [set(cyc) for cyc in oracle.cyclic_subgroups(group)]
+    verts = vertex_elements(group, convention)
+    rows = [0] * len(verts)
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        x, y = verts[i], verts[j]
+        if y in subgroups[x] or x in subgroups[y]:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    pg = power_graph(group, convention)
+    assert pg.labels == verts, convention
+    assert pg.rows == rows, convention
+
+
+class TestPowerGraphPaths:
+    # The membership matrix is made at the vertex set's size: over the
+    # element columns, a view of the last ones, when the vertex set is a
+    # range lo .. n-1; through a column map otherwise, which only the strict
+    # conventions of a cyclic group need. Groups past PG_TILE vertices take
+    # several tiles of the OR, and several scatter bands.
+    def test_relabelled_tables_under_every_convention(self, tmp_path):
+        for i, spec in enumerate(("symmetric:4", "dicyclic:5", "cyclic:12", "heisenberg:3",
+                                  "product:(dihedral:3)x(cyclic:4)")):
+            group = relabelled_file_group(tmp_path, spec, f"relabelled-{i}.tbl")
+            assert [leaf.kind for leaf in group.leaves] == [TABLE_LEAF], spec
+            for convention in VertexConvention:
+                assert_power_graph_is_pairwise(group, convention)
+
+    def test_cyclic_strict_conventions_read_a_column_map(self):
+        for n in (1, 2, 7, 12, 30, 64, 360):
+            group = build(parse_spec(f"cyclic:{n}"))
+            for convention in (STRICT, STRICT_ID):
+                verts = vertex_elements(group, convention)
+                if n in (12, 30, 64, 360):  # not a range lo .. n-1
+                    assert verts != list(range(verts[0], n)), (n, convention)
+                assert_power_graph_is_pairwise(group, convention)
+
+    def test_several_tiles_and_bands(self):
+        assert 2 * PG_TILE < 600 and MEMBERSHIP_BAND_CELLS // 600 < 600
+        for spec in ("dihedral:300", "cyclic:600"):
+            group = build(parse_spec(spec))
+            for convention in (PUNCTURED, STRICT):
+                assert_power_graph_is_pairwise(group, convention)
+
+    def test_peak_is_one_membership_matrix_and_the_result(self):
+        # Beyond one n x n boolean matrix and the result, power_graph holds
+        # one band of tiles and one scatter band (with slack for their
+        # packed rows and indices), so a second n x n copy, such as a gather
+        # of the vertex rows out of the whole M or M | M.T made whole, does
+        # not fit.
+        for spec, convention in (("dihedral:1024", FULL), ("gq:2048", PUNCTURED),
+                                 ("cyclic:2048", STRICT)):
+            group = build(parse_spec(spec))
+            group.powers  # made outside the traced call
+            tracemalloc.start()
+            try:
+                pg = power_graph(group, convention)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            n = group.n
+            result = sum(map(sys.getsizeof, pg.rows)) + sys.getsizeof(pg.rows)
+            assert peak <= n * n + result + 2 * (n * PG_TILE + 8 * MEMBERSHIP_BAND_CELLS), \
+                (spec, peak / (n * n + result))
 
 
 class TestPGroupStructure:
