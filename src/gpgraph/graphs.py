@@ -109,10 +109,6 @@ class SimpleGraph:
         while unseen:
             start = (unseen & -unseen).bit_length() - 1
             comp = 1 << start
-            if not self.rows[start]:  # a lone vertex
-                unseen ^= comp
-                comps.append([start])
-                continue
             frontier = comp
             while frontier:
                 reach = 0

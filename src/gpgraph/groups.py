@@ -354,28 +354,30 @@ class FiniteGroup:
 
     def cyclic_membership(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
         """Boolean matrix M with M[i, j] true iff elements[j] is in
-        <elements[i]>, for ascending distinct `elements`; by default all of
-        them, so M[g, e] iff e is in <g>.
+        <elements[i]>, for strictly ascending `elements` in range(n); by
+        default all of them, so M[g, e] iff e is in <g>. Raises
+        IndexOutOfRange for an element outside range(n) and ValueError if
+        `elements` is not strictly ascending.
 
-        Only the selected rows are made. The power table's rows are
-        scattered by ascending element order, MEMBERSHIP_BAND_CELLS entries
-        at a time, each band only up to its largest order (a row wraps after
-        its element's order). When `elements` is a range lo .. n-1, as every
-        vertex set but the strict ones of a cyclic group is, the columns are
-        the element indices and M is a view of the last n - lo of them.
-        Otherwise each power goes straight to its selected column, and a
-        power outside `elements` to one spare column, left off the result.
-        So M is made at its final size, with no n x n matrix to gather from.
+        Only the selected rows are made, at their final size, with no n x n
+        matrix to gather from: each power goes through a column map to its
+        selected column, and a power outside `elements` to one spare
+        column, left off the result. The power table's rows are scattered
+        by ascending element order, MEMBERSHIP_BAND_CELLS entries at a time,
+        each band only up to its largest order (a row wraps after its
+        element's order).
         """
         n, powers, orders = self.n, self.powers, self.orders
         rows = np.arange(n) if elements is None else np.asarray(elements, dtype=np.intp).reshape(-1)
         k = len(rows)
-        first = n - k
-        if not k or rows[0] == first:  # ascending and distinct, so first .. n - 1
-            column, width = None, n
-        else:
-            column, width = np.full(n, k, dtype=np.intp), k + 1
-            column[rows] = np.arange(k)
+        if k:
+            bad = rows[(rows < 0) | (rows >= n)]
+            if len(bad):
+                raise IndexOutOfRange(int(bad[0]), n)
+            if (np.diff(rows) <= 0).any():
+                raise ValueError("cyclic_membership needs strictly ascending elements")
+        column, width = np.full(n, k, dtype=np.intp), k + 1
+        column[rows] = np.arange(k)
         member = np.zeros((k, width), dtype=bool)
         flat = member.reshape(-1)
         by_order = np.argsort(orders[rows], kind="stable")
@@ -387,12 +389,11 @@ class FiniteGroup:
             reach = sorted_orders[min(k, lo + max(1, MEMBERSHIP_BAND_CELLS // sorted_orders[lo])) - 1]
             hi = min(k, lo + max(1, MEMBERSHIP_BAND_CELLS // reach))
             at = by_order[lo:hi]
-            got = powers[rows[at], :sorted_orders[hi - 1]]
-            got = got.astype(np.intp) if column is None else column[got]
+            got = column[powers[rows[at], :sorted_orders[hi - 1]]]
             got += (at * width)[:, None]
             flat[got.ravel()] = True
             lo = hi
-        return member[:, first:] if column is None else member[:, :k]
+        return member[:, :k]
 
     def cyclic_subgroup_masks(self) -> list[int]:
         """Bitmask of <g> for every g; mask bit e set iff e is a power of g.
@@ -433,22 +434,22 @@ class FiniteGroup:
         ascending order.
 
         Every one is <h> for each of its p - 1 elements h of order p, and
-        two of them share only the identity. So walking the elements of
-        order p upwards, each h not yet seen is the least generator of a new
-        subgroup, read by one cyclic_subgroup call; the incidence is not
-        needed.
+        each of those has the subgroup's id (its least non-identity element)
+        in the incidence column of p. So the elements of order p, grouped by
+        that id, are the subgroups without their identity, and no power is
+        read.
         """
         if not is_prime(p):
             raise NotPrime(p)
         if self.n % p:
             return []
-        subgroups, seen = [], set()
-        for h in np.flatnonzero(self.orders == p).tolist():
-            if h not in seen:
-                subgroup = self.cyclic_subgroup(h)
-                seen.update(subgroup)
-                subgroups.append(tuple(subgroup))
-        return subgroups
+        column = sorted(prime_factors(self.n)).index(p)
+        hs = np.flatnonzero(self.orders == p)
+        ids = self.prime_subgroup_incidence()[hs, column]
+        # A stable sort keeps each subgroup's elements ascending, so its
+        # first is its id, and the ids ascend.
+        members = hs[np.argsort(ids, kind="stable")].reshape(-1, p - 1)
+        return [(0, *row) for row in members.tolist()]
 
     def fingerprint(self) -> tuple[int, bytes, bool]:
         """(order, element-order histogram, abelian flag).

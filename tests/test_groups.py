@@ -575,6 +575,25 @@ class TestPowerTable:
             for p in prime_factors(g.n):
                 assert g.subgroups_of_order_p(p) == oracle.subgroups_of_order_p(walks, p)
 
+    def test_cyclic_membership_on_a_selection(self):
+        # M on a selection is the whole M's rows and columns at it, whether
+        # the selection is a range lo .. n-1 or not; an element outside
+        # range(n) raises IndexOutOfRange and an unsorted or repeated one
+        # ValueError, never a wrong matrix.
+        g = build(parse_spec("dihedral:6"))
+        full = g.cyclic_membership()
+        walks = oracle.cyclic_subgroups(g)
+        assert full.tolist() == [[e in walk for e in range(g.n)] for walk in walks]
+        for sel in ([], [0], [11], [3, 4, 5], list(range(5, 12)), [1, 7, 11], [0, 2, 3, 11]):
+            at = np.array(sel, dtype=np.intp)
+            assert np.array_equal(g.cyclic_membership(sel), full[np.ix_(at, at)]), sel
+        for bad in ([12], [-1], [0, 12], [3, -2]):
+            with pytest.raises(IndexOutOfRange):
+                g.cyclic_membership(bad)
+        for unsorted in ([2, 0], [1, 1], [5, 3, 4], [10, 11, 0]):
+            with pytest.raises(ValueError):
+                g.cyclic_membership(unsorted)
+
     def test_readers_match_the_walks_on_the_catalog(self):
         for spec in catalog_up_to(256, False):
             g = build(spec)

@@ -202,10 +202,9 @@ def assert_power_graph_is_pairwise(group, convention):
 
 
 class TestPowerGraphPaths:
-    # The membership matrix is made at the vertex set's size: over the
-    # element columns, a view of the last ones, when the vertex set is a
-    # range lo .. n-1; through a column map otherwise, which only the strict
-    # conventions of a cyclic group need. Groups past PG_TILE vertices take
+    # The membership matrix is made at the vertex set's size through a
+    # column map, on a range lo .. n-1 and on the strict vertex sets of a
+    # cyclic group, which are no range. Groups past PG_TILE vertices take
     # several tiles of the OR, and several scatter bands.
     def test_relabelled_tables_under_every_convention(self, tmp_path):
         for i, spec in enumerate(("symmetric:4", "dicyclic:5", "cyclic:12", "heisenberg:3",
