@@ -7,6 +7,7 @@ probes over unions of cliques) are word-parallel this way.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,18 @@ MAX_EDGE_LIST_VERTICES = 1 << 14
 # induced_subgraph unpacks this many selected rows at a time, so its working
 # memory is O(v * INDUCED_BAND) booleans.
 INDUCED_BAND = 256
+
+
+def _members(r: int) -> list[int]:
+    """The set bits of r in ascending order. They are taken from the top, so
+    r shrinks as it goes and no operand is negated, then reversed."""
+    out = []
+    while r:
+        j = r.bit_length() - 1
+        out.append(j)
+        r ^= 1 << j
+    out.reverse()
+    return out
 
 
 def rows_from_packed(packed: np.ndarray) -> list[int]:
@@ -51,15 +64,20 @@ class SimpleGraph:
     @classmethod
     def from_edges(cls, v: int, edges: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[int]] = None) -> "SimpleGraph":
-        """The graph on range(v) with the given edges. Raises IndexOutOfRange
-        for an endpoint outside range(v) and ValueError for a negative v, a
-        self-loop or a label count other than v."""
+        """The graph on range(v) with the given edges. Endpoints may be any
+        integers, numpy's included; each is read with operator.index, so a
+        float raises TypeError. Raises IndexOutOfRange for an endpoint outside
+        range(v) and ValueError for a negative v, a self-loop or a label
+        count other than v."""
         if v < 0:
             raise ValueError(f"vertex count {v} is negative")
         if labels is not None and len(labels) != v:
             raise ValueError(f"expected {v} labels, got {len(labels)}")
         rows = [0] * v
         for a, b in edges:
+            # A numpy int64 endpoint would make 1 << b an int64 and lose
+            # every bit above 63, so rows are built from Python ints only.
+            a, b = operator.index(a), operator.index(b)
             if not (0 <= a < v and 0 <= b < v):
                 raise IndexOutOfRange(max(a, b), v)
             if a == b:
@@ -85,15 +103,8 @@ class SimpleGraph:
         return [(a, b) for a, nbrs in enumerate(self.adjacency_lists()) for b in nbrs if b > a]
 
     def adjacency_lists(self) -> list[list[int]]:
-        out = []
-        for r in self.rows:
-            nbrs = []
-            while r:
-                j = (r & -r).bit_length() - 1
-                nbrs.append(j)
-                r &= r - 1
-            out.append(nbrs)
-        return out
+        """The neighbours of each vertex in ascending order."""
+        return [_members(r) for r in self.rows]
 
     def is_complete(self) -> bool:
         """True iff every pair of distinct vertices is adjacent (v <= 1: True)."""
@@ -107,26 +118,20 @@ class SimpleGraph:
         unseen = (1 << self.v) - 1
         comps = []
         while unseen:
-            start = (unseen & -unseen).bit_length() - 1
+            start = (unseen ^ (unseen - 1)).bit_length() - 1  # the lowest unseen vertex
             comp = 1 << start
             frontier = comp
             while frontier:
                 reach = 0
                 f = frontier
                 while f:
-                    i = (f & -f).bit_length() - 1
+                    i = f.bit_length() - 1
                     reach |= self.rows[i]
-                    f &= f - 1
-                frontier = reach & ~comp
+                    f ^= 1 << i
+                frontier = (reach | comp) ^ comp
                 comp |= frontier
-            unseen &= ~comp
-            members = []
-            c = comp
-            while c:
-                i = (c & -c).bit_length() - 1
-                members.append(i)
-                c &= c - 1
-            comps.append(members)
+            unseen ^= comp  # comp is a subset of unseen
+            comps.append(_members(comp))
         return comps
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "SimpleGraph":
@@ -174,8 +179,9 @@ class SimpleGraph:
             if cand.bit_count() < need:
                 return None
             while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
+                rest = cand - 1
+                u = (cand ^ rest).bit_length() - 1  # the lowest candidate
+                cand &= rest
                 found = extend(chosen + [u], cand & self.rows[u], need - 1)
                 if found is not None:
                     return found

@@ -9,6 +9,10 @@ The test suite cross-checks it against an independent quadratic oracle
 
 It reads the bitset rows (SimpleGraph.rows), with no adjacency lists;
 is_planar counts edges once, for the Euler bound and the per-edge lists.
+Every bit is taken from the top of a mask (bit_length() - 1) and cleared
+with ^, so no row is negated: -b and ~b copy a whole row into two's
+complement. The DFS is therefore the lowest-first DFS of the mirrored
+labels i -> n - 1 - i, and the verdict does not depend on the order.
 
 The test's state is flat lists of ints. Orientation numbers each oriented
 edge as it creates it (an edge id): dst[e] is its head, and src[e] the tail
@@ -110,17 +114,20 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
     """Left-right verdict for the graph with these bitset rows and `size` edges.
 
     Each connected component is oriented and tested from its own DFS root,
-    its lowest vertex id. Edges of different components never meet, so all
-    roots share the per-edge lists, and a component that passes leaves the
+    its highest vertex id, the components in descending order of their
+    roots. Edges of different components never meet, so all roots share
+    the per-edge lists, and a component that passes leaves the
     conflict-pair stack empty.
 
     Orientation is one DFS over the bitsets, with no adjacency lists. The
-    next tree child of x is the lowest bit of rows[x] & unvisited. The back
-    edges of y are made when y is discovered: in an undirected DFS every
-    neighbour visited before y, but its parent, is an ancestor of y. A
-    vertex's height is its depth on the DFS stack. When x finishes, each of
-    its out-edges has its lowpoints, so they fold into x's parent edge and
-    x's out-edges are sorted by nesting depth there.
+    next tree child of x is the highest bit of rows[x] & unvisited. The back
+    edges of y are made when y is discovered, highest endpoint first, from
+    rows[y] & visited: in an undirected DFS every neighbour visited before
+    y, but its parent, is an ancestor of y. visited is kept beside
+    unvisited, its complement, so neither mask is negated. A vertex's
+    height is its depth on the DFS stack. When x finishes, each of its
+    out-edges has its lowpoints, so they fold into x's parent edge and x's
+    out-edges are sorted by nesting depth there.
     """
     n = len(rows)
     height = [-1] * n
@@ -140,12 +147,14 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
     S: list[list[int]] = []  # conflict pairs [left.low, left.high, right.low, right.high]
     by_nesting = nesting.__getitem__
     unvisited = (1 << n) - 1
+    visited = 0  # the complement of unvisited, kept so no mask is negated
     e = 0  # the next edge id
 
     while unvisited:
-        bit = unvisited & -unvisited
+        root = unvisited.bit_length() - 1
+        bit = 1 << root
         unvisited ^= bit
-        root = bit.bit_length() - 1
+        visited ^= bit
         if not rows[root]:
             continue  # an isolated vertex
 
@@ -157,9 +166,10 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
             x = stack[-1]
             children = rows[x] & unvisited
             if children:
-                bit = children & -children
+                y = children.bit_length() - 1
+                bit = 1 << y
                 unvisited ^= bit
-                y = bit.bit_length() - 1
+                visited ^= bit
                 hy = len(stack)
                 height[y] = hy
                 src[e] = x
@@ -168,12 +178,11 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                 parent_edge[y] = e
                 e += 1
                 stack.append(y)
-                back = rows[y] & ~unvisited ^ (1 << x)  # visited neighbours but x
+                back = rows[y] & visited ^ (1 << x)  # visited neighbours but x
                 out_y = out[y]
                 while back:
-                    bit = back & -back
-                    back ^= bit
-                    w = bit.bit_length() - 1
+                    w = back.bit_length() - 1
+                    back ^= 1 << w
                     lp = height[w]
                     dst[e] = w
                     lowpt[e] = lp

@@ -156,17 +156,25 @@ def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.kron(t1.astype(dt), ones) * n2 + np.tile(t2.astype(dt), (n1, n1))
 
 
-def _walk(rows: list[list[int]], g: int) -> list[int]:
-    """<g> as a sorted list, by multiplying by g until the identity (element
-    0) comes back."""
-    elems = [0]
+def _powers(rows: list[list[int]], g: int) -> list[int]:
+    """g^0 .. g^(m-1) for m the order of g, by multiplying by g until the
+    identity (element 0) comes back. ValueError when it has not come back
+    after n - 1 steps, n the order of the table."""
+    powers = [0]
     cur = g
-    while cur != 0:
-        if len(elems) == len(rows):
-            raise ValueError(f"the powers of {g} never reach the identity")
-        elems.append(cur)
+    for _ in range(len(rows) - 1):
+        if cur == 0:
+            break
+        powers.append(cur)
         cur = rows[cur][g]
-    return sorted(elems)
+    if cur != 0:
+        raise ValueError(f"the powers of {g} never reach the identity")
+    return powers
+
+
+def _walk(rows: list[list[int]], g: int) -> list[int]:
+    """<g> as a sorted list, from its walked powers."""
+    return sorted(_powers(rows, g))
 
 
 def prime_subgroup_incidence(group: FiniteGroup) -> list[list[int]]:
@@ -180,13 +188,7 @@ def prime_subgroup_incidence(group: FiniteGroup) -> list[list[int]]:
     primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
     incidence = []
     for x in range(n):
-        powers = [0]
-        cur = x
-        while cur != 0:
-            if len(powers) == n:
-                raise ValueError(f"the powers of {x} never reach the identity")
-            powers.append(cur)
-            cur = rows[cur][x]
+        powers = _powers(rows, x)
         m = len(powers)
         incidence.append([min(powers[m // p::m // p]) if m % p == 0 else -1 for p in primes])
     return incidence

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from kernel_oracles import components_complete, induced_rows
 from gpgraph.catalog import build, catalog_up_to
 from gpgraph.graphs import MAX_EDGE_LIST_VERTICES, SimpleGraph, from_edge_list
 from gpgraph.groups import IndexOutOfRange
+from gpgraph.planarity import is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph
 
 
@@ -64,6 +66,22 @@ class TestConstruction:
     def test_label_length(self):
         with pytest.raises(ValueError, match="expected 2 labels"):
             SimpleGraph.from_edges(2, [], labels=[7])
+
+    def test_numpy_endpoints_past_one_word(self):
+        # Rows of an (m, 2) int64 array: with an int64 endpoint b, 1 << b is
+        # an int64 too, and every edge to a vertex from 64 on would vanish
+        # from one of its rows.
+        pairs = np.array([(0, 70), (3, 64), (63, 99), (64, 65), (5, 6)], dtype=np.int64)
+        g = SimpleGraph.from_edges(100, pairs)
+        assert all(type(r) is int for r in g.rows)
+        assert g.rows[0] == 1 << 70 and g.rows[70] == 1
+        assert g.edges() == sorted(map(tuple, pairs.tolist()))
+        assert g.edge_count() == 5 and is_planar(g).planar
+
+    def test_rejects_float_endpoints(self):
+        for edge in ((0, 1.0), (np.float64(2), 1)):
+            with pytest.raises(TypeError):
+                SimpleGraph.from_edges(3, [edge])
 
 
 class TestQueries:
@@ -182,19 +200,32 @@ class TestQueries:
         assert complete_graph(5).contains_k5_clique() == [0, 1, 2, 3, 4]
         assert complete_graph(4).contains_k5_clique() is None
 
+    @staticmethod
+    def first_k5_clique(g):
+        """Oracle: the first 5-clique of an exhaustive scan over all 5-subsets
+        in lexicographic order. The search takes candidates in ascending
+        order, so its witness is this one."""
+        return next((list(combo) for combo in itertools.combinations(range(g.v), 5)
+                     if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2))),
+                    None)
+
     @given(random_graph_strategy(max_v=10))
     @settings(max_examples=60, deadline=None)
     def test_k5_clique_matches_brute_force(self, g):
-        # Oracle: exhaustive scan over all 5-subsets.
-        brute = any(
-            all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2))
-            for combo in itertools.combinations(range(g.v), 5)
-        )
-        found = g.contains_k5_clique()
-        assert (found is not None) == brute
-        if found is not None:
-            assert len(found) == 5
-            assert g.induced_subgraph(found).is_complete()
+        assert g.contains_k5_clique() == self.first_k5_clique(g)
+
+    def test_k5_witness_on_dense_graphs(self):
+        # Dense enough that most graphs hold several 5-cliques.
+        rng = random.Random(55)
+        found = 0
+        for _ in range(40):
+            v = rng.randint(7, 12)
+            g = SimpleGraph.from_edges(
+                v, [e for e in itertools.combinations(range(v), 2) if rng.random() < 0.75])
+            witness = g.contains_k5_clique()
+            assert witness == self.first_k5_clique(g)
+            found += witness is not None
+        assert found > 20
 
 
 class TestTextFormats:

@@ -652,3 +652,7 @@ class TestPowerTable:
             for read in readers:
                 with pytest.raises(CayleyTableError):
                     read(FiniteGroup(np.array(table, dtype=np.int16)))
+            # The oracle's walks refuse too, rather than loop or agree.
+            for walk in (oracle.cyclic_subgroups, oracle.prime_subgroup_incidence):
+                with pytest.raises(ValueError, match="never reach the identity"):
+                    walk(FiniteGroup(np.array(table, dtype=np.int16)))

@@ -40,10 +40,11 @@ NAMED = [
     ("W6", wheel_graph(6), True),
     ("W7", wheel_graph(7), True),
     ("W8", wheel_graph(8), True),
-    # K3,3 on {0, 2, 3} x {1, 4, 5} plus the chord 4-5: its DFS merges an
-    # earlier sibling's left interval, which needs the ref[pll] = qh link.
-    ("K33+chord", SimpleGraph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4),
-                                             (2, 5), (3, 4), (3, 5), (4, 5)]), False),
+    # K3,3 on {2, 3, 5} x {0, 1, 4} plus the chord 0-1: its DFS, which takes
+    # the highest vertex first, merges an earlier sibling's left interval,
+    # which needs the ref[pll] = qh link.
+    ("K33+chord", SimpleGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3),
+                                             (1, 5), (2, 4), (3, 4), (4, 5)]), False),
 ]
 
 
@@ -188,13 +189,14 @@ class TestTriangulationCorpus:
             assert not is_planar_oracle(g), n
 
     def test_disjoint_union_agrees_with_oracle(self):
-        # One left-right pass tests every piece from its own root; isolated
-        # vertices sit between the pieces. In the second union the planted
-        # piece has the highest ids, so it is tested after all the others.
+        # One left-right pass tests every piece from its own root, the
+        # highest piece first; isolated vertices sit between the pieces. In
+        # the second union the planted piece has the lowest ids, so it is
+        # tested after all the others.
         isolated = SimpleGraph.from_edges(3, [])
-        pieces = [stacked_triangulation(n, 300 + n) for n in (40, 55, 70, 85)]
-        planar = disjoint_union(*(p for piece in pieces for p in (piece, isolated)))
-        planted = disjoint_union(*pieces, stacked_triangulation(60, 399, plant="k33"))
+        pieces = [stacked_triangulation(n, 300 + n) for n in (85, 70, 55, 40)]
+        planar = disjoint_union(*(p for piece in pieces for p in (isolated, piece)))
+        planted = disjoint_union(stacked_triangulation(60, 399, plant="k33"), *pieces)
         for graph, expected in ((planar, True), (planted, False)):
             assert is_planar(graph) == PlanarityVerdict(expected, METHOD_LEFT_RIGHT)
             assert is_planar_oracle(graph) == expected
@@ -213,8 +215,8 @@ class TestTriangulationCorpus:
 
 
 class TestBitsetOrientation:
-    """The orientation walks the bitset rows: a tree child is the lowest bit
-    of rows[x] & unvisited, and a vertex's back edges are its visited
+    """The orientation walks the bitset rows: a tree child is the highest
+    bit of rows[x] & unvisited, and a vertex's back edges are its visited
     neighbours. These inputs put that reading at word boundaries, across
     the roots of a union, and on a graph without adjacency lists."""
 
@@ -263,6 +265,35 @@ class TestBitsetOrientation:
             assert is_planar(g) == PlanarityVerdict(planar, METHOD_LEFT_RIGHT)
 
 
+def relabelled(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
+    """g with vertex x renamed perm[x]."""
+    return SimpleGraph.from_edges(g.v, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+RELABEL_CORPUS = NAMED + [
+    (f"triangulation{n}+{plant}", stacked_triangulation(n, 600 + n, plant=plant), plant is None)
+    for n in (40, 80, 120) for plant in (None, "k5", "k33")
+]
+
+
+class TestRelabelling:
+    """A verdict does not depend on the vertex labels, though the DFS does:
+    it takes the highest id first, so on the mirror i -> v - 1 - i it makes
+    the choices a lowest-first DFS makes on the graph itself."""
+
+    @pytest.mark.parametrize("index", range(len(RELABEL_CORPUS)),
+                             ids=[name for name, _, _ in RELABEL_CORPUS])
+    def test_mirror_and_random_relabellings(self, index):
+        name, graph, expected = RELABEL_CORPUS[index]
+        verdict = is_planar(graph)
+        assert verdict.planar == expected
+        rng = random.Random(4000 + index)
+        perms = [list(range(graph.v - 1, -1, -1))]
+        perms += [rng.sample(range(graph.v), graph.v) for _ in range(3)]
+        for perm in perms:
+            assert is_planar(relabelled(graph, perm)) == verdict, (name, perm)
+
+
 class TestClosureProperties:
     def test_induced_subgraphs_of_planar_stay_planar(self):
         rng = random.Random(99)
@@ -274,10 +305,11 @@ class TestClosureProperties:
             assert is_planar(g.induced_subgraph(verts)).planar
 
     def test_disjoint_union(self):
-        # Every input has several DFS roots. The one-vertex sum glues g2's
-        # vertex 0 onto vertex c of g1. The last input's only non-planar
-        # component has the highest ids, so it is the last root tested,
-        # after a grid whose test fills the conflict-pair stack.
+        # Every input has several DFS roots, taken from the highest id down.
+        # The one-vertex sum glues g2's vertex 0 onto vertex c of g1. The
+        # last input's only non-planar component has the lowest ids, so it
+        # is the last root tested, after a grid whose test fills the
+        # conflict-pair stack.
         rng = random.Random(172)
         non_planar = [complete_graph(5), complete_bipartite(3, 3), petersen_graph()]
         for i in range(40):
@@ -292,8 +324,8 @@ class TestClosureProperties:
             one_vertex_sum = SimpleGraph.from_edges(
                 g1.v + g2.v - 1, g1.edges() + [(glue[a], glue[b]) for a, b in g2.edges()]
             )
-            parts = [g for g in (g1, g2) if is_planar(g).planar]
-            parts += [grid_graph(3, 3), non_planar[i % 3]]
+            parts = [non_planar[i % 3], grid_graph(3, 3)]
+            parts += [g for g in (g2, g1) if is_planar(g).planar]
             edges, offset = [], 0
             for part in parts:
                 edges += [(a + offset, b + offset) for a, b in part.edges()]
