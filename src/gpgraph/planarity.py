@@ -16,11 +16,16 @@ labels i -> n - 1 - i, and the verdict does not depend on the order.
 
 The test's state is flat lists of ints. Orientation numbers each oriented
 edge as it creates it (an edge id): dst[e] is its head, and src[e] the tail
-of a tree edge. lowpt, lowpt2, nesting, ref and stack_bottom are indexed by
-edge id; parent_edge (an edge id) and the out-edge list are kept per vertex.
-A conflict pair is a 4-slot list [left.low, left.high, right.low,
-right.high]. -1 means "none": no parent edge at a DFS root, the end of a ref
-chain, an empty slot of an interval.
+of a tree edge. lowpt, lowpt2, nesting and ref are indexed by edge id, and
+so is stack_bottom, the height of the conflict-pair stack when a tree edge is
+scanned, written for tree edges only; parent_edge (an edge id) and the
+out-edge list are kept per vertex. A conflict pair is a 4-slot list
+[left.low, left.high, right.low, right.high]. -1 means "none": no parent
+edge at a DFS root, the end of a ref chain, an empty slot of an interval.
+Only a back edge that is its tail's first out-edge pushes a pair of its
+own. A later one is integrated where it is scanned: it seeds the right
+interval of the new pair and goes through the same conflict merge as a
+tree edge.
 """
 
 from __future__ import annotations
@@ -128,6 +133,14 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
     height is its depth on the DFS stack. When x finishes, each of its
     out-edges has its lowpoints, so they fold into x's parent edge and x's
     out-edges are sorted by nesting depth there.
+
+    Testing walks the out-edges in that order. A tree edge records the
+    stack height as its bottom, is descended, and is integrated on return:
+    the pairs above its bottom merge into the right interval of a new pair
+    P. A back edge after x's first out-edge is integrated at once, with P's
+    right interval [ei, ei], or empty when it aligns with x's parent edge.
+    Both then merge the conflicting pairs of x's earlier out-edges into P's
+    left interval, in one shared loop.
     """
     n = len(rows)
     height = [-1] * n
@@ -142,7 +155,7 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
     # walk only. The links only an embedding reads (side, ref of tree edges
     # and of dropped edges, lowpt_edge) are deliberately absent.
     ref = [-1] * size
-    stack_bottom: list[Optional[list[int]]] = [None] * size
+    stack_bottom = [0] * size  # len(S) when a tree edge is scanned
     resume = [0] * n  # position in out[x] of the tree edge being descended
     S: list[list[int]] = []  # conflict pairs [left.low, left.high, right.low, right.high]
     by_nesting = nesting.__getitem__
@@ -227,13 +240,28 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
             ox = out[x]
             if i < len(ox):
                 ei = ox[i]
-                stack_bottom[ei] = S[-1] if S else None
                 y = dst[ei]
                 if parent_edge[y] == ei:  # tree edge: descend, integrate ei on return
+                    stack_bottom[ei] = len(S)
                     resume[x] = i
                     x, i = y, 0
                     continue
-                S.append([-1, -1, ei, ei])
+                # A back edge, so x is no root; ei is its own return edge.
+                if i == 0:  # the first out-edge: its pair stays on S
+                    S.append([-1, -1, ei, ei])
+                    i = 1
+                    continue
+                # A later back edge is integrated where it is scanned, with no
+                # pair pushed and popped: P's right interval is [ei, ei], or
+                # empty when ei aligns with the parent edge and is dropped.
+                # Seeding [ei, ei] anyway gives the same verdicts. An aligned
+                # ei has the least lowpoint at x, so the out-edges before it
+                # are non-chordal tree edges of that lowpoint, and every return
+                # edge they left on S ends at dst[ei]. The extra pair would sit
+                # on the top one of theirs and be trimmed, popped and merged
+                # with it, always beside an edge that ends where ei does.
+                pll = plh = -1
+                prl = prh = ei if lowpt[ei] > lowpt[parent_edge[x]] else -1
             else:
                 ei = parent_edge[x]
                 if ei == -1:
@@ -266,9 +294,11 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                         rl = -1
                     q[:] = ql, qh, rl, rh
                 x, i = u, resume[u]
-
-            # Integrate ei, the i-th out-edge of x; the first one's pairs stay on S.
-            if i > 0 and lowpt[ei] < height[x]:  # ei has a return edge, so x is no root
+                # Integrate the tree edge ei, the i-th out-edge of x; the first
+                # one's pairs stay on S.
+                if i == 0 or lowpt[ei] >= height[x]:  # or ei has no return edge
+                    i += 1
+                    continue
                 # Add constraints: merge the return edges of ei into the
                 # right interval of a new pair P ...
                 pll = plh = prl = prh = -1
@@ -286,34 +316,47 @@ def _left_right_planar(rows: list[int], size: int) -> bool:
                         else:
                             ref[prl] = rh
                         prl = rl
-                    if (S[-1] if S else None) is bottom:
+                    # This stops where `S[-1] is` the pair on top when ei was
+                    # scanned would: no pair below ei's bottom was popped
+                    # while its subtree was tested. Those pairs hold only
+                    # return edges that end at x or at an ancestor of x. A
+                    # trim in the subtree pops only pairs whose lowest edge
+                    # ends at the vertex it returns to, a descendant of x. A
+                    # merge there for a later out-edge f of a vertex w pops
+                    # no deeper than the pair holding the lowest return edge
+                    # of w's first out-edge. That pair is above the
+                    # bottom, its lowpoint is at most lowpt[f] by the nesting
+                    # order, and every edge of a pair under it has a lowpoint
+                    # at most that pair's least, so none conflicts with f.
+                    if len(S) == bottom:
                         break
-                # ... and the conflicting return edges of earlier siblings
-                # into its left interval. -1 is a valid list index, so
-                # writes through a slot that may be -1 are guarded.
-                lei = lowpt[ei]
-                while S:
-                    ql, qh, rl, rh = S[-1]
-                    l_conflict = qh != -1 and lowpt[qh] > lei
-                    r_conflict = rh != -1 and lowpt[rh] > lei
-                    if not (l_conflict or r_conflict):
-                        break
-                    if r_conflict:
-                        if l_conflict:
-                            return False
-                        ql, qh, rl, rh = rl, rh, ql, qh
-                    S.pop()
-                    if prl != -1:
-                        ref[prl] = rh
-                    if rl != -1:
-                        prl = rl
-                    if pll == -1 and plh == -1:
-                        plh = qh
-                    elif pll != -1:
-                        ref[pll] = qh
-                    pll = ql
-                if pll != -1 or plh != -1 or prl != -1 or prh != -1:
-                    S.append([pll, plh, prl, prh])
+
+            # ... and the conflicting return edges of earlier out-edges of x
+            # into its left interval. -1 is a valid list index, so writes
+            # through a slot that may be -1 are guarded.
+            lei = lowpt[ei]
+            while S:
+                ql, qh, rl, rh = S[-1]
+                l_conflict = qh != -1 and lowpt[qh] > lei
+                r_conflict = rh != -1 and lowpt[rh] > lei
+                if not (l_conflict or r_conflict):
+                    break
+                if r_conflict:
+                    if l_conflict:
+                        return False
+                    ql, qh, rl, rh = rl, rh, ql, qh
+                S.pop()
+                if prl != -1:
+                    ref[prl] = rh
+                if rl != -1:
+                    prl = rl
+                if pll == -1 and plh == -1:
+                    plh = qh
+                elif pll != -1:
+                    ref[pll] = qh
+                pll = ql
+            if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+                S.append([pll, plh, prl, prh])
             i += 1
     return True
 

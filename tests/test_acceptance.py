@@ -188,7 +188,7 @@ def test_criterion_6_prime_divisor_lemmas():
 
 
 def test_criterion_7_planarity_cross_validation():
-    with criterion(7, "left-right vs vertex-addition oracle: named graphs + 520 random, 100% agreement", 30.0):
+    with criterion(7, "left-right vs Demoucron-Malgrange-Pertuiset path-addition oracle: named graphs + 520 random, 100% agreement", 30.0):
         named = [
             (complete_graph(4), True), (complete_graph(5), False),
             (complete_bipartite(3, 3), False), (petersen_graph(), False),
