@@ -25,7 +25,10 @@ in the better direction, by more than the distance between the parent's
 quartiles. Each workload's `regressions` lists the end-to-end metrics that
 the change made worse by the mirror of that rule: worse in at least nine
 tenths of the pairs, with the medians apart in the worse direction by more
-than the parent's IQR. Standard library only.
+than the parent's IQR. Its `beyond_bound` lists the end-to-end metrics
+whose change median is worse than the parent median by more than the
+metric's `bound` in BENCHMARK.json, taken as a share of the parent median:
+the benchmark's own no-regression rule. Standard library only.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-workload summary of paired runs; runs[i] = {"seed", "first",
     "parent": result, "change": result, "cold_peak_rss_mb": {"parent": MB,
-    "change": MB}}, metrics as BENCHMARK.json's end_to_end."""
+    "change": MB}}, metrics as BENCHMARK.json's end_to_end, each with its
+    bound."""
     out = {
         "pairs": len(runs),
         "seeds": [r["seed"] for r in runs],
@@ -111,6 +115,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         "attempted_ops": {side: sum(r[side]["attempted"] for r in runs) for side in ("parent", "change")},
         "metrics": {},
     }
+    beyond_bound = []
     cold = {side: [r["cold_peak_rss_mb"][side] for r in runs] for side in ("parent", "change")}
     out["cold_peak_rss_mb"] = {
         "max_order": COLD_VERIFY_MAX_ORDER,
@@ -124,6 +129,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
+        if (c_med - p_med if lower else p_med - c_med) > metric["bound"] * abs(p_med):
+            beyond_bound.append(name)
         out["metrics"][name] = {
             "unit": metric["unit"],
             "parent": quartiles(parent),
@@ -136,6 +143,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         }
     out["regressions"] = [m["name"] for m in metrics
                           if judge_claim(out, m["name"], m["better"] == "lower", mirror=True)["met"]]
+    out["beyond_bound"] = beyond_bound
     return out
 
 
@@ -234,10 +242,13 @@ def main(argv=None) -> int:
                     report["claim"] = {"workload": workload,
                                        **judge_claim(report["workloads"][workload], *claim[1:])}
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
-            regressions = report["workloads"][workload]["regressions"]
-            if regressions:
+            summary = report["workloads"][workload]
+            if summary["regressions"]:
                 print(f"{workload}: the change is worse by the mirrored claim rule in "
-                      f"{', '.join(regressions)}", file=sys.stderr)
+                      f"{', '.join(summary['regressions'])}", file=sys.stderr)
+            if summary["beyond_bound"]:
+                print(f"{workload}: the change's median is worse than the parent's by more "
+                      f"than the bound in {', '.join(summary['beyond_bound'])}", file=sys.stderr)
     return 0
 
 

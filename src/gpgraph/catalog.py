@@ -2,38 +2,36 @@
 
 A GroupSpec is a cheap, serializable description (family tag + parameters).
 Each family is one `_FAMILIES` record: parameter domain, order, name, table
-maker and, for all but heisenberg and symmetric, orders and powers makers
-and its leaves. A spec is checked against its record when it is made, so
-order() is a stored value that agrees with build(), which turns a spec into
-a FiniteGroup. That group makes its Cayley table only when something reads
-it. Its element orders come in closed form from the family's orders maker,
-or for a product as the outer lcm of its factors' orders, and else from the
-table. Single powers x^k (FiniteGroup.power_at and groups.GroupBatch),
+maker and, for all but heisenberg and symmetric, its leaves. A spec is
+checked against its record when it is made, so order() is a stored value
+that agrees with build(), which turns a spec into a FiniteGroup. That group
+makes its Cayley table only when something reads it. Its leaves are the
+family's mixed radix of cyclic and inverting leaves (groups.Leaf), or for a
+product its factors' leaves one after the other, a factor without leaves
+as one table leaf. The group reads everything else from them: its element
+orders, single powers x^k (FiniteGroup.power_at and groups.GroupBatch),
 which the prime-subgroup incidence, cyclic_subgroup and subgroups_of_order_p
-read, come from the group's leaves: the family's mixed radix of cyclic and
-inverting leaves, or for a product its factors' leaves one after the other,
-a factor without closed forms as one table leaf. They make no power table
-for a closed-form leaf. The whole n x L power table, which P(G) reads, is made
-from the orders only when something reads it; a group without closed forms
-fills it together with its orders from the table, and its point reads read
-that fill. Its abelian flag comes from the record. catalog_groups builds
-each catalog group once: a product takes its factor groups from the same
-pass, and the dedupe reads element orders alone.
+read, and the whole n x L power table, which P(G) reads, made only when
+something reads it. A group without leaves fills its orders and powers
+from the table, and its point reads read that fill. So this module knows
+only tables and leaves; each leaf kind's arithmetic lives in groups. Its
+abelian flag comes from the record. catalog_groups builds each catalog
+group once: a product takes its factor groups from the same pass, and the
+dedupe reads element orders alone.
 
 Family tables are made in place and peak near their own size: abelian ones
 as products of cyclic tables, dihedral, dicyclic, gq and Heisenberg ones as
 cyclic extensions N<b>, products as broadcasts. They are groups by
 construction and are wrapped without checks (the tests check every family,
-and every facts maker against the table); file: tables are validated in
-full. The catalog is explicitly NOT all groups of a given order: "only if"
-theorem directions checked against it are catalog-relative.
+and every group's orders and powers against its table's fill); file: tables
+are validated in full. The catalog is explicitly NOT all groups of a given
+order: "only if" theorem directions checked against it are catalog-relative.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -67,9 +65,6 @@ PRODUCT = "product"
 EXTERNAL = "file"
 
 SYMMETRIC_DEGREE_LIMIT = 6
-
-# parse_spec refuses products nested deeper than MAX_GROUP_ORDER.bit_length()
-# levels.
 
 # Error messages quote at most this many characters of a spec.
 QUOTE_LIMIT = 80
@@ -194,6 +189,8 @@ def parse_spec(text: str) -> GroupSpec:
             raise SpecParseError("file spec needs a path")
         return GroupSpec(EXTERNAL, path=rest)
     if family == PRODUCT:
+        # Products nested deeper than MAX_GROUP_ORDER.bit_length() levels
+        # are refused.
         factors = []
         depth = 0
         start = None
@@ -304,112 +301,10 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return table.reshape(n1 * n2, n1 * n2)
 
 
-# ---------------------------------------------------------------------------
-# Family facts: orders and powers in closed form, without the table
-# ---------------------------------------------------------------------------
-
-# Cyclic powers are written this many entries at a time, so their working
-# memory past the result is O(FACTS_BAND).
-FACTS_BAND = 1 << 16
-
-# The orders makers give the element orders alone. Each powers maker takes
-# those orders, whose largest is the width of the power table, as
-# FiniteGroup.powers holds it.
-
-
-def _cyclic_orders(f: int) -> np.ndarray:
-    return f // np.gcd(np.arange(f), f)  # order(x) = f / gcd(x, f) in Z_f
-
-
-def _radix(factors: tuple[int, ...]) -> list[int]:
-    # The factors as _abelian_table indexes the group: mixed radix, the
-    # last factor fastest, factors of 1 skipped.
-    return [f for f in factors if f != 1] or [1]
-
-
 def _abelian_leaves(factors: tuple[int, ...]) -> tuple[Leaf, ...]:
-    return tuple(map(cyclic_leaf, _radix(factors)))
-
-
-def _abelian_orders(factors: tuple[int, ...]) -> np.ndarray:
-    # A digit x of Z_f has order f / gcd(x, f): one outer lcm per factor.
-    radix = _radix(factors)
-    return reduce(lambda o, f: np.lcm.outer(o, _cyclic_orders(f)).ravel(), radix[1:],
-                  _cyclic_orders(radix[0]))
-
-
-def _fill_cyclic_powers(out: np.ndarray) -> np.ndarray:
-    """out[x, k] = x k mod f for every entry of the (f, width) array `out`,
-    in bands of rows. The product x k can pass int16, so it is formed in
-    int32, and reduced as x k - (x k // f) f: numpy divides by a scalar
-    several times faster than it takes a remainder."""
-    f, width = out.shape
-    k = np.arange(width, dtype=np.int32)
-    rows = max(1, FACTS_BAND // width)
-    for lo in range(0, f, rows):
-        xk = np.multiply.outer(np.arange(lo, min(lo + rows, f), dtype=np.int32), k)
-        q = xk // f
-        q *= f
-        np.subtract(xk, q, out=out[lo:lo + rows], casting="unsafe")
-    return out
-
-
-def _abelian_powers(factors: tuple[int, ...], orders: np.ndarray) -> np.ndarray:
-    # A digit x of Z_f has k-th power x k mod f, so powers are an outer sum
-    # of each factor's (f, width) powers times its radix weight, added in
-    # one pass over the result per factor.
-    radix = _radix(factors)
-    n, width = len(orders), int(orders.max())
-    if len(radix) == 1:
-        return _fill_cyclic_powers(np.empty((n, width), dtype=_table_dtype(n)))
-    powers = np.zeros((n, width), dtype=_table_dtype(n))
-    digits = powers.reshape(*radix, width)
-    weight = n
-    for axis, f in enumerate(radix):
-        weight //= f
-        term = _fill_cyclic_powers(np.empty((f, width), dtype=powers.dtype))
-        term *= weight
-        digits += term.reshape(f, *(1,) * (len(radix) - axis - 1), width)
-    return powers
-
-
-# Z_m<b> with b inverting and b^2 = a^t, t = 0 (dihedral) or m/2 (dicyclic,
-# gq), indexed as _extension_table indexes it: a^x b^j is j m + x, the
-# inverting leaf (groups.inverting_leaf). The rotations are Z_m. Since
-# b x b^-1 = -x, (x b)^2 = b^2 = a^t: x b has order 2 when t = 0, else order
-# 4 with powers 1, x b, a^t and (x + t) b.
-
-def _inverting_orders(m: int, t: int) -> np.ndarray:
-    return np.concatenate([_cyclic_orders(m), np.full(m, 2 if t == 0 else 4)])
-
-
-def _inverting_powers(m: int, t: int, orders: np.ndarray) -> np.ndarray:
-    cycle = 2 if t == 0 else 4
-    width = int(orders.max())  # max(m, cycle)
-    dt = _table_dtype(2 * m)
-    powers = np.empty((2 * m, width), dtype=dt)
-    _fill_cyclic_powers(powers[:m])
-    x = np.arange(m, dtype=dt)
-    rows = np.stack([np.zeros_like(x), m + x, np.full_like(x, t), m + (x + t) % m], axis=1)
-    np.take(rows[:, :cycle], np.arange(width) % cycle, axis=1, out=powers[m:], mode="clip")
-    return powers
-
-
-def _product_powers(a: FiniteGroup, b: FiniteGroup, orders: np.ndarray) -> np.ndarray:
-    # The k-th power of (x, y) is (x^k, y^k), read from each factor's
-    # wrapped row at k mod that factor's order. The two (|A|, width) and
-    # (|B|, width) reads broadcast into the result.
-    oa, pa, ob, pb = a.orders, a.powers, b.orders, b.powers
-    na, nb = len(oa), len(ob)
-    width = int(orders.max())
-    dt = _table_dtype(na * nb)  # also for the column indices, which are below width
-    k = np.arange(width, dtype=dt)
-    left = pa[np.arange(na)[:, None], k % oa[:, None].astype(dt)].astype(dt, copy=False)
-    left *= nb
-    right = pb[np.arange(nb)[:, None], k % ob[:, None].astype(dt)]
-    powers = np.empty((na, nb, width), dtype=dt)
-    np.add(left[:, None], right, out=powers)
-    return powers.reshape(na * nb, width)
+    # One Z_f per factor, as _abelian_table indexes the group: mixed radix,
+    # the last factor fastest, factors of 1 skipped.
+    return tuple(map(cyclic_leaf, [f for f in factors if f != 1] or [1]))
 
 
 Params = tuple[int, ...]
@@ -419,12 +314,11 @@ class _Family(NamedTuple):
     """One spec family. `domain` maps each rule's message to its test on the
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
-    message). `orders(params)` and `powers(params, orders)` make those facts
-    in closed form, and `leaves(params)` is the group's mixed radix of
-    groups.Leaf digits, from which power_at computes single powers (Z_f per
-    abelian factor, one inverting leaf for dihedral, dicyclic and gq); a
-    family without them has orders and powers filled from its table and is
-    one table leaf.
+    message). `table(params)` makes the Cayley table, and `leaves(params)`
+    the group's mixed radix of groups.Leaf digits (Z_f per abelian factor,
+    one inverting leaf for dihedral, dicyclic and gq), from which the group
+    reads its element orders and powers; a family without leaves has them
+    filled from its table and is one table leaf.
     `abelian` marks the abelian families; a member of another family is
     abelian iff its order is below 6, the least order of a non-abelian group
     (dihedral:m for m <= 2, symmetric:n for n <= 2)."""
@@ -433,8 +327,6 @@ class _Family(NamedTuple):
     factors: Callable[[Params], Iterable[int]]
     name: Callable[[Params], str]
     table: Callable[[Params], np.ndarray]
-    orders: Callable[[Params], np.ndarray] | None = None
-    powers: Callable[[Params, np.ndarray], np.ndarray] | None = None
     leaves: Callable[[Params], tuple[Leaf, ...]] | None = None
     prime: bool = False
     abelian: bool = False
@@ -444,48 +336,39 @@ def _one_at_least(low: int) -> Callable[[Params], bool]:
     return lambda p: len(p) == 1 and p[0] >= low
 
 
-# The table, orders, powers and leaves makers are called through their
-# module names, so a test can replace one.
+# The table and leaves makers are called through their module names, so a
+# test can replace one.
 _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
         {"cyclic:n needs n >= 1": _one_at_least(1)},
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
-        table=lambda p: _cyclic_table(p[0]), orders=lambda p: _abelian_orders(p),
-        powers=lambda p, orders: _abelian_powers(p, orders),
-        leaves=lambda p: _abelian_leaves(p), abelian=True),
+        table=lambda p: _cyclic_table(p[0]), leaves=lambda p: _abelian_leaves(p), abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
-        table=lambda p: _abelian_table(p), orders=lambda p: _abelian_orders(p),
-        powers=lambda p, orders: _abelian_powers(p, orders),
-        leaves=lambda p: _abelian_leaves(p), abelian=True),
+        table=lambda p: _abelian_table(p), leaves=lambda p: _abelian_leaves(p), abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         # range, unlike itertools.repeat, takes a rank above sys.maxsize
         factors=lambda p: (p[0] for _ in range(p[1])), name=lambda p: f"Z{p[0]}^{p[1]}",
-        table=lambda p: _abelian_table((p[0],) * p[1]), orders=lambda p: _abelian_orders((p[0],) * p[1]),
-        powers=lambda p, orders: _abelian_powers((p[0],) * p[1], orders),
+        table=lambda p: _abelian_table((p[0],) * p[1]),
         leaves=lambda p: _abelian_leaves((p[0],) * p[1]), prime=True, abelian=True),
     DIHEDRAL: _Family(  # D_2m = Z_m<s>, s inverting, s^2 = 1
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
         table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
-        orders=lambda p: _inverting_orders(p[0], 0),
-        powers=lambda p, orders: _inverting_powers(p[0], 0, orders),
         leaves=lambda p: (inverting_leaf(p[0], 0),)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
-        table=lambda p: _dicyclic_table(p[0]), orders=lambda p: _inverting_orders(2 * p[0], p[0]),
-        powers=lambda p, orders: _inverting_powers(2 * p[0], p[0], orders),
+        table=lambda p: _dicyclic_table(p[0]),
         leaves=lambda p: (inverting_leaf(2 * p[0], p[0]),)),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
              lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
-        table=lambda p: _dicyclic_table(p[0] // 4), orders=lambda p: _inverting_orders(p[0] // 2, p[0] // 4),
-        powers=lambda p, orders: _inverting_powers(p[0] // 2, p[0] // 4, orders),
+        table=lambda p: _dicyclic_table(p[0] // 4),
         leaves=lambda p: (inverting_leaf(p[0] // 2, p[0] // 4),)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
@@ -500,13 +383,11 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y, of
-    order lcm(order(x), order(y)). Its table, orders and powers are made
-    from the factors' when first read, and its leaves are A's then B's, so
-    a nested product is one flat radix."""
+    """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y.
+    Its table is made from the factors' when first read, and its leaves are
+    A's then B's, so a nested product is one flat radix, from which its
+    orders and powers come."""
     return FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
-                       orders=lambda: np.lcm.outer(a.orders, b.orders).ravel(),
-                       powers=lambda orders: _product_powers(a, b, orders),
                        leaves=lambda: a.leaves + b.leaves,
                        abelian=a.is_abelian and b.is_abelian)
 
@@ -516,9 +397,9 @@ def build(spec: GroupSpec, *,
     """Construct the group described by a spec.
 
     The spec's parameters and order were checked when it was made. A family
-    group or product gets its orders from its family's closed form or from
-    its factors' orders, its powers the same way when they are first read,
-    and makes its Cayley table only when something reads it. A product
+    group or product gets its leaves from its family or its factors, reads
+    its orders and powers from them when they are first read, and makes its
+    Cayley table only when something reads it. A product
     takes a factor found in `factors` from there, with whatever it has
     made, and builds the others; catalog_groups passes the groups its pass
     has built. A file: table, alone or as a factor, is read and
@@ -543,11 +424,8 @@ def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteG
             _order_within_cap(spec, (g.n for g in parts))
         return reduce(_product, parts)
     family, params = _FAMILIES[spec.family], spec.params
-    closed = family.orders is not None
     return FiniteGroup(lambda: family.table(params), order=spec.order(),
-                       orders=(lambda: family.orders(params)) if closed else None,
-                       powers=(lambda orders: family.powers(params, orders)) if closed else None,
-                       leaves=(lambda: family.leaves(params)) if closed else None,
+                       leaves=family.leaves and (lambda: family.leaves(params)),
                        abelian=family.abelian or spec.order() < 6)
 
 
@@ -665,8 +543,8 @@ def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupS
     made, from the groups this pass has built. The pass holds a factor
     until its last product; the products of one base are contiguous, so it
     holds the abelian factors and one base at a time. The harness reads
-    point powers, which make no power table for a closed-form factor, and
-    a factor without closed forms made its power table with its orders;
+    point powers, which make no power table for a factor with leaves, and
+    a factor without leaves made its power table with its orders;
     so under the harness a held factor holds no power table it did not
     need for its orders.
 

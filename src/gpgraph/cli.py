@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .catalog import build, parse_spec
-from .groups import format_cayley_table, write_cayley_table
+from .groups import cayley_table_lines, write_cayley_table
 from .planarity import is_planar
 from .powergraph import VertexConvention, generalized_power_graph, power_graph
 from .verify import (
@@ -80,7 +80,7 @@ def _cmd_group_build(args) -> int:
     if args.out:
         write_cayley_table(group, args.out)
     else:
-        sys.stdout.write(format_cayley_table(group))
+        sys.stdout.writelines(cayley_table_lines(group))
     return 0
 
 

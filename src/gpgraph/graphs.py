@@ -89,10 +89,21 @@ class SimpleGraph:
     def __repr__(self):
         return f"SimpleGraph(v={self.v}, e={self.edge_count()})"
 
+    def _check_vertex(self, x: int) -> None:
+        if not 0 <= x < self.v:
+            raise IndexOutOfRange(x, self.v)
+
     def has_edge(self, a: int, b: int) -> bool:
+        """Whether {a, b} is an edge. Raises IndexOutOfRange for a vertex
+        outside range(v)."""
+        self._check_vertex(a)
+        self._check_vertex(b)
         return bool(self.rows[a] >> b & 1)
 
     def degree(self, i: int) -> int:
+        """The number of neighbours of i. Raises IndexOutOfRange for a
+        vertex outside range(v)."""
+        self._check_vertex(i)
         return self.rows[i].bit_count()
 
     def edge_count(self) -> int:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,6 +118,10 @@ def prime_factors(n: int) -> dict[int, int]:
 
 CYCLIC_LEAF, INVERTING_LEAF, TABLE_LEAF = "cyclic", "inverting", "table"
 
+# A cyclic grid is written this many entries at a time, so its working memory
+# past the result is O(FACTS_BAND).
+FACTS_BAND = 1 << 16
+
 
 class Leaf(NamedTuple):
     """One digit of a group's mixed radix (FiniteGroup.leaves), of `size`
@@ -128,6 +132,10 @@ class Leaf(NamedTuple):
       reflection's k = 2q + r -th power is the rotation t q mod m for r = 0
       and the reflection a^(j + t q) b for r = 1;
     - TABLE_LEAF, `group`: its power table, powers[x, k mod order(x)].
+    `orders` are the digits' element orders, made once with a cyclic or
+    inverting leaf by cyclic_leaf and inverting_leaf, so every group that
+    holds the leaf (a factor and its products) reads the one vector; a table
+    leaf reads its group's orders.
     """
 
     kind: str
@@ -135,14 +143,25 @@ class Leaf(NamedTuple):
     m: int = 0
     t: int = 0
     group: Optional["FiniteGroup"] = None
+    orders: Optional[np.ndarray] = None
+
+
+def _cyclic_orders(m: int) -> np.ndarray:
+    return m // np.gcd(np.arange(m), m)  # order(x) = m / gcd(x, m) in Z_m
 
 
 def cyclic_leaf(m: int) -> Leaf:
-    return Leaf(CYCLIC_LEAF, m, m)
+    orders = _cyclic_orders(m)
+    orders.setflags(write=False)
+    return Leaf(CYCLIC_LEAF, m, m, orders=orders)
 
 
 def inverting_leaf(m: int, t: int) -> Leaf:
-    return Leaf(INVERTING_LEAF, 2 * m, m, t)
+    # b commutes with b^2 = a^t and inverts it, so 2t = 0 mod m: t is 0 or
+    # m/2, and a reflection has order 2 or 4.
+    orders = np.concatenate([_cyclic_orders(m), np.full(m, 2 if t == 0 else 4)])
+    orders.setflags(write=False)
+    return Leaf(INVERTING_LEAF, 2 * m, m, t, orders=orders)
 
 
 class FiniteGroup:
@@ -153,30 +172,27 @@ class FiniteGroup:
     permutation closures). Tables from outside go through validate_and_build.
 
     `table` is the Cayley table, or a function that makes it; then `order`
-    is required, and the table is made on its first read. `orders`,
-    `powers` and `leaves`, given together, are functions for a group whose
-    family or factors give those properties without the table: orders()
-    makes the element orders, powers(orders) the power table from them,
-    and leaves() the group as a mixed radix of Leaf digits, the last
-    fastest, from which point reads (power_at, GroupBatch) compute x^k. So
-    the orders and leaves are made once, on their first read, point reads
-    make nothing, and the power table is made only when something reads it
-    whole. Without them, orders and powers are filled from the table in
-    one pass, and the group is one table leaf, whose point reads read that
-    fill. `abelian`, when given, is what is_abelian returns. The catalog
-    builds its groups this way, so a group whose facts are all a reader
-    wants never has a table.
+    is required, and the table is made on its first read. `leaves`, when
+    given, is a function that makes the group as a mixed radix of Leaf
+    digits, the last fastest, on its first read. The leaves are the group's
+    only closed form: the element orders are the lcm fold of the leaves'
+    order vectors, point reads (power_at, GroupBatch) compute x^k digit by
+    digit, and the power table, made only when something reads it whole, is
+    the outer sum of the leaves' power grids at their radix weights. So a
+    group whose facts are all a reader wants never has a table. Without
+    leaves, orders and powers are filled from the table in one pass, and
+    the group is one table leaf, whose point reads read that fill.
+    `abelian`, when given, is what is_abelian returns. The catalog builds
+    its groups this way.
     """
 
-    __slots__ = ("n", "_table", "_make_table", "_make_orders", "_make_powers", "_make_leaves",
+    __slots__ = ("n", "_table", "_make_table", "_make_leaves",
                  "_inverses", "_orders", "_abelian", "_prime_incidence", "_powers", "_leaves")
 
     identity = 0
 
     def __init__(self, table: np.ndarray | Callable[[], np.ndarray], *,
                  order: Optional[int] = None,
-                 orders: Optional[Callable[[], np.ndarray]] = None,
-                 powers: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  leaves: Optional[Callable[[], tuple[Leaf, ...]]] = None,
                  abelian: Optional[bool] = None):
         if callable(table):
@@ -184,7 +200,7 @@ class FiniteGroup:
         else:
             table.setflags(write=False)
             self.n, self._table, self._make_table = table.shape[0], table, None
-        self._make_orders, self._make_powers, self._make_leaves = orders, powers, leaves
+        self._make_leaves = leaves
         self._abelian = abelian
         self._leaves: Optional[tuple[Leaf, ...]] = None
         self._inverses: Optional[np.ndarray] = None
@@ -234,28 +250,44 @@ class FiniteGroup:
         element order (so never larger than the table). Row g runs through
         <g> and wraps: powers[g, k] = g^(k mod order(g)). Made on the first
         read, for readers of whole rows (cyclic_membership, so P(G), and a
-        product's powers); power_at reads single powers without it."""
+        table leaf's point reads): from the leaves when given, one grid per
+        leaf (_leaf_grid) added at its radix weight, else by the table's
+        doubling fill. power_at reads single powers without it."""
         if self._powers is None:
             self._fill_powers()
         return self._powers
 
     @property
     def orders(self) -> np.ndarray:
-        """Orders of all elements (intp), from the orders maker, else
-        recorded by the table's power fill."""
+        """Orders of all elements (intp): from the leaves when given, an
+        outer lcm of their order vectors, else recorded by the table's power
+        fill."""
         if self._orders is None:
-            if self._make_orders is None:
+            if self._make_leaves is None:
                 self._fill_powers()
             else:
-                self._orders = self._make_orders()
+                vectors = [leaf.orders if leaf.group is None else leaf.group.orders
+                           for leaf in self.leaves]
+                self._orders = reduce(lambda o, v: np.lcm.outer(o, v).ravel(), vectors[1:], vectors[0])
         return self._orders
 
     def _fill_powers(self) -> None:
-        if self._make_powers is None:
+        if self._make_leaves is None:
             orders, powers = self._doubling_fill()
         else:
-            orders = self.orders
-            powers = self._make_powers(orders)
+            orders, leaves = self.orders, self.leaves
+            width, dtype = int(orders.max()), _table_dtype(self.n)
+            if len(leaves) == 1:
+                powers = _leaf_grid(leaves[0], width, dtype)
+            else:  # one pass over the result per leaf
+                powers = np.zeros((self.n, width), dtype=dtype)
+                digits = powers.reshape(*(leaf.size for leaf in leaves), width)
+                weight = self.n
+                for axis, leaf in enumerate(leaves):
+                    weight //= leaf.size
+                    grid = _leaf_grid(leaf, width, dtype)
+                    grid *= weight
+                    digits += grid.reshape(leaf.size, *(1,) * (len(leaves) - axis - 1), width)
         powers.setflags(write=False)
         # Each property tests its own attribute, so a concurrent reader never gets None.
         self._orders = orders
@@ -263,8 +295,8 @@ class FiniteGroup:
 
     @property
     def leaves(self) -> tuple[Leaf, ...]:
-        """The group's mixed radix of Leaf digits, from the leaves maker on
-        the first read, else the group as one table leaf (made on each
+        """The group's mixed radix of Leaf digits, from the leaves function
+        on the first read, else the group as one table leaf (made on each
         read, so that the group holds no reference to itself)."""
         if self._leaves is None:
             if self._make_leaves is None:
@@ -626,11 +658,46 @@ def _leaf_power(groups: Sequence[FiniteGroup], at: Optional[np.ndarray],
     return power
 
 
+def _leaf_grid(leaf: Leaf, width: int, dtype: type) -> np.ndarray:
+    """A new (size, width) array of the leaf's powers, grid[x, k] = x^k for
+    k < width, in `dtype`: x k mod m for Z_m and an inverting leaf's
+    rotations, each reflection's 2- or 4-cycle (Leaf) repeated, and a table
+    leaf's powers[x, k mod order(x)]."""
+    if leaf.kind == TABLE_LEAF:
+        g = leaf.group
+        k = np.arange(width, dtype=dtype) % g.orders[:, None].astype(dtype)
+        return g.powers[np.arange(g.n)[:, None], k].astype(dtype, copy=False)
+    m, t = leaf.m, leaf.t
+    grid = np.empty((leaf.size, width), dtype=dtype)
+    _fill_cyclic_powers(grid[:m])
+    if leaf.kind == INVERTING_LEAF:  # a^x b: 1, a^x b, a^t, a^(x + t) b, then again
+        x = np.arange(m, dtype=dtype)
+        cycle = np.stack([np.zeros_like(x), m + x, np.full_like(x, t), m + (x + t) % m], axis=1)
+        period = 2 if t == 0 else 4
+        np.take(cycle[:, :period], np.arange(width) % period, axis=1, out=grid[m:], mode="clip")
+    return grid
+
+
+def _fill_cyclic_powers(out: np.ndarray) -> None:
+    """out[x, k] = x k mod m for every entry of the (m, width) array `out`,
+    in bands of rows. The product x k can pass int16, so it is formed in
+    int32, and reduced as x k - (x k // m) m: numpy divides by a scalar
+    several times faster than it takes a remainder."""
+    m, width = out.shape
+    k = np.arange(width, dtype=np.int32)
+    rows = max(1, FACTS_BAND // width)
+    for lo in range(0, m, rows):
+        xk = np.multiply.outer(np.arange(lo, min(lo + rows, m), dtype=np.int32), k)
+        q = xk // m
+        q *= m
+        np.subtract(xk, q, out=out[lo:lo + rows], casting="unsafe")
+
+
 def _leaf_cycle(leaf: Leaf, digit: int, weight: int) -> list[int]:
     """digit^k * weight for k = 0 .. order(digit) - 1, for a nonzero digit,
     by the leaf's integer arithmetic (Leaf); the scalar twin of a
     _leaf_power digit."""
-    kind, _, m, t, table = leaf
+    kind, _, m, t, table, _ = leaf
     if kind != TABLE_LEAF and digit < m:  # Z_m, or the rotations of an inverting leaf
         if m % digit == 0:  # then d k mod m is d k
             return list(range(0, m * weight, digit * weight))
@@ -645,7 +712,7 @@ def _leaf_subgroup(leaf: Leaf, digit: int, weight: int) -> list[int]:
     """sorted(_leaf_cycle(leaf, digit, weight)). In Z_m, <d> is the
     multiples of gcd(d, m); a reflection a^j b generates the rotations by
     multiples of s = gcd(t, m) and the reflections a^i b with i = j mod s."""
-    kind, _, m, t, _ = leaf
+    kind, _, m, t, _, _ = leaf
     if kind != TABLE_LEAF and digit < m:
         return list(range(0, m * weight, math.gcd(digit, m) * weight))
     if kind == INVERTING_LEAF:
@@ -898,11 +965,18 @@ def _parse_rows(body: list[str], n: int) -> np.ndarray:
     return np.array(rows, dtype=_table_dtype(n))
 
 
-def format_cayley_table(group: FiniteGroup) -> str:
-    lines = [str(group.n)]
+def cayley_table_lines(group: FiniteGroup) -> Iterator[str]:
+    """The text format one line at a time, each with its line end, so a
+    writer holds one line, not the whole text. A row's entries are picked
+    from the n element names, made once, so no entry makes an int or str."""
+    names = np.array([str(g) for g in range(group.n)], dtype=object)
+    yield f"{group.n}\n"
     for row in group.table:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        yield " ".join(names[row].tolist()) + "\n"
+
+
+def format_cayley_table(group: FiniteGroup) -> str:
+    return "".join(cayley_table_lines(group))
 
 
 def read_cayley_table(path) -> FiniteGroup:
@@ -912,4 +986,4 @@ def read_cayley_table(path) -> FiniteGroup:
 
 def write_cayley_table(group: FiniteGroup, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_cayley_table(group))
+        fh.writelines(cayley_table_lines(group))

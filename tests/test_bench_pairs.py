@@ -10,8 +10,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
-           {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
 def result(wall, failed=0):
@@ -95,3 +95,25 @@ def test_regressions_mirror_the_claim_rule():
     summary = bench_pairs.summarize(pairs(parent, within_iqr), METRICS)
     assert summary["metrics"]["wall_s"]["change_worse_in_pairs"] == 10
     assert summary["regressions"] == []
+
+
+def test_beyond_bound_compares_the_medians_with_each_metrics_bound():
+    # A metric is listed when the change's median is worse than the
+    # parent's by more than its bound, a share of the parent median, in the
+    # metric's own direction: 1.3 times the wall is 30% worse in wall_s but
+    # 23% worse in ops_per_s, and 1.4 times is 29% worse in ops_per_s.
+    parent = [0.20 + 0.001 * i for i in range(10)]
+
+    def beyond(factor):
+        return bench_pairs.summarize(pairs(parent, [p * factor for p in parent]), METRICS)["beyond_bound"]
+
+    assert beyond(1.2) == []
+    assert beyond(1.3) == ["wall_s"]
+    assert beyond(1.4) == ["wall_s", "ops_per_s"]
+    assert beyond(0.5) == []  # a gain is never beyond the bound
+    # Half the pairs far worse, half a little better: the medians decide,
+    # where the mirrored claim rule lists nothing.
+    mixed = [p * 2 if i % 2 else p * 0.99 for i, p in enumerate(parent)]
+    mixed[4] = parent[4] * 2
+    summary = bench_pairs.summarize(pairs(parent, mixed), METRICS)
+    assert summary["regressions"] == [] and summary["beyond_bound"] == ["wall_s", "ops_per_s"]

@@ -12,6 +12,7 @@ from conftest import partition_count
 import kernel_oracles as oracle
 from kernel_oracles import abelian_table_rows
 import gpgraph.catalog as catalog
+import gpgraph.groups as groups
 from gpgraph.catalog import (
     MAX_GROUP_ORDER,
     BadParameters,
@@ -329,11 +330,10 @@ class TestPointPowers:
 
 class TestOrdersFirst:
     def test_closed_form_orders_match_the_fill_over_the_table(self, monkeypatch):
-        # Orders come without powers: no powers maker runs while they are
-        # read, for any catalog spec. Heisenberg and symmetric groups, alone
-        # or as factors, fill both from their table.
-        for maker in ("_abelian_powers", "_inverting_powers", "_product_powers"):
-            monkeypatch.setattr(catalog, maker, _no_table)
+        # Orders come without powers: no leaf's power grid is made while
+        # they are read, for any catalog spec. Heisenberg and symmetric
+        # groups, alone or as factors, fill both from their table.
+        monkeypatch.setattr(groups, "_leaf_grid", _no_table)
         for spec in catalog_up_to(256, False):
             g = build(spec)
             orders = g.orders
@@ -543,9 +543,10 @@ def _assert_stopped_at_the_cap(reads: list[tuple[GroupSpec, list[int]]]) -> None
 
 class TestOrderCap:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
-        for maker in ("_cyclic_table", "_product_table", "_abelian_orders", "_abelian_powers",
-                      "_product_powers"):
+        for maker in ("_cyclic_table", "_product_table"):
             monkeypatch.setattr(catalog, maker, _no_table)
+        for maker in ("_cyclic_orders", "_leaf_grid"):
+            monkeypatch.setattr(groups, maker, _no_table)
         for text in ("cyclic:100000", "product:(cyclic:400)x(cyclic:300)",
                      f"cyclic:{MAX_GROUP_ORDER + 1}"):
             with pytest.raises(BadParameters, match="exceeds the cap"):
@@ -581,7 +582,7 @@ class TestOrderCap:
         # the message must not quote the whole spec.
         reads = _spy_on_orders(monkeypatch)
         monkeypatch.setattr(catalog, "_abelian_table", _no_table)
-        monkeypatch.setattr(catalog, "_abelian_powers", _no_table)
+        monkeypatch.setattr(groups, "_leaf_grid", _no_table)
         long = "abelian:" + ",".join(["2"] * 10**5)
         for text in (long, f"product:({long})x(cyclic:2)", f"product:(cyclic:2)x({long})"):
             with pytest.raises(BadParameters, match="exceeds the cap") as err:

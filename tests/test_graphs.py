@@ -169,6 +169,18 @@ class TestQueries:
             with pytest.raises(IndexOutOfRange):
                 complete_graph(3).induced_subgraph(verts)
 
+    def test_point_queries_out_of_range(self):
+        # A negative index would read rows[-1], and a shift by it would fail
+        # with no word of the vertex.
+        k3 = complete_graph(3)
+        for a, b in ((-1, 0), (0, 3), (0, -1), (3, 0)):
+            with pytest.raises(IndexOutOfRange):
+                k3.has_edge(a, b)
+        for i in (-1, 3):
+            with pytest.raises(IndexOutOfRange):
+                k3.degree(i)
+        assert k3.has_edge(0, 2) and not k3.has_edge(1, 1) and k3.degree(2) == 2
+
     @given(st.one_of(random_graph_strategy(), sparse_graph_strategy()), st.data())
     @settings(max_examples=60, deadline=None)
     def test_induced_preserves_adjacency(self, g, data):

@@ -3,13 +3,14 @@ import math
 import threading
 import tracemalloc
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpgraph.catalog import build, catalog_up_to, parse_spec
+from gpgraph.catalog import _product_table, build, catalog_up_to, parse_spec
 from gpgraph.groups import (
     ASSOCIATIVITY_BAND,
     MAX_GROUP_ORDER,
@@ -21,13 +22,17 @@ from gpgraph.groups import (
     NotClosed,
     NotPrime,
     OrderCapExceeded,
+    TABLE_LEAF,
     CayleyTableError,
     FiniteGroup,
     GroupBatch,
+    Leaf,
     _generating_set,
     _permutation_table,
     closure_from_permutations,
+    cyclic_leaf,
     format_cayley_table,
+    inverting_leaf,
     is_prime,
     parse_cayley_table,
     prime_factors,
@@ -386,6 +391,21 @@ class TestTableTextFormat:
             write_cayley_table(g, path)
             assert np.array_equal(read_cayley_table(path).table, g.table), spec
 
+    def test_writer_streams_the_formatted_text(self, tmp_path):
+        # One row at a time: the whole text of cyclic:2048 is 10 MB, and its
+        # table, made before tracing, 8 MiB.
+        g = build(parse_spec("cyclic:2048"))
+        g.table
+        path = tmp_path / "z2048.tbl"
+        tracemalloc.start()
+        try:
+            write_cayley_table(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.read_text(encoding="utf-8") == format_cayley_table(g)
+
     def test_comments_and_relabelling(self):
         text = "# shifted Z_2: identity is element 1\n2\n1 0\n0 1\n"
         g = parse_cayley_table(text)
@@ -546,6 +566,36 @@ class TestLeafPowers:
                     width = len(rows[0])
                     assert inc[lo:lo + g.n, :width].tolist() == rows, (cut, texts[groups.index(g)])
                     assert (inc[lo:lo + g.n, width:] == -1).all()
+
+
+    def test_hand_made_leaves_match_the_fill(self):
+        # The public form with one leaf of each kind: D6 as an inverting
+        # leaf, S3 as a table leaf, Z4 as a cyclic leaf. Everything but the
+        # table is read from the leaves, so reading them makes no table.
+        s3 = build(parse_spec("symmetric:3"))
+        table = reduce(_product_table, [build(parse_spec(t)).table
+                                        for t in ("dihedral:3", "symmetric:3", "cyclic:4")])
+        made = []
+
+        def make_table():
+            made.append(table)
+            return table
+
+        g = FiniteGroup(make_table, order=len(table),
+                        leaves=lambda: (inverting_leaf(3, 0), Leaf(TABLE_LEAF, 6, group=s3), cyclic_leaf(4)))
+        fill = FiniteGroup(table.copy())
+        assert g.orders.dtype == fill.orders.dtype and np.array_equal(g.orders, fill.orders)
+        assert not made
+        reps = 2 * fill.orders + 1  # k = 0 .. 2 order(x) for each x
+        x = np.repeat(np.arange(g.n), reps)
+        k = np.arange(len(x)) - np.repeat(np.cumsum(reps) - reps, reps)
+        assert np.array_equal(g.power_at(x, k), fill.powers[x, k % fill.orders[x]])
+        subgroups = [fill.cyclic_subgroup(x) for x in range(g.n)]
+        assert [g.cyclic_subgroup(x) for x in range(g.n)] == subgroups  # from the leaves
+        assert (g.powers.dtype, g.powers.shape) == (fill.powers.dtype, fill.powers.shape)
+        assert g.powers.tobytes() == fill.powers.tobytes()
+        assert [g.cyclic_subgroup(x) for x in range(g.n)] == subgroups  # from the power table
+        assert not made
 
 
 class TestPowerTable:
