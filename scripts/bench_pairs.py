@@ -12,23 +12,26 @@ seed the script runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in that copy and once in the working tree, one
 run at a time, with N from BENCHMARK.json unless --seconds is given. The
 side that runs first alternates from pair to pair (the parent first in the
-first pair). Each tree runs its own perfbench. After each run, the same
-tree runs one cold `gpgraph verify --max-order 96` process, whose own peak
-RSS (ru_maxrss from wait4, so Linux or another Unix) is recorded beside the
-run: perfbench's peak_rss_mb grows with the number of passes a run makes,
-and this number does not. The result file, rewritten after every pair,
-gives each end-to-end metric of BENCHMARK.json per side as median and
-inclusive quartiles, the number of pairs the change won, and every run, and
-the cold peaks the same way. A claim (workload:metric) is met when
-the change wins at least nine tenths of the pairs and the medians differ,
-in the better direction, by more than the distance between the parent's
-quartiles. Each workload's `regressions` lists the end-to-end metrics that
-the change made worse by the mirror of that rule: worse in at least nine
-tenths of the pairs, with the medians apart in the worse direction by more
-than the parent's IQR. Its `beyond_bound` lists the end-to-end metrics
-whose change median is worse than the parent median by more than the
-metric's `bound` in BENCHMARK.json, taken as a share of the parent median:
-the benchmark's own no-regression rule. Standard library only.
+first pair). Each tree runs its own perfbench. After each run, the same tree
+runs one cold `gpgraph verify --max-order 96` process, whose own peak RSS
+(ru_maxrss from wait4, so Linux or another Unix) is recorded beside the run:
+perfbench's peak_rss_mb grows with the number of passes a run makes, and
+this number does not. That process reads bytecode that an unmeasured
+`gpgraph --help` process has just cached for its tree, in a cache of the
+tree's own, so no compile counts in its peak. The result file, rewritten
+after every pair, gives each end-to-end metric of BENCHMARK.json per side as
+median and inclusive quartiles, the number of pairs the change won, and
+every run, and the cold peaks the same way. A claim (workload:metric) is met
+when the change wins at least nine tenths of the pairs and the medians
+differ, in the better direction, by more than the distance between the
+parent's quartiles. Each workload's `regressions` lists the end-to-end
+metrics that the change made worse by the mirror of that rule: worse in at
+least nine tenths of the pairs, with the medians apart in the worse
+direction by more than the parent's IQR. Its `beyond_bound` lists the
+end-to-end metrics whose change median is worse than the parent median by
+more than the metric's `bound` in BENCHMARK.json, taken as a share of the
+parent median: the benchmark's own no-regression rule. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -80,11 +83,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def cold_peak_rss_mb(tree: Path, max_order: int = COLD_VERIFY_MAX_ORDER) -> float:
+def cold_peak_rss_mb(tree: Path, pycache: Path, max_order: int = COLD_VERIFY_MAX_ORDER) -> float:
     """Peak RSS in MB of one fresh `gpgraph verify --max-order N` process
-    run from tree's own src/, read from that child's rusage alone."""
+    run from tree's own src/, read from that child's rusage alone.
+
+    Bytecode is cached under `pycache`, the tree's own PYTHONPYCACHEPREFIX,
+    and one unmeasured `gpgraph --help` process writes it first, so the
+    measured process loads bytecode and compiles nothing: a compile's peak
+    grows with the length of the module, not with what the run does."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
+    subprocess.run([sys.executable, "-m", "gpgraph", "--help"], cwd=tree, env=env, check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     cmd = [sys.executable, "-m", "gpgraph", "verify", "--max-order", str(max_order)]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -215,14 +226,17 @@ def main(argv=None) -> int:
             "(linear-interpolation) quartiles of one side's runs; median_change is (change median "
             "- parent median) / parent median; runs are listed in seed order. After each run "
             f"the same tree runs one `python -m gpgraph verify --max-order {COLD_VERIFY_MAX_ORDER}` "
-            "process; cold_peak_rss_mb is that process's ru_maxrss."),
+            "process; cold_peak_rss_mb is that process's ru_maxrss. Each tree caches its bytecode "
+            "under its own PYTHONPYCACHEPREFIX in the run's temporary directory, with "
+            "PYTHONDONTWRITEBYTECODE unset, and an unmeasured `python -m gpgraph --help` process "
+            "runs before each measured one, so the measured process compiles nothing."),
         "hardware": f"{os.cpu_count()} CPU {platform.machine()}, Python {platform.python_version()}, "
                     f"numpy {numpy_version}",
         "claim": None,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp)
+        parent_tree = Path(tmp) / "parent"
         export_commit(commit, parent_tree)
         for workload in args.workload:
             runs = []
@@ -232,7 +246,8 @@ def main(argv=None) -> int:
                 for side in (first, "change" if first == "parent" else "parent"):
                     tree = parent_tree if side == "parent" else ROOT
                     pair[side] = run_once(tree, workload, seed, seconds)
-                    pair.setdefault("cold_peak_rss_mb", {})[side] = cold_peak_rss_mb(tree)
+                    pair.setdefault("cold_peak_rss_mb", {})[side] = cold_peak_rss_mb(
+                        tree, Path(tmp) / f"pycache-{side}")
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{pair[side]['metrics']['wall_s']['value']:.4f}, cold verify peak "
                           f"{pair['cold_peak_rss_mb'][side]:.1f} MB", file=sys.stderr)

@@ -21,13 +21,18 @@ MAX_GROUP_ORDER = 8192
 
 PERMUTATION_CLOSURE_CAP = 2048
 
+# closure_from_permutations refuses a degree and cap whose closure could hold
+# more entries than this (cap permutations of degree points each) before it
+# makes any of them.
+PERMUTATION_CLOSURE_ENTRIES = 1 << 24
+
 # Light's test compares this many rows of the table at a time, so its working
 # memory is O(n * ASSOCIATIVITY_BAND) entries.
 ASSOCIATIVITY_BAND = 256
 
-# cyclic_membership scatters the power table's rows this many entries at a
-# time, so its working memory beyond the result is O(MEMBERSHIP_BAND_CELLS)
-# indices.
+# cyclic_membership scatters the power table's rows, and _permutation_table
+# takes its rows from the table, this many entries at a time, so their
+# working memory beyond the result is O(MEMBERSHIP_BAND_CELLS) indices.
 MEMBERSHIP_BAND_CELLS = 1 << 16
 
 # The only bytes a table body may hold for parse_cayley_table to read it in
@@ -79,8 +84,13 @@ class NotAPermutation(ValueError):
 
 
 class OrderCapExceeded(ValueError):
-    def __init__(self, cap: int):
-        super().__init__(f"generated group exceeds the order cap {cap}")
+    def __init__(self, cap: int, degree: Optional[int] = None):
+        if degree is None:
+            super().__init__(f"generated group exceeds the order cap {cap}")
+        else:
+            super().__init__(
+                f"a closure of degree {degree} under the order cap {cap} could hold "
+                f"{degree * cap} permutation entries, more than {PERMUTATION_CLOSURE_ENTRIES}")
 
 
 def _table_dtype(n: int) -> type:
@@ -738,15 +748,18 @@ def _generating_set(table: np.ndarray) -> list[int]:
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
+    fresh = np.zeros(n, dtype=bool)  # marks a round's new elements, ascending
     gens: list[int] = []
     while not reached.all():
         g = int(np.argmin(reached))
         gens.append(g)
         frontier = table[np.flatnonzero(reached), g]  # holds 0 * g = g
         while len(frontier):
-            frontier = np.unique(frontier[~reached[frontier]])
+            fresh[frontier[~reached[frontier]]] = True
+            frontier = np.flatnonzero(fresh)
+            fresh[frontier] = False
             reached[frontier] = True
-            frontier = table[np.ix_(frontier, gens + frontier[:1].tolist())].ravel()
+            frontier = table[frontier[:, None], gens + frontier[:1].tolist()].ravel()
     return gens
 
 
@@ -783,31 +796,31 @@ def validate_and_build(table) -> FiniteGroup:
     n = arr.shape[0]
     if n > MAX_GROUP_ORDER:
         raise CayleyTableError(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
-    # Range first: the cast below would wrap entries off by a multiple of 2^16.
-    bad = np.argwhere((arr < 0) | (arr >= n))
-    if len(bad):
-        r, c = (int(v) for v in bad[0])
+    # Range first: the cast below would wrap entries off by a multiple of
+    # 2^16, and the relabel would index past its value map.
+    if arr.min() < 0 or arr.max() >= n:
+        r, c = (int(v) for v in np.argwhere((arr < 0) | (arr >= n))[0])
         raise NotClosed(r, c, int(arr[r, c]), n)
-    arr = arr.astype(_table_dtype(n), copy=True)
 
     idx = np.arange(n)
-    row_ok = (arr == idx[None, :]).all(axis=1)
-    identity = -1
-    for e in np.nonzero(row_ok)[0]:
-        if (arr[:, e] == idx).all():
-            identity = int(e)
-            break
+    # A two-sided identity e has e * 0 = 0 * e = 0, so only those rows are
+    # compared in full, ascending.
+    candidates = np.flatnonzero((arr[:, 0] == 0) & (arr[0] == 0)).tolist()
+    identity = next((e for e in candidates if (arr[e] == idx).all() and (arr[:, e] == idx).all()), -1)
     if identity < 0:
         raise NoIdentity()
 
-    if identity != 0:
-        # Relabel so the identity sits at index 0 (swap 0 <-> identity).
-        perm = idx.copy()
+    if identity == 0:
+        arr = arr.astype(_table_dtype(n), copy=True)
+    else:
+        # Swap the names 0 and e = identity: new[i, j] = perm[old[perm[i],
+        # perm[j]]] for the involution perm, so map the values, which makes
+        # the copy in the table's dtype, then swap rows and columns 0 and e.
+        perm = idx.astype(_table_dtype(n))
         perm[0], perm[identity] = identity, 0
-        relabelled = np.empty_like(arr)
-        relabelled[perm[:, None], perm[None, :]] = perm[arr]
-        arr = relabelled
-
+        arr = perm[arr]
+        arr[[0, identity]] = arr[[identity, 0]]
+        arr[:, [0, identity]] = arr[:, [identity, 0]]
     group = FiniteGroup(arr)
     inv = group.inverses
     right_ok = arr[idx, inv] == 0
@@ -828,8 +841,11 @@ def closure_from_permutations(
 
     Elements are indexed in discovery order with the identity at index 0.
     Raises OrderCapExceeded once more than `cap` elements are discovered
-    (the table alone is O(cap^2) memory).
+    (the table alone is O(cap^2) memory), and before any work when `cap`
+    permutations of `degree` points would pass PERMUTATION_CLOSURE_ENTRIES.
     """
+    if degree * cap > PERMUTATION_CLOSURE_ENTRIES:
+        raise OrderCapExceeded(cap, degree)
     gens = [tuple(int(x) for x in g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -862,7 +878,8 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
     picks them, are looked up among the sorted rows (each row one np.void
     key, one searchsorted per looked-up row). Every other row follows from
     row(a o g) = row(a)[row(g)] along a breadth-first search from the
-    identity. The looked-up rows are where closure is checked: when each
+    identity, as flat takes from the table, MEMBERSHIP_BAND_CELLS indices at
+    a time. The looked-up rows are where closure is checked: when each
     generator maps the rows into the rows, so does every product of
     generators, which is every row. Raises CayleyTableError when the rows
     are not closed under composition.
@@ -878,9 +895,13 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
     if not len(identity):  # a closed set holds the powers of its rows, the identity among them
         raise CayleyTableError("the identity permutation is outside the rows")
     table = np.empty((n, n), dtype=_table_dtype(n))
+    flat = table.reshape(-1)
     table[identity[0]] = np.arange(n)
     reached = np.zeros(n, dtype=bool)
     reached[identity[0]] = True
+    fresh = np.zeros(n, dtype=bool)
+    pair = np.empty(n, dtype=np.intp)  # pair[x]: a position of x in the round's products
+    band = max(1, MEMBERSHIP_BAND_CELLS // n)
     gens: list[int] = []
     while not reached.all():
         g = int(np.argmin(reached))
@@ -899,10 +920,16 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
         by = np.full(len(src), g)
         while len(src):
             prod = table[src, by]
-            new, first = np.unique(prod, return_index=True)
-            keep = ~reached[new]
-            new, first = new[keep], first[keep]
-            table[new] = table[src[first, None], table[by[first]]]
+            fresh[prod[~reached[prod]]] = True  # as in _generating_set
+            new = np.flatnonzero(fresh)
+            fresh[new] = False
+            pair[prod] = np.arange(len(prod))  # any product of x gives x's row
+            first = pair[new]
+            for lo in range(0, len(new), band):  # row new = row(src)[row(by)]
+                cut = first[lo:lo + band]
+                cells = table[by[cut]].astype(np.intp)
+                cells += (src[cut] * n)[:, None]
+                table[new[lo:lo + band]] = flat.take(cells)
             reached[new] = True
             right = np.array(gens + new[:1].tolist())
             src, by = np.repeat(new, len(right)), np.tile(right, len(new))
@@ -918,8 +945,12 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
 
 def parse_cayley_table(text: str) -> FiniteGroup:
     """Read the text format and validate the table in full (validate_and_build)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines: list[str]) -> FiniteGroup:
+    """parse_cayley_table on the text's lines, as str.splitlines gives them."""
+    lines = [s for s in (ln.strip() for ln in lines) if s and not s.startswith("#")]
     if not lines:
         raise CayleyTableError("empty table file")
     try:
@@ -936,12 +967,13 @@ def parse_cayley_table(text: str) -> FiniteGroup:
     table = None
     # loadtxt reads some non-ASCII characters as digits, so only bodies of
     # ASCII digits, signs and blanks go to it; on those it reads what int()
-    # reads. The row loop names the first bad row of any other body, and
-    # validate_and_build checks the range before any cast.
-    if not "".join(body).encode("ascii", "replace").translate(None, _TABLE_CHARS):
+    # reads, straight into the table's dtype, and refuses an entry that
+    # dtype cannot hold. The row loop names the first bad row of any other
+    # body, and validate_and_build checks the range of what loadtxt read.
+    if all(ln.isascii() and not ln.encode().translate(None, _TABLE_CHARS) for ln in body):
         try:
-            table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:  # a bad token, ragged rows or an int64 overflow
+            table = np.loadtxt(body, dtype=_table_dtype(n), comments=None, ndmin=2)
+        except ValueError:  # a bad token, ragged rows or an entry past the dtype
             pass
     if table is None or table.shape != (n, n):
         table = _parse_rows(body, n)
@@ -980,8 +1012,10 @@ def format_cayley_table(group: FiniteGroup) -> str:
 
 
 def read_cayley_table(path) -> FiniteGroup:
+    """parse_cayley_table on the file's text, which is dropped once it is
+    split into lines, before the table is made."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cayley_table(fh.read())
+        return _parse_lines(fh.read().splitlines())
 
 
 def write_cayley_table(group: FiniteGroup, path) -> None:

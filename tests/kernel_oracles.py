@@ -11,7 +11,9 @@ catalog._product_table, one element's power walk over the Cayley table for
 every reader of FiniteGroup.powers (cyclic subgroups, subgroups of prime
 order, GP adjacency, element orders) and, read at every (m/p)-th power,
 for FiniteGroup.prime_subgroup_incidence, the closure of a set under all
-products for groups._generating_set, and a per-token parse for
+products for groups._generating_set (and the same greedy set by np.unique
+frontiers, for the list it returns), the 2-D scatter of a relabelling for
+groups.validate_and_build, and a per-token parse for
 groups.parse_cayley_table. The kernels must agree with them on every input.
 """
 
@@ -231,6 +233,41 @@ def magma_closure(table: np.ndarray, elements: Iterable[int]) -> np.ndarray:
         found[table[np.ix_(idx, idx)]] = True
         if found.sum() == len(idx):
             return idx
+
+
+def relabel(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The table with every element x renamed perm[x], by one 2-D scatter:
+    new[perm[a], perm[b]] = perm[table[a, b]]."""
+    perm = np.asarray(perm)
+    out = np.empty_like(table)
+    out[perm[:, None], perm[None, :]] = perm[table]
+    return out
+
+
+def swap_identity(table: np.ndarray, e: int) -> np.ndarray:
+    """relabel() by the involution that swaps the names 0 and e, so the
+    element named e (the identity, in validate_and_build) is named 0."""
+    perm = np.arange(len(table))
+    perm[0], perm[e] = e, 0
+    return relabel(table, perm)
+
+
+def generating_set(table: np.ndarray) -> list[int]:
+    """The greedy generating set of groups._generating_set, each round's new
+    elements found by np.unique of the products not yet reached."""
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        frontier = table[np.flatnonzero(reached), g]
+        while len(frontier):
+            frontier = np.unique(frontier[~reached[frontier]])
+            reached[frontier] = True
+            frontier = table[np.ix_(frontier, gens + frontier[:1].tolist())].ravel()
+    return gens
 
 
 def parse_cayley_table(text: str) -> FiniteGroup:

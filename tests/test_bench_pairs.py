@@ -69,11 +69,30 @@ def test_summary_gives_the_cold_peaks_per_side_and_pair():
     assert cold["change"]["median"] == 34.0
 
 
-def test_cold_peak_is_one_verify_process_of_the_tree():
+def test_cold_peak_is_one_verify_process_of_the_tree(tmp_path):
     # The working tree's own verify, at a small order to keep it quick: a
     # python process with numpy loaded peaks at tens of MB.
-    peak = bench_pairs.cold_peak_rss_mb(SCRIPT.parent.parent, max_order=16)
+    peak = bench_pairs.cold_peak_rss_mb(SCRIPT.parent.parent, tmp_path, max_order=16)
     assert 10 < peak < 500
+
+
+def test_cold_peak_runs_a_warm_up_with_the_trees_bytecode_cache(tmp_path, monkeypatch):
+    # An unmeasured warm-up first, then the measured verify, both with the
+    # tree's own bytecode cache and free to write to it.
+    calls = []
+    real_popen = bench_pairs.subprocess.Popen
+
+    def recording_popen(cmd, **kwargs):
+        calls.append((cmd, kwargs["env"]))
+        return real_popen(cmd, **kwargs)
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", recording_popen)
+    bench_pairs.cold_peak_rss_mb(SCRIPT.parent.parent, tmp_path / "pycache", max_order=16)
+    assert [cmd[-2:] for cmd, _ in calls] == [["gpgraph", "--help"], ["--max-order", "16"]]
+    assert [env["PYTHONPYCACHEPREFIX"] for _, env in calls] == [str(tmp_path / "pycache")] * 2
+    assert not any("PYTHONDONTWRITEBYTECODE" in env for _, env in calls)
+    assert any((tmp_path / "pycache").rglob("verify*.pyc"))
 
 
 def test_regressions_mirror_the_claim_rule():

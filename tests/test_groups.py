@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -14,6 +15,7 @@ from gpgraph.catalog import _product_table, build, catalog_up_to, parse_spec
 from gpgraph.groups import (
     ASSOCIATIVITY_BAND,
     MAX_GROUP_ORDER,
+    PERMUTATION_CLOSURE_CAP,
     IndexOutOfRange,
     NoIdentity,
     NoInverse,
@@ -64,6 +66,19 @@ WRAPPED_Z2_TEXTS = (
     "2\n0 1\n1 -65536\n",
     "2\n0 1\n1 9223372036854775808\n",
 )
+
+
+def random_relabellings(count: int = 20, max_order: int = 64) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`count` catalog tables of order at most max_order, each renamed by a
+    seeded random permutation: (renamed table, permutation)."""
+    specs = catalog_up_to(max_order, False)
+    rng = np.random.default_rng(max_order)
+    out = []
+    for i in rng.choice(len(specs), count, replace=False):
+        table = np.array(build(specs[i]).table)
+        perm = rng.permutation(len(table))
+        out.append((oracle.relabel(table, perm), perm))
+    return out
 
 
 def loop5_times_cyclic(m: int) -> np.ndarray:
@@ -202,6 +217,44 @@ class TestValidateAndBuild:
         g = validate_and_build(table)
         assert table.flags.writeable and not g.table.flags.writeable
 
+    def test_relabel_matches_the_scatter(self):
+        # The identity at index 1, in the middle and last, then anywhere.
+        for spec in catalog_up_to(64, False):
+            table = np.array(build(spec).table)
+            n = len(table)
+            for e in {e for e in (1, n // 2, n - 1) if 0 < e < n}:
+                moved = oracle.swap_identity(table, e)
+                got = validate_and_build(moved).table
+                assert got.dtype == table.dtype
+                assert np.array_equal(got, oracle.swap_identity(moved, e)), (spec, e)
+        for moved, perm in random_relabellings():
+            got = validate_and_build(moved).table
+            assert np.array_equal(got, oracle.swap_identity(moved, int(perm[0])))
+
+    def test_not_closed_names_the_first_bad_cell_both_ways(self):
+        # Z_6 with its identity at index 3 and one or three bad cells, (2, 4)
+        # first in row-major order: it is named whether the text goes to
+        # loadtxt, which refuses an entry past int16, or row by row, and
+        # whether the array is checked as given; 65536 + k is not read as k.
+        z6 = oracle.swap_identity(np.array(build(parse_spec("cyclic:6")).table, dtype=np.int64), 3)
+        for first in (-1, -40000, 6, 40000, 65536, 65536 + 4):
+            for later in (None, -3, 7, 40000, 65536 + 1):
+                table = z6.copy()
+                table[2, 4] = first
+                if later is not None:
+                    table[2, 5] = table[4, 1] = later
+                text = "6\n" + "\n".join(" ".join(map(str, row)) for row in table.tolist()) + "\n"
+                for read in (validate_and_build, parse_cayley_table):
+                    with pytest.raises(NotClosed) as exc:
+                        read(text if read is parse_cayley_table else table)
+                    assert exc.value.witness == (2, 4, first), (first, later, read.__name__)
+
+    def test_generating_set_matches_the_unique_frontiers(self):
+        tables = [build(spec).table for spec in catalog_up_to(128, False)]
+        tables += [validate_and_build(moved).table for moved, _ in random_relabellings()]
+        for table in tables:
+            assert _generating_set(table) == oracle.generating_set(table)
+
 
 class TestElementQueries:
     def test_element_order_examples(self):
@@ -320,6 +373,20 @@ class TestClosure:
         with pytest.raises(OrderCapExceeded):
             closure_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=50)
 
+    def test_closure_too_large_to_hold_is_refused_at_once(self):
+        degree = 10**5
+        cycle = [(x + 1) % degree for x in range(degree)]
+        start = time.perf_counter()
+        with pytest.raises(OrderCapExceeded,
+                           match=f"degree {degree} under the order cap {PERMUTATION_CLOSURE_CAP} "):
+            closure_from_permutations(degree, [cycle])
+        assert time.perf_counter() - start < 0.1
+
+    def test_closure_of_large_degree_under_a_small_cap(self):
+        degree = 10**5
+        g = closure_from_permutations(degree, [[1, 0, *range(2, degree)]], cap=2)
+        assert g.n == 2 and g.table.tolist() == [[0, 1], [1, 0]]
+
     def test_not_a_permutation(self):
         with pytest.raises(NotAPermutation):
             closure_from_permutations(3, [(0, 0, 1)])
@@ -405,6 +472,22 @@ class TestTableTextFormat:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert path.read_text(encoding="utf-8") == format_cayley_table(g)
+
+    def test_reading_a_large_file_peaks_below_three_times_the_file(self, tmp_path):
+        # dihedral:1024 renamed at random: an 18 MB file of an 8 MiB table.
+        table = np.array(build(parse_spec("dihedral:1024")).table)
+        perm = np.random.default_rng(1024).permutation(len(table))
+        moved = oracle.relabel(table, perm)
+        path = tmp_path / "d1024.tbl"
+        write_cayley_table(FiniteGroup(moved), path)
+        tracemalloc.start()
+        try:
+            g = read_cayley_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
+        assert np.array_equal(g.table, oracle.swap_identity(moved, int(perm[0])))
 
     def test_comments_and_relabelling(self):
         text = "# shifted Z_2: identity is element 1\n2\n1 0\n0 1\n"
