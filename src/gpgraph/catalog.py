@@ -33,6 +33,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import reprlib
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -301,10 +303,53 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return table.reshape(n1 * n2, n1 * n2)
 
 
-def _abelian_leaves(factors: tuple[int, ...]) -> tuple[Leaf, ...]:
+# A leaf by its maker and the maker's arguments: (cyclic_leaf, m) or
+# (inverting_leaf, m, t).
+LeafKey = tuple
+
+
+class _LeafMemo:
+    """Leaves by key, each made at its first request and held until its
+    last: `uses` counts the requests to come. catalog_groups counts them
+    for its whole pass, so the pass makes each distinct leaf once and holds
+    it no longer than a group may still ask for it, and the groups, not the
+    catalog, size the pass's memory: a plain dict held to the end of the
+    pass doubled the traced peak of catalog_groups(1024) (7.1 to 13.5 MiB).
+    A key without a count (a build() outside a pass) is made at each
+    request."""
+
+    def __init__(self, uses: Counter | None = None):
+        self.uses = Counter() if uses is None else uses
+        self.held: dict[LeafKey, Leaf] = {}
+
+    def __call__(self, key: LeafKey) -> Leaf:
+        leaf = self.held.pop(key, None)
+        if leaf is None:
+            make, *args = key
+            leaf = make(*args)
+        self.uses[key] -= 1
+        if self.uses[key] > 0:
+            self.held[key] = leaf
+        return leaf
+
+
+# The leaf memo of the catalog_groups pass whose build() call is running:
+# the pass sets it around each call, and a build() outside a pass makes a
+# memo of its own.
+_pass_leaves: ContextVar[_LeafMemo | None] = ContextVar("_pass_leaves", default=None)
+
+
+def _abelian_leaves(factors: tuple[int, ...]) -> tuple[LeafKey, ...]:
     # One Z_f per factor, as _abelian_table indexes the group: mixed radix,
     # the last factor fastest, factors of 1 skipped.
-    return tuple(map(cyclic_leaf, [f for f in factors if f != 1] or [1]))
+    return tuple((cyclic_leaf, f) for f in [f for f in factors if f != 1] or [1])
+
+
+def _leaf_keys(spec: GroupSpec) -> tuple[LeafKey, ...]:
+    """The keys of the leaves a family spec's build makes; none for a
+    product, which takes its factors', or a family without leaves."""
+    family = _FAMILIES.get(spec.family)
+    return family.leaves(spec.params) if family is not None and family.leaves else ()
 
 
 Params = tuple[int, ...]
@@ -315,10 +360,11 @@ class _Family(NamedTuple):
     params, checked in turn; the order is the product of `factors(params)`.
     With `prime`, params[0] must be prime too (refused with the last rule's
     message). `table(params)` makes the Cayley table, and `leaves(params)`
-    the group's mixed radix of groups.Leaf digits (Z_f per abelian factor,
-    one inverting leaf for dihedral, dicyclic and gq), from which the group
-    reads its element orders and powers; a family without leaves has them
-    filled from its table and is one table leaf.
+    gives the keys (LeafKey) of the group's mixed radix of groups.Leaf
+    digits (Z_f per abelian factor, one inverting leaf for dihedral,
+    dicyclic and gq), which build() makes through a _LeafMemo. The group
+    reads its element orders and powers from them; a family without leaves
+    has them filled from its table and is one table leaf.
     `abelian` marks the abelian families; a member of another family is
     abelian iff its order is below 6, the least order of a non-abelian group
     (dihedral:m for m <= 2, symmetric:n for n <= 2)."""
@@ -327,7 +373,7 @@ class _Family(NamedTuple):
     factors: Callable[[Params], Iterable[int]]
     name: Callable[[Params], str]
     table: Callable[[Params], np.ndarray]
-    leaves: Callable[[Params], tuple[Leaf, ...]] | None = None
+    leaves: Callable[[Params], tuple[LeafKey, ...]] | None = None
     prime: bool = False
     abelian: bool = False
 
@@ -342,11 +388,11 @@ _FAMILIES: dict[str, _Family] = {
     CYCLIC: _Family(
         {"cyclic:n needs n >= 1": _one_at_least(1)},
         factors=lambda p: p, name=lambda p: f"Z{p[0]}",
-        table=lambda p: _cyclic_table(p[0]), leaves=lambda p: _abelian_leaves(p), abelian=True),
+        table=lambda p: _cyclic_table(p[0]), leaves=_abelian_leaves, abelian=True),
     ABELIAN: _Family(  # factors of 1 are legal, so the factor count says nothing
         {"abelian factors must be >= 1": lambda p: len(p) >= 1 and all(d >= 1 for d in p)},
         factors=lambda p: p, name=lambda p: "x".join(f"Z{d}" for d in p),
-        table=lambda p: _abelian_table(p), leaves=lambda p: _abelian_leaves(p), abelian=True),
+        table=lambda p: _abelian_table(p), leaves=_abelian_leaves, abelian=True),
     ELEMENTARY_ABELIAN: _Family(
         {"elemab:p,k needs prime p and rank k >= 1": lambda p: len(p) == 2 and p[0] >= 2 and p[1] >= 1},
         # range, unlike itertools.repeat, takes a rank above sys.maxsize
@@ -357,19 +403,19 @@ _FAMILIES: dict[str, _Family] = {
         {"dihedral:m needs m >= 1": _one_at_least(1)},
         factors=lambda p: (2, p[0]), name=lambda p: f"D{2 * p[0]}",
         table=lambda p: _extension_table(_cyclic_table(p[0]), _negation(p[0]), 2, 0),
-        leaves=lambda p: (inverting_leaf(p[0], 0),)),
+        leaves=lambda p: ((inverting_leaf, p[0], 0),)),
     DICYCLIC: _Family(
         {"dicyclic:m needs m >= 2": _one_at_least(2)},
         factors=lambda p: (4, p[0]), name=lambda p: f"Dic{p[0]}",
         table=lambda p: _dicyclic_table(p[0]),
-        leaves=lambda p: (inverting_leaf(2 * p[0], p[0]),)),
+        leaves=lambda p: ((inverting_leaf, 2 * p[0], p[0]),)),
     GENERALIZED_QUATERNION: _Family(  # Q_4m = Dic_m
         {"gq:n needs the group order": lambda p: len(p) == 1,
          "generalized quaternion order must be 2^k with k >= 3":
              lambda p: p[0] >= 8 and p[0] & (p[0] - 1) == 0},
         factors=lambda p: p, name=lambda p: f"Q{p[0]}",
         table=lambda p: _dicyclic_table(p[0] // 4),
-        leaves=lambda p: (inverting_leaf(p[0] // 2, p[0] // 4),)),
+        leaves=lambda p: ((inverting_leaf, p[0] // 2, p[0] // 4),)),
     HEISENBERG: _Family(  # p >= 2 first, so a negative p is refused as not prime, not by the cap
         {"heisenberg:p needs a prime p": _one_at_least(2)},
         factors=lambda p: (p[0],) * 3, name=lambda p: f"Heis{p[0]}",
@@ -386,10 +432,13 @@ def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B, indexed as _product_table indexes it: (x, y) is x |B| + y.
     Its table is made from the factors' when first read, and its leaves are
     A's then B's, so a nested product is one flat radix, from which its
-    orders and powers come."""
-    return FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
-                       leaves=lambda: a.leaves + b.leaves,
-                       abelian=a.is_abelian and b.is_abelian)
+    powers come. Its orders are the outer lcm of A's and B's, which the
+    catalog pass has read already, so a product folds no leaf again."""
+    product = FiniteGroup(lambda: _product_table(a.table, b.table), order=a.n * b.n,
+                          leaves=lambda: a.leaves + b.leaves,
+                          abelian=a.is_abelian and b.is_abelian)
+    product._make_orders = lambda: np.lcm.outer(a.orders, b.orders).ravel()
+    return product
 
 
 def build(spec: GroupSpec, *,
@@ -402,15 +451,16 @@ def build(spec: GroupSpec, *,
     Cayley table only when something reads it. A product
     takes a factor found in `factors` from there, with whatever it has
     made, and builds the others; catalog_groups passes the groups its pass
-    has built. A file: table, alone or as a factor, is read and
-    validated in full, and a product with a file: factor raises
-    BadParameters when its order exceeds MAX_GROUP_ORDER, before anything of
-    the product is made.
+    has built, and its leaves are made once a pass (_LeafMemo). A file:
+    table, alone or as a factor, is read and validated in full, and a
+    product with a file: factor raises BadParameters when its order exceeds
+    MAX_GROUP_ORDER, before anything of the product is made.
     """
-    return _build(spec, factors)
+    memo = _pass_leaves.get()
+    return _build(spec, factors, _LeafMemo() if memo is None else memo)
 
 
-def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteGroup:
+def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup], memo: _LeafMemo) -> FiniteGroup:
     # build() for a spec and each of its factors; a spec found in `factors`
     # is taken from there, and other factors are built here, not through
     # build(), so a spec is one build() call.
@@ -419,13 +469,13 @@ def _build(spec: GroupSpec, factors: Mapping[GroupSpec, FiniteGroup]) -> FiniteG
     if spec.family == EXTERNAL:
         return read_cayley_table(spec.path)
     if spec.family == PRODUCT:
-        parts = [_build(part, factors) for part in spec.parts]
+        parts = [_build(part, factors, memo) for part in spec.parts]
         if spec.order() is None:  # a file: factor, whose size is known now
             _order_within_cap(spec, (g.n for g in parts))
         return reduce(_product, parts)
     family, params = _FAMILIES[spec.family], spec.params
     return FiniteGroup(lambda: family.table(params), order=spec.order(),
-                       leaves=family.leaves and (lambda: family.leaves(params)),
+                       leaves=family.leaves and (lambda: tuple(map(memo, family.leaves(params)))),
                        abelian=family.abelian or spec.order() < 6)
 
 
@@ -540,9 +590,12 @@ def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupS
 
     Each spec is one build() call. A product's factors are catalog specs
     that come earlier, and the product takes them, with whatever they have
-    made, from the groups this pass has built. The pass holds a factor
-    until its last product; the products of one base are contiguous, so it
-    holds the abelian factors and one base at a time. The harness reads
+    made, from the groups this pass has built. The builds share one leaf
+    memo (_LeafMemo, set as _pass_leaves), which holds each distinct cyclic
+    or inverting leaf from its first request to its last, so a pass makes
+    it once. The pass holds a factor until its last product; the products
+    of one base are contiguous, so it holds the abelian factors and one
+    base at a time. The harness reads
     point powers, which make no power table for a factor with leaves, and
     a factor without leaves made its power table with its orders;
     so under the harness a held factor holds no power table it did not
@@ -556,9 +609,14 @@ def catalog_groups(max_order: int, dedupe: bool = True) -> Iterator[tuple[GroupS
     specs = catalog_up_to(max_order, False)
     last_read = {part: i for i, spec in enumerate(specs) for part in spec.parts}
     built: dict[GroupSpec, FiniteGroup] = {}
+    leaves = _LeafMemo(Counter(key for spec in specs for key in _leaf_keys(spec)))
     seen: set = set()
     for i, spec in enumerate(specs):
-        group = build(spec, factors=built)
+        token = _pass_leaves.set(leaves)
+        try:
+            group = build(spec, factors=built)
+        finally:
+            _pass_leaves.reset(token)
         if spec in last_read:
             built[spec] = group
         for part in spec.parts:

@@ -108,16 +108,16 @@ def _cmd_check(args) -> int:
     group = build(spec)
     convention = VertexConvention.from_flag(args.convention)
     graph = generalized_power_graph(group, convention)
-    [facts] = _graph_facts(group.prime_subgroup_incidence()[graph.labels], [graph.v], [group.n])
+    facts = _graph_facts(group.prime_subgroup_incidence()[graph.labels], [graph.v], [group.n])
     verdict = is_planar(graph)
-    sizes = sorted(facts["component_sizes"], reverse=True)
+    sizes = sorted(facts["component_sizes"][0], reverse=True)
     print(f"group: {spec.to_text()} ({spec.name}, order {group.n})")
     print(f"convention: {convention.value}")
     print(f"vertices: {graph.v}")
     print(f"edges: {graph.edge_count()}")
-    print(f"complete: {'yes' if facts['complete'] else 'no'}")
+    print(f"complete: {'yes' if facts['complete'][0] else 'no'}")
     print(f"components: {len(sizes)}" + (f" (sizes: {', '.join(map(str, sizes))})" if sizes else ""))
-    print(f"components all complete: {'yes' if facts['components_complete'] else 'no'}")
+    print(f"components all complete: {'yes' if facts['components_complete'][0] else 'no'}")
     print(f"planar: {'yes' if verdict.planar else 'no'} (method: {verdict.method})")
     return 0
 

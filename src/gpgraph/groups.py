@@ -188,7 +188,9 @@ class FiniteGroup:
     only closed form: the element orders are the lcm fold of the leaves'
     order vectors, point reads (power_at, GroupBatch) compute x^k digit by
     digit, and the power table, made only when something reads it whole, is
-    the outer sum of the leaves' power grids at their radix weights. So a
+    the outer sum of the leaves' power grids at their radix weights. (A
+    catalog product takes the outer lcm of its two factors' orders instead,
+    which they hold: catalog._product sets the private `_make_orders`.) So a
     group whose facts are all a reader wants never has a table. Without
     leaves, orders and powers are filled from the table in one pass, and
     the group is one table leaf, whose point reads read that fill.
@@ -196,7 +198,7 @@ class FiniteGroup:
     its groups this way.
     """
 
-    __slots__ = ("n", "_table", "_make_table", "_make_leaves",
+    __slots__ = ("n", "_table", "_make_table", "_make_leaves", "_make_orders",
                  "_inverses", "_orders", "_abelian", "_prime_incidence", "_powers", "_leaves")
 
     identity = 0
@@ -211,6 +213,7 @@ class FiniteGroup:
             table.setflags(write=False)
             self.n, self._table, self._make_table = table.shape[0], table, None
         self._make_leaves = leaves
+        self._make_orders: Optional[Callable[[], np.ndarray]] = None
         self._abelian = abelian
         self._leaves: Optional[tuple[Leaf, ...]] = None
         self._inverses: Optional[np.ndarray] = None
@@ -270,10 +273,12 @@ class FiniteGroup:
     @property
     def orders(self) -> np.ndarray:
         """Orders of all elements (intp): from the leaves when given, an
-        outer lcm of their order vectors, else recorded by the table's power
-        fill."""
+        outer lcm of their order vectors (of a catalog product's two
+        factors' orders), else recorded by the table's power fill."""
         if self._orders is None:
-            if self._make_leaves is None:
+            if self._make_orders is not None:
+                self._orders = self._make_orders()
+            elif self._make_leaves is None:
                 self._fill_powers()
             else:
                 vectors = [leaf.orders if leaf.group is None else leaf.group.orders
@@ -743,7 +748,9 @@ def _generating_set(table: np.ndarray) -> list[int]:
     reached element but the identity is a product of generators, and the
     identity associates in the middle of any triple, so Light's test is
     complete with these generators on any table. Working memory is
-    O(n * |gens|).
+    O(n * |gens|). A table whose row 0 is not the identity's row can leave
+    a new generator unreached, as g is reached only through 0 * g; that
+    raises CayleyTableError, where the loop would adjoin g forever.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -760,6 +767,8 @@ def _generating_set(table: np.ndarray) -> list[int]:
             fresh[frontier] = False
             reached[frontier] = True
             frontier = table[frontier[:, None], gens + frontier[:1].tolist()].ravel()
+        if not reached[g]:
+            raise CayleyTableError(f"generator {g} is not reached by 0 * {g}: 0 is not the identity")
     return gens
 
 

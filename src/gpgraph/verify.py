@@ -15,9 +15,12 @@ once and makes the facts of a batch of groups in one numpy pass over their
 element orders: the invariants from the order histograms, the
 prime-subgroup incidence of all of them at once (groups.GroupBatch), and
 GP(G)'s components and planarity from the incidence rows of every vertex
-set (_graph_facts). It never builds GP(G), and keeps only GroupFacts
-records of small values. Each claim is a census plus a judge over those
-records, run by one evaluator, _claim.
+set (_graph_facts). It never builds GP(G). It keeps the facts as columns,
+an array per field with a row per spec, and makes a GroupFacts record only
+when a group is looked up. Each claim is a census, a mask over the spec
+columns, plus a judge, which maps the census rows' columns to break masks;
+one evaluator, _claim, runs them and makes Findings for the broken rows
+only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -95,7 +98,9 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class GroupFacts:
-    """What the claims read about one group and its GP(G) under one convention."""
+    """What the claims read about one group and its GP(G) under one
+    convention, as one record: FactsTable makes it from the group's row when
+    something looks the group up."""
 
     # group invariants
     order: int
@@ -115,9 +120,11 @@ class GroupFacts:
     k5_witness: tuple[int, ...] | None  # five elements of one C_P of 5 or more vertices
 
 
-def _group_invariants(batch: GroupBatch) -> list[dict]:
-    """The group-level fields of GroupFacts for each group of the batch,
-    read off the nonzero entries of its element-order histogram h."""
+def _group_invariants(batch: GroupBatch) -> dict[str, np.ndarray]:
+    """The group-level fields of GroupFacts, one array over the batch's
+    groups per field, read off the nonzero entries of each group's
+    element-order histogram h. p and subgroups_of_order_p are 0 where
+    GroupFacts has None."""
     sizes = batch.sizes
     first = batch.hist_group.searchsorted(np.arange(len(sizes)))  # each group's h[1]
     largest = batch.hist_order[np.append(first[1:], len(batch.hist_order)) - 1]
@@ -132,25 +139,51 @@ def _group_invariants(batch: GroupBatch) -> list[dict]:
     p_group = np.bincount(batch.hist_group[prime], minlength=len(sizes)) == 1
     after_one = np.minimum(first + 1, len(batch.hist_order) - 1)
     p = np.where(p_group, batch.hist_order[after_one], 0)
-    subgroups = batch.hist_count[after_one] // np.maximum(p - 1, 1)
-    out = []
-    for group, n, cyclic, p, exponent, involutions, subgroups in zip(
-            batch.groups, sizes.tolist(), (largest == sizes).tolist(), p.tolist(), exponent.tolist(),
-            involutions.tolist(), subgroups.tolist()):
-        p = p or None
-        out.append(dict(
-            order=n,
-            cyclic=cyclic,
-            p=p,
-            exponent=exponent,
-            # a non-abelian 2-group (order >= 8) with a unique involution
-            generalized_quaternion=p == 2 and n >= 8 and involutions == 1 and not group.is_abelian,
-            d8=n == 8 and involutions == 5 and not group.is_abelian,
-            # elementary abelian 2/3/5-group, Z_4 or Z_6
-            abelian_planar_family=(p in (2, 3, 5) and exponent == p) or (n in (4, 6) and cyclic),
-            subgroups_of_order_p=subgroups if p else None,
-        ))
-    return out
+    cyclic = largest == sizes
+    nonabelian = ~np.array([group.is_abelian for group in batch.groups], dtype=bool)
+    return dict(
+        order=sizes,
+        cyclic=cyclic,
+        p=p,
+        exponent=exponent,
+        # a non-abelian 2-group (order >= 8) with a unique involution
+        generalized_quaternion=(p == 2) & (sizes >= 8) & (involutions == 1) & nonabelian,
+        d8=(sizes == 8) & (involutions == 5) & nonabelian,
+        # elementary abelian 2/3/5-group, Z_4 or Z_6
+        abelian_planar_family=(((p == 2) | (p == 3) | (p == 5)) & (exponent == p))
+        | (((sizes == 4) | (sizes == 6)) & cyclic),
+        subgroups_of_order_p=np.where(p_group, batch.hist_count[after_one] // np.maximum(p - 1, 1), 0),
+    )
+
+
+# The graph fields, which FactsTable keeps per record (a group's vertex set)
+# rather than per row: as arrays, and two as lists.
+_RECORD_FIELDS = frozenset({"v", "complete", "components", "components_complete", "planar",
+                            "smallest_component", "largest_component"})
+_RECORD_LISTS = frozenset({"component_sizes", "k5_witness"})
+
+
+class Columns:
+    """The facts of some table rows under one convention, one array per
+    field, in the order of `rows`: the fields of GroupFacts (p and
+    subgroups_of_order_p 0 for None; component_sizes and k5_witness
+    lists), `components`, `smallest_component` and `largest_component` (0
+    for no components), and the spec fields `abelian` (an abelian family),
+    `nprimes`, `largest_prime` and `radical` (the product of the distinct
+    primes) of the order. Each field is read by `read(name)` on its first
+    access, so a judge reads only the fields it names; any number of rows
+    will do, one group being one row."""
+
+    def __init__(self, rows: np.ndarray, convention: VertexConvention | None,
+                 read: Callable[[str], Sequence]):
+        self.rows, self.convention, self._read = rows, convention, read
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = self._read(name)
+        setattr(self, name, value)
+        return value
 
 
 # FactsTable reads its pending groups in one numpy pass once they hold this
@@ -168,23 +201,32 @@ FACTS_BATCH_ROWS = 1 << 13
 
 
 class FactsTable:
-    """GroupFacts per (spec, convention) for one harness run.
+    """The facts of every group of one harness run, as columns.
 
-    fill() makes the facts of every catalog group of order >= 2 from one
+    Each spec is a row. A row holds its spec's columns (abelian family, the
+    number of primes, the largest prime and the radical of the order, each
+    order factored once per table), its group's invariants, and for each
+    convention the index of its record: the graph fields of GP(G) on one
+    vertex set, kept as arrays over the records. The table reads each
+    distinct vertex set of the conventions in (requested | {punctured}), as
+    discrepancy checks read Punctured, and conventions with one vertex set
+    share one record (a non-cyclic group has two).
+
+    fill() makes the rows of every catalog group of order >= 2 from one
     catalog pass, which builds each group once; a spec outside the catalog
-    is built on its first lookup. The table reads each distinct vertex set
-    of the conventions in (requested | {punctured}), as discrepancy checks
-    read Punctured, and conventions with one vertex set share one record (a
-    non-cyclic group has two).
+    is built on its first lookup. rows() gives a census as row indices and
+    columns() the facts of some rows under one convention; a GroupFacts
+    record is made only by a lookup, table(spec, convention).
 
     Groups wait in a batch, and one numpy pass over the batch's element
-    orders (GroupBatch) makes every field of every record in it: the group
+    orders (GroupBatch) makes every column of every row in it: the group
     invariants from the order histograms, the prime-subgroup incidence of
     all the groups at once (its powers read one pass per leaf shape), each
     vertex set as a mask over the concatenated orders, and the graph fields
     from the incidence rows of every vertex set (_graph_facts), without
     GP(G); planarity too, from the number of vertices holding each subgroup
-    of prime order. A batch keeps its groups until the flush.
+    of prime order. A batch keeps its groups until the flush, and each
+    flush adds one chunk to every column.
     """
 
     def __init__(self, max_order: int, conventions: tuple[VertexConvention, ...],
@@ -192,46 +234,102 @@ class FactsTable:
         self.max_order = max_order
         self.dedupe = dedupe
         self.conventions = tuple(dict.fromkeys((*conventions, VertexConvention.PUNCTURED)))
-        self._facts: dict[tuple[GroupSpec, VertexConvention], GroupFacts] = {}
-        self._catalog: list[GroupSpec] | None = None
+        self._specs: list[GroupSpec] = []            # row -> spec
+        self._row_of: dict[GroupSpec, int] = {}
+        self._catalog: np.ndarray | None = None      # the catalog's rows, in catalog order
+        self._catalog_columns: Columns | None = None
+        # a chunk per flush of each column, joined when it is read: a field
+        # name, or a convention for its record index per row
+        self._chunks: dict[str | VertexConvention, list[np.ndarray]] = {}
+        self._component_sizes: list[list[int]] = []  # per record
+        self._k5_witness: list[tuple[int, ...] | None] = []
         self._pending: list[tuple[GroupSpec, FiniteGroup]] = []
         self._pending_elements = 0
-        self._primes: dict[int, frozenset[int]] = {}
+        self._factored: dict[int, dict[int, int]] = {}
 
     def fill(self) -> None:
-        """Make the facts of every catalog group now, once per table."""
+        """Make the rows of every catalog group now, once per table."""
         if self._catalog is not None:
             return
-        self._catalog = []
+        catalog = []
         for spec, group in catalog_groups(self.max_order, self.dedupe):
             if group.n >= 2:
-                self._add(spec, group)
-                self._catalog.append(spec)
+                if spec not in self._row_of:
+                    self._add(spec, group)
+                catalog.append(spec)
         self._flush()
+        self._catalog = np.array([self._row_of[spec] for spec in catalog], dtype=np.intp)
+        self._catalog_columns = self.columns(self._catalog, None)
 
-    def census(self, pred, targets: tuple[str, ...] = ()) -> list[GroupSpec]:
-        """Catalog specs of order 2..max_order satisfying pred, in catalog
-        order, then each target spec that is not among them."""
+    def rows(self, pred: Callable[[Columns], np.ndarray | bool],
+             targets: Sequence[str] = ()) -> np.ndarray:
+        """The catalog rows whose spec columns satisfy pred, a mask over the
+        Columns of the catalog of order 2..max_order, in catalog order, then
+        the row of each target spec that is not among them; a target
+        without a row is built now."""
         self.fill()
-        specs = [s for s in self._catalog if pred(s)]
-        if targets:
-            kept = set(specs)
-            specs += [t for t in map(parse_spec, targets) if t not in kept]
-        return specs
+        rows = self._catalog[np.broadcast_to(pred(self._catalog_columns), self._catalog.shape)]
+        if not targets:
+            return rows
+        specs = [parse_spec(t) for t in targets]
+        for spec in specs:
+            if spec not in self._row_of:
+                self._add(spec, build(spec))
+        self._flush()
+        kept = set(rows.tolist())
+        extra = [row for row in map(self._row_of.__getitem__, specs) if row not in kept]
+        return np.concatenate([rows, np.array(extra, dtype=np.intp)])
 
-    def primes(self, spec: GroupSpec) -> frozenset[int]:
-        """The primes dividing the spec's order; each order is factored once
-        per table, so the census predicates of a run share the work."""
-        n = spec.order()
-        if n not in self._primes:
-            self._primes[n] = frozenset(prime_factors(n))
-        return self._primes[n]
+    def columns(self, rows: np.ndarray, convention: VertexConvention | None) -> Columns:
+        """The facts of the rows under the convention, each field taken from
+        its column when first read (None reads spec and group fields only)."""
+        records = None
+
+        def read(name: str):
+            nonlocal records
+            if name not in _RECORD_FIELDS and name not in _RECORD_LISTS:
+                return self._column(name)[rows]
+            if records is None:
+                records = self._column(convention)[rows]
+            if name in _RECORD_FIELDS:
+                return self._column(name)[records]
+            kept = self._component_sizes if name == "component_sizes" else self._k5_witness
+            return [kept[r] for r in records.tolist()]
+
+        return Columns(rows, convention, read)
+
+    def names(self, rows: np.ndarray) -> list[str]:
+        """The serialized spec of each row."""
+        return [self._specs[row].to_text() for row in rows.tolist()]
 
     def __call__(self, spec: GroupSpec, convention: VertexConvention) -> GroupFacts:
-        if (spec, convention) not in self._facts:
+        """The GroupFacts record of the spec under the convention, made from
+        its row; a spec without a row is built now."""
+        if spec not in self._row_of:
             self._add(spec, build(spec))
             self._flush()
-        return self._facts[spec, convention]
+        f = self.columns(np.array([self._row_of[spec]]), convention)
+        p = int(f.p[0])
+        return GroupFacts(
+            order=int(f.order[0]), cyclic=bool(f.cyclic[0]), p=p or None, exponent=int(f.exponent[0]),
+            generalized_quaternion=bool(f.generalized_quaternion[0]), d8=bool(f.d8[0]),
+            abelian_planar_family=bool(f.abelian_planar_family[0]),
+            subgroups_of_order_p=int(f.subgroups_of_order_p[0]) if p else None,
+            v=int(f.v[0]), complete=bool(f.complete[0]), component_sizes=tuple(f.component_sizes[0]),
+            components_complete=bool(f.components_complete[0]), planar=bool(f.planar[0]),
+            k5_witness=f.k5_witness[0])
+
+    def _factors(self, n: int) -> dict[int, int]:
+        """prime_factors(n), once per order per table."""
+        if n not in self._factored:
+            self._factored[n] = prime_factors(n)
+        return self._factored[n]
+
+    def _column(self, name: str | VertexConvention) -> np.ndarray:
+        chunks = self._chunks[name]
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks)]
+        return chunks[0]
 
     def _add(self, spec: GroupSpec, group: FiniteGroup) -> None:
         self._pending.append((spec, group))
@@ -240,48 +338,69 @@ class FactsTable:
             self._flush()
 
     def _flush(self) -> None:
-        """Make the records of every pending group in one pass."""
+        """Make the rows of every pending group in one pass."""
         pending, self._pending, self._pending_elements = self._pending, [], 0
         if not pending:
             return
+        specs = [spec for spec, _ in pending]
         batch = GroupBatch([group for _, group in pending])
-        invariants = _group_invariants(batch)
-        cyclic = np.array([inv["cyclic"] for inv in invariants])
+        columns = _group_invariants(batch)
+        cyclic = columns["cyclic"]
+        orders, of_order = np.unique(batch.sizes, return_inverse=True)
+        factored = [self._factors(n) for n in orders.tolist()]
+        columns.update(
+            abelian=np.array([spec.is_abelian_family for spec in specs], dtype=bool),
+            nprimes=np.array([len(f) for f in factored], dtype=np.intp)[of_order],
+            largest_prime=np.array([max(f, default=1) for f in factored], dtype=np.intp)[of_order],
+            radical=np.array([math.prod(f) for f in factored], dtype=np.intp)[of_order],
+        )
         # Each vertex set that some group reads, as a mask over the batch,
         # named (keeps the identity, drops generators): a set that drops
         # generators is read by the cyclic groups, and its set with them by
         # the others too, which have none. The rows of a record, one group's
-        # set, are contiguous and ascend by element.
+        # set, are contiguous and ascend by element. record[s, g] is group
+        # g's record of set s, where g reads s.
         read = [(c, c.keeps_identity, c.drops_generators) for c in self.conventions]
         requested = {(keeps, drops) for _, keeps, drops in read}
-        records, rows, sizes = [], [], []
-        for keeps, drops in sorted(requested | {(keeps, False) for keeps, _ in requested}):
+        sets = sorted(requested | {(keeps, False) for keeps, _ in requested})
+        record = np.full((len(sets), len(pending)), -1, dtype=np.intp)
+        rows, sizes, owners = [], [], []
+        made = len(self._k5_witness)
+        for s, (keeps, drops) in enumerate(sets):
             owned = cyclic if drops else ~cyclic | ((keeps, False) in requested)
             keep = owned[batch.group] & ((batch.local > 0) | keeps)
             if drops:
                 keep &= batch.orders != batch.sizes[batch.group]
             rows.append(np.flatnonzero(keep))
             sizes.append(np.bincount(batch.group[rows[-1]], minlength=len(pending))[owned])
-            records += [(g, (keeps, drops)) for g in np.flatnonzero(owned).tolist()]
-        rows, sizes = np.concatenate(rows), np.concatenate(sizes)
-        owner = [g for g, _ in records]
-        fields = _graph_facts(batch.prime_subgroup_incidence()[rows], sizes, batch.sizes[owner])
-        made = {}
-        for (g, vertex_set), f, end, size in zip(records, fields, np.cumsum(sizes).tolist(), sizes.tolist()):
-            if f["k5_witness"] is not None:
-                at = rows[end - size:end][list(f["k5_witness"])]
-                f["k5_witness"] = tuple(batch.local[at].tolist())
-            made[g, vertex_set] = GroupFacts(**invariants[g], **f)
-        for g, ((spec, _), cyc) in enumerate(zip(pending, cyclic.tolist())):
-            for convention, keeps, drops in read:
-                self._facts[spec, convention] = made[g, (keeps, drops and cyc)]
+            owners.append(np.flatnonzero(owned))
+            record[s, owners[-1]] = made + np.arange(len(owners[-1]))
+            made += len(owners[-1])
+        rows, sizes, owner = np.concatenate(rows), np.concatenate(sizes), np.concatenate(owners)
+        graph = _graph_facts(batch.prime_subgroup_incidence()[rows], sizes, batch.sizes[owner],
+                             batch.local[rows])
+        self._k5_witness += graph.pop("k5_witness")
+        self._component_sizes += graph.pop("component_sizes")
+        columns.update(graph)
+        for c, keeps, drops in read:
+            columns[c] = record[sets.index((keeps, False))]
+            if drops:
+                columns[c] = np.where(cyclic, record[sets.index((keeps, True))], columns[c])
+        for name, chunk in columns.items():
+            self._chunks.setdefault(name, []).append(chunk)
+        self._row_of.update(zip(specs, range(len(self._specs), len(self._specs) + len(specs))))
+        self._specs += specs
 
 
-def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) -> list[dict]:
-    """v, complete, component_sizes, components_complete, planar and
-    k5_witness of GP(G) on each block's vertex set, read off its
+def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int],
+                 elements: np.ndarray | None = None) -> dict:
+    """The graph fields of GP(G) on each block's vertex set, read off its
     prime-subgroup incidence rows in one numpy pass; the one reading of GP's
-    components, for the harness and `gpgraph check` alike.
+    components, for the harness and `gpgraph check` alike. One array per
+    field, an entry per block: v, complete, components (their number),
+    components_complete, planar, and smallest_component and
+    largest_component (0 for a block without vertices); and a list per
+    block for component_sizes and k5_witness.
 
     The blocks lie one after another in `rows`: block b is the next
     sizes[b] rows, the incidence rows of its vertex set, ascending by
@@ -299,7 +418,8 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
     - GP(G) is complete iff it has at most one component, and that one is
       a clique;
     - k5_witness is the lexicographically least tuple of the five first
-      holders of an id held by 5 or more rows, whose C_P spans a K5, as row
+      holders of an id held by 5 or more rows, whose C_P spans a K5, as the
+      rows' `elements` when given (an entry per row of `rows`), else as row
       positions in the block; None when no id has 5 holders;
     - planar is k5_witness is None. For a group this is exact under every
       convention, as a vertex set holds, with each x, the generators of <x>
@@ -317,6 +437,7 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
     Ids are offset per block, so blocks never meet.
     """
     sizes, bounds = np.asarray(sizes, dtype=np.intp), np.asarray(bounds, dtype=np.intp)
+    nblocks = len(sizes)
     offsets = np.cumsum(bounds) - bounds
     total = len(rows)
     # ids[j, i] is the j-th id of row i, or -1; columns are rows, so that
@@ -360,32 +481,43 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
     comp_size_of_row = comp_sizes[comp_of_row]
     spans = (holders[ids].max(axis=0) == comp_size_of_row) | lone
     clique = np.bincount(comp_of_row, weights=spans, minlength=len(comp_sizes)) > 0
+    # components by least vertex, which orders them by block too
     by_least = np.argsort(first)
-    block_of_row = np.repeat(np.arange(len(sizes)), sizes)
+    block_of_row = np.repeat(np.arange(nblocks), sizes)
     block_of_comp = block_of_row[first[by_least]]
-    comps_per_block = np.bincount(block_of_comp, minlength=len(sizes)).tolist()
-    broken_per_block = np.bincount(block_of_comp, weights=~clique[by_least], minlength=len(sizes)).tolist()
-    ordered_sizes = comp_sizes[by_least].tolist()
+    ordered_sizes = comp_sizes[by_least]
+    ncomps = np.bincount(block_of_comp, minlength=nblocks)
+    broken = np.bincount(block_of_comp, weights=~clique[by_least], minlength=nblocks) > 0
+    smallest, largest = np.zeros(nblocks, dtype=np.intp), np.zeros(nblocks, dtype=np.intp)
+    first_comp = np.cumsum(ncomps) - ncomps
+    some = ncomps > 0
+    if some.any():
+        smallest[some] = np.minimum.reduceat(ordered_sizes, first_comp[some])
+        largest[some] = np.maximum.reduceat(ordered_sizes, first_comp[some])
     # the five first holders of each id held 5 or more times, sorted
     # lexicographically, which sorts them by block first
     five = holder_rows[starts[holders[:nids] >= 5, None] + np.arange(5)]
     five = five[np.lexsort(five.T[::-1])]
     with_k5, least = np.unique(block_of_row[five[:, 0]], return_index=True)
-    local = five[least] - (np.cumsum(sizes) - sizes)[with_k5, None]
-    witnesses = dict(zip(with_k5.tolist(), map(tuple, local.tolist())))
-    out, c = [], 0
-    for b, (v, ncomps, broken) in enumerate(zip(sizes.tolist(), comps_per_block, broken_per_block)):
-        witness = witnesses.get(b)
-        out.append(dict(
-            v=v,
-            complete=ncomps <= 1 and not broken,
-            component_sizes=tuple(ordered_sizes[c:c + ncomps]),
-            components_complete=not broken,
-            planar=witness is None,
-            k5_witness=witness,
-        ))
-        c += ncomps
-    return out
+    at = five[least]  # each witness's rows
+    local = at - (np.cumsum(sizes) - sizes)[with_k5, None] if elements is None else elements[at]
+    witnesses: list[tuple[int, ...] | None] = [None] * nblocks
+    for b, w in zip(with_k5.tolist(), local.tolist()):
+        witnesses[b] = tuple(w)
+    planar = np.ones(nblocks, dtype=bool)
+    planar[with_k5] = False
+    listed = ordered_sizes.tolist()
+    return dict(
+        v=sizes,
+        complete=(ncomps <= 1) & ~broken,
+        components=ncomps,
+        component_sizes=[listed[lo:lo + n] for lo, n in zip(first_comp.tolist(), ncomps.tolist())],
+        components_complete=~broken,
+        planar=planar,
+        smallest_component=smallest,
+        largest_component=largest,
+        k5_witness=witnesses,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +526,18 @@ def _graph_facts(rows: np.ndarray, sizes: Sequence[int], bounds: Sequence[int]) 
 
 _CATALOG_RELATIVE_NOTE = "'only if' direction is catalog-relative: checked against catalog families only"
 
+# A judge maps Columns to its break entries (mask, observed, expected): row i
+# breaks the claim in that way where mask[i], and observed and expected are
+# the Finding's texts, each a str or a function of i.
+Text = Union[str, Callable[[int], str]]
+Judge = Callable[[Columns], Sequence[tuple[np.ndarray, Text, Text]]]
+
 
 def _claim(
     theorem: str,
     facts: FactsTable,
-    convention: VertexConvention,
-    specs: list[GroupSpec],
-    judge: Callable[[GroupFacts], Iterable[tuple[str, str]]],
+    f: Columns,
+    judge: Judge,
     *,
     skip_vacuous: bool = False,
     conventional: bool = False,
@@ -408,33 +545,43 @@ def _claim(
     catalog_relative: bool = False,
     max_order: int | None = None,
 ) -> TheoremReport:
-    """Judge each spec's facts under the convention and report.
+    """Judge the census rows f.rows under f.convention and report.
 
-    judge(f) yields an (observed, expected) pair for each way the record f
-    breaks the claim, and nothing when f satisfies it.
+    A Finding is made only for a broken row, one per entry of the judge
+    that it breaks, by row and then by entry.
     skip_vacuous: a group with an empty vertex set is noted and not judged.
     conventional: a break is a convention discrepancy, not a counterexample,
-    when the Punctured record of the same group satisfies the claim.
+    when the Punctured facts of the same group satisfy the claim; they are
+    read only for the broken rows.
     """
     t0 = time.perf_counter()
-    counterexamples, discrepancies, vacuous = [], [], []
-    for spec in specs:
-        f = facts(spec, convention)
-        if skip_vacuous and f.v == 0:
-            vacuous.append(spec.to_text())
-            continue
-        breaks = [Finding(spec.to_text(), observed, expected) for observed, expected in judge(f)]
-        if breaks and conventional and not any(judge(facts(spec, VertexConvention.PUNCTURED))):
-            discrepancies.extend(breaks)
-        else:
-            counterexamples.extend(breaks)
+    entries = judge(f)
+    broken = np.zeros(len(f.rows), dtype=bool)
+    for mask, _, _ in entries:
+        broken |= mask
+    vacuous: list[str] = []
+    if skip_vacuous:
+        empty = f.v == 0
+        vacuous = facts.names(f.rows[empty])
+        broken &= ~empty
+    at = np.flatnonzero(broken)
+    shared = np.ones(len(at), dtype=bool)  # the break is a counterexample
+    if conventional and len(at):
+        shared[:] = False
+        for mask, _, _ in judge(facts.columns(f.rows[at], VertexConvention.PUNCTURED)):
+            shared |= mask
+    counterexamples, discrepancies = [], []
+    for i, group, counter in zip(at.tolist(), facts.names(f.rows[at]), shared.tolist()):
+        (counterexamples if counter else discrepancies).extend(
+            Finding(group, _text(observed, i), _text(expected, i))
+            for mask, observed, expected in entries if mask[i])
     notes = ([_CATALOG_RELATIVE_NOTE] if catalog_relative else []) + list(notes)
     if vacuous:
         notes.append(
-            f"vacuous under {convention.value}: empty vertex set for {len(vacuous)} "
+            f"vacuous under {f.convention.value}: empty vertex set for {len(vacuous)} "
             f"group(s) ({', '.join(vacuous)}); excluded from verdicts"
         )
-    if not specs:
+    if not len(f.rows):
         verdict = VERDICT_NOT_APPLICABLE
     elif counterexamples:
         verdict = VERDICT_COUNTEREXAMPLES
@@ -442,8 +589,8 @@ def _claim(
         verdict = VERDICT_CONFIRMED
     return TheoremReport(
         theorem=theorem,
-        convention=convention.value,
-        census_groups=len(specs),
+        convention=f.convention.value,
+        census_groups=len(f.rows),
         max_order=facts.max_order if max_order is None else max_order,
         verdict=verdict,
         catalog_relative=catalog_relative,
@@ -454,11 +601,87 @@ def _claim(
     )
 
 
-def _iff(prop: str, observed: bool, expected: bool, reason_yes: str, reason_no: str):
-    """The break of `prop iff condition` when observed differs from expected."""
-    if observed != expected:
-        reason = reason_yes if expected else reason_no
-        yield f"{prop}={observed}", f"{prop}={expected} ({reason})"
+def _text(text: Text, i: int) -> str:
+    return text if isinstance(text, str) else text(i)
+
+
+def _iff(prop: str, observed: np.ndarray, expected: np.ndarray, reason_yes: str, reason_no: str):
+    """The break of `prop iff condition`, where observed differs from expected."""
+    return [(observed != expected,
+             lambda i: f"{prop}={bool(observed[i])}",
+             lambda i: f"{prop}={bool(expected[i])} ({reason_yes if expected[i] else reason_no})")]
+
+
+def _cyclic_prime_power(f: Columns) -> np.ndarray:
+    return f.cyclic & (f.p > 0)
+
+
+def _judge_t34(f: Columns):
+    return [
+        (~f.components_complete, "some GP component is not complete", "every component complete"),
+        (f.components != f.subgroups_of_order_p,
+         lambda i: f"{f.components[i]} GP components",
+         lambda i: f"{f.subgroups_of_order_p[i]} components (= subgroups of order p)"),
+    ]
+
+
+def _judge_t51(f: Columns):
+    # The claim speaks only of planar GP.
+    p, planar = f.p, f.planar
+    expected = "exponent p and (p^n-1)/(p-1) components, each K_{p-1}"
+    count = (f.order - 1) // (p - 1)
+    sized = (f.smallest_component != p - 1) | (f.largest_component != p - 1)
+    return [
+        (planar & (f.exponent != p), lambda i: f"exponent {f.exponent[i]} != {p[i]}", expected),
+        (planar & (f.components != count),
+         lambda i: f"{f.components[i]} components != (p^n-1)/(p-1) = {count[i]}", expected),
+        (planar & (f.components > 0) & sized, lambda i: f"some component size != {p[i] - 1}", expected),
+        (planar & ~f.components_complete, "some component is not complete", expected),
+    ]
+
+
+def _planar_breaks(f: Columns):
+    return [(f.planar, "GP planar", "GP not planar")]
+
+
+# Each claim's census: a mask over the spec columns of the catalog (Columns),
+# then its target specs.
+CENSUS: dict[str, tuple[Callable[[Columns], np.ndarray], tuple[str, ...]]] = {
+    "T2.2": (lambda s: s.abelian, ()),
+    "T3.1": (lambda s: ~s.abelian, ()),
+    "T3.4": (lambda s: s.nprimes == 1, ()),
+    # abelian order divisible by >= 4 distinct primes; Z_210 targeted (the
+    # smallest such order is 210, beyond any realistic bound)
+    "L4.1": (lambda s: s.abelian & (s.nprimes >= 4), ("cyclic:210",)),
+    # any group whose order has a prime divisor >= 7 (stated for all finite
+    # groups); Z_14, Z_21 and D_14 targeted
+    "L4.2": (lambda s: s.largest_prime >= 7, ("cyclic:14", "cyclic:21", "dihedral:7")),
+    # abelian {2,5}- and {3,5}-groups of mixed order; Z_10, Z_15 targeted
+    "L4.3": (lambda s: s.abelian & ((s.radical == 10) | (s.radical == 15)), ("cyclic:10", "cyclic:15")),
+    "T4.4": (lambda s: s.abelian, ()),
+    "T5.1": (lambda s: ~s.abelian & ((s.radical == 3) | (s.radical == 5)), ()),
+    "T5.2": (lambda s: ~s.abelian & (s.radical == 2), ()),
+}
+
+JUDGES: dict[str, Judge] = {
+    "T2.2": lambda f: _iff("GP complete", f.complete, _cyclic_prime_power(f),
+                           "cyclic of prime-power order", "not cyclic of prime-power order"),
+    "T3.1": lambda f: _iff("GP complete", f.complete, f.generalized_quaternion,
+                           "generalized quaternion", "not generalized quaternion"),
+    "T3.4": _judge_t34,
+    "L4.1": _planar_breaks,
+    "L4.2": _planar_breaks,
+    "L4.3": _planar_breaks,
+    "T4.4": lambda f: _iff("GP planar", f.planar, f.abelian_planar_family,
+                           "in the planar families", "outside the planar families"),
+    "T5.1": _judge_t51,
+    "T5.2": lambda f: _iff("GP planar", f.planar, f.d8, "isomorphic to D_8", "not isomorphic to D_8"),
+    "PruferShadow": lambda f: [(~f.complete, "GP not complete", "GP complete (cyclic p-group)")],
+}
+
+
+def _census(facts: FactsTable, theorem: str, convention: VertexConvention) -> Columns:
+    return facts.columns(facts.rows(*CENSUS[theorem]), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +691,9 @@ def _iff(prop: str, observed: bool, expected: bool, reason_yes: str, reason_no: 
 
 def check_completeness_abelian(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
     """T2.2, abelian G of order 2..N: GP complete iff G is cyclic of prime-power order."""
-
-    def expected(f):
-        return f.cyclic and f.p is not None
-
-    specs = facts.census(lambda s: s.is_abelian_family)
-    report = _claim("T2.2", facts, convention, specs,
-                    lambda f: _iff("GP complete", f.complete, expected(f),
-                                   "cyclic of prime-power order", "not cyclic of prime-power order"))
-    broke_if = sum(expected(f) and not f.complete for f in (facts(s, convention) for s in specs))
+    f = _census(facts, "T2.2", convention)
+    report = _claim("T2.2", facts, f, JUDGES["T2.2"])
+    broke_if = int(np.count_nonzero(_cyclic_prime_power(f) & ~f.complete))
     broke_only_if = len(report.counterexamples) - broke_if
     if broke_if:
         report.notes.append(
@@ -490,32 +707,19 @@ def check_completeness_abelian(facts: FactsTable, convention: VertexConvention) 
 
 def check_completeness_nonabelian(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
     """T3.1, non-abelian G of order 2..N: GP complete iff G is generalized quaternion."""
-    return _claim(
-        "T3.1", facts, convention, facts.census(lambda s: not s.is_abelian_family),
-        lambda f: _iff("GP complete", f.complete, f.generalized_quaternion,
-                       "generalized quaternion", "not generalized quaternion"),
-        catalog_relative=True,
-    )
+    return _claim("T3.1", facts, _census(facts, "T3.1", convention), JUDGES["T3.1"],
+                  catalog_relative=True)
 
 
 def check_pgroup_components(facts: FactsTable, convention: VertexConvention) -> TheoremReport:
     """T3.4, p-groups: every GP component complete; #components = #subgroups
     of order p. NotApplicable under the identity-bearing conventions."""
     if convention.keeps_identity:
-        return _claim("T3.4", facts, convention, [], lambda f: (), notes=[
-            f"T3.4 counts components; under {convention.value} the isolated "
-            "identity shifts the count by one (reported, not silently adjusted)"])
-
-    def judge(f):
-        if not f.components_complete:
-            yield "some GP component is not complete", "every component complete"
-        ncomps = len(f.component_sizes)
-        if ncomps != f.subgroups_of_order_p:
-            yield (f"{ncomps} GP components",
-                   f"{f.subgroups_of_order_p} components (= subgroups of order p)")
-
-    return _claim("T3.4", facts, convention, facts.census(lambda s: len(facts.primes(s)) == 1),
-                  judge, skip_vacuous=True)
+        return _claim("T3.4", facts, facts.columns(np.empty(0, dtype=np.intp), convention),
+                      lambda f: (), notes=[
+                          f"T3.4 counts components; under {convention.value} the isolated "
+                          "identity shifts the count by one (reported, not silently adjusted)"])
+    return _claim("T3.4", facts, _census(facts, "T3.4", convention), JUDGES["T3.4"], skip_vacuous=True)
 
 
 def check_planarity_prime_lemmas(
@@ -524,44 +728,25 @@ def check_planarity_prime_lemmas(
     """Three reports: four-prime orders (L4.1), prime divisors >= 7 (L4.2),
     and mixed {2,5} / {3,5} abelian groups (L4.3); all expect non-planar GP."""
 
-    def judge(f):
-        if f.planar:
-            yield "GP planar", "GP not planar"
+    def lemma(theorem, f, notes=()):
+        return _claim(theorem, facts, f, JUDGES[theorem], skip_vacuous=True, conventional=True,
+                      notes=notes)
 
-    def lemma(theorem, specs, notes=()):
-        return _claim(theorem, facts, convention, specs, judge,
-                      skip_vacuous=True, conventional=True, notes=notes)
-
-    # L4.1: abelian order divisible by >= 4 distinct primes; Z_210 targeted
-    # (the smallest such order is 210, beyond any realistic bound).
-    specs = facts.census(lambda s: s.is_abelian_family and len(facts.primes(s)) >= 4, ("cyclic:210",))
-    l41 = lemma("L4.1", specs, [
-        f"K5 witness for {s.to_text()}: elements {list(w)}"
-        for s in specs if (w := facts(s, convention).k5_witness) is not None
+    f = _census(facts, "L4.1", convention)
+    witnessed = [i for i, w in enumerate(f.k5_witness) if w is not None]
+    l41 = lemma("L4.1", f, [
+        f"K5 witness for {group}: elements {list(f.k5_witness[i])}"
+        for i, group in zip(witnessed, facts.names(f.rows[witnessed]))
     ])
-
-    # L4.2: any group whose order has a prime divisor >= 7 (stated for all
-    # finite groups); Z_14, Z_21 and D_14 targeted.
-    l42 = lemma("L4.2", facts.census(lambda s: max(facts.primes(s)) >= 7,
-                                     ("cyclic:14", "cyclic:21", "dihedral:7")))
-
-    # L4.3: abelian {2,5}- and {3,5}-groups of mixed order; Z_10, Z_15 targeted.
-    l43 = lemma("L4.3", facts.census(
-        lambda s: s.is_abelian_family and facts.primes(s) in ({2, 5}, {3, 5}),
-        ("cyclic:10", "cyclic:15")))
-    return [l41, l42, l43]
+    return [l41] + [lemma(theorem, _census(facts, theorem, convention)) for theorem in ("L4.2", "L4.3")]
 
 
 def check_abelian_planarity_classification(
     facts: FactsTable, convention: VertexConvention
 ) -> TheoremReport:
     """T4.4, abelian G: GP planar iff G is elementary abelian (p in {2,3,5}), Z_4 or Z_6."""
-    report = _claim(
-        "T4.4", facts, convention, facts.census(lambda s: s.is_abelian_family),
-        lambda f: _iff("GP planar", f.planar, f.abelian_planar_family,
-                       "in the planar families", "outside the planar families"),
-        skip_vacuous=True, conventional=True,
-    )
+    report = _claim("T4.4", facts, _census(facts, "T4.4", convention), JUDGES["T4.4"],
+                    skip_vacuous=True, conventional=True)
     if report.discrepancies:
         report.notes.append(
             f"{len(report.discrepancies)} group(s) planar under {convention.value} but "
@@ -576,62 +761,36 @@ def check_nonabelian_pgroup_planarity(
     """T5.1: planar non-abelian p-groups (p in {3,5}) have exponent p and split
     into (p^n - 1)/(p - 1) copies of K_{p-1}. T5.2: among non-abelian 2-groups,
     only D_8 has planar GP."""
-
-    def judge_t51(f):
-        if not f.planar:
-            return
-        p = f.p
-        expected = "exponent p and (p^n-1)/(p-1) components, each K_{p-1}"
-        if f.exponent != p:
-            yield f"exponent {f.exponent} != {p}", expected
-        ncomps = len(f.component_sizes)
-        expected_count = (f.order - 1) // (p - 1)
-        if ncomps != expected_count:
-            yield f"{ncomps} components != (p^n-1)/(p-1) = {expected_count}", expected
-        if any(size != p - 1 for size in f.component_sizes):
-            yield f"some component size != {p - 1}", expected
-        if not f.components_complete:
-            yield "some component is not complete", expected
-
-    specs = facts.census(lambda s: not s.is_abelian_family and facts.primes(s) in ({3}, {5}))
-    planar = sum(facts(s, convention).planar for s in specs)
-    t51 = _claim("T5.1", facts, convention, specs, judge_t51,
-                 notes=[f"{planar} of {len(specs)} group(s) have planar GP"] if specs else [])
-    t52 = _claim(
-        "T5.2", facts, convention,
-        facts.census(lambda s: not s.is_abelian_family and facts.primes(s) == {2}),
-        lambda f: _iff("GP planar", f.planar, f.d8, "isomorphic to D_8", "not isomorphic to D_8"),
-        catalog_relative=True,
-    )
+    f = _census(facts, "T5.1", convention)
+    planar = int(np.count_nonzero(f.planar))
+    t51 = _claim("T5.1", facts, f, JUDGES["T5.1"],
+                 notes=[f"{planar} of {len(f.rows)} group(s) have planar GP"] if len(f.rows) else [])
+    t52 = _claim("T5.2", facts, _census(facts, "T5.2", convention), JUDGES["T5.2"],
+                 catalog_relative=True)
     return [t51, t52]
 
 
-def _shadow_specs(p: int, depth: int) -> list[GroupSpec]:
+def _shadow_targets(p: int, depth: int) -> list[str]:
     """Z_{p^k} for k = 1..depth; ValueError unless p is prime and p^depth is
     within PRUFER_SHADOW_CAP."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p ** depth > PRUFER_SHADOW_CAP:
         raise ValueError(f"p^depth = {p ** depth} exceeds the {PRUFER_SHADOW_CAP} cap")
-    return [parse_spec(f"cyclic:{p ** k}") for k in range(1, depth + 1)]
+    return [f"cyclic:{p ** k}" for k in range(1, depth + 1)]
 
 
 def check_prufer_shadow(
     facts: FactsTable, convention: VertexConvention, p: int, depth: int
 ) -> TheoremReport:
     """PruferShadow: GP(Z_{p^k}) is complete for k = 1..depth (finite shadow of Z_{p^inf})."""
-    specs = _shadow_specs(p, depth)
-
-    def judge(f):
-        if not f.complete:
-            yield "GP not complete", "GP complete (cyclic p-group)"
-
+    f = facts.columns(facts.rows(lambda s: False, _shadow_targets(p, depth)), convention)
     degenerate = [
-        f"degenerate: {s.to_text()} has an empty vertex set under "
+        f"degenerate: {group} has an empty vertex set under "
         f"{convention.value} (vacuously complete)"
-        for s in specs if facts(s, convention).v == 0
+        for group in facts.names(f.rows[f.v == 0])
     ]
-    return _claim("PruferShadow", facts, convention, specs, judge,
+    return _claim("PruferShadow", facts, f, JUDGES["PruferShadow"],
                   notes=degenerate, max_order=p ** depth)
 
 
@@ -648,7 +807,7 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> list[TheoremReport]:
     if not conventions:
         raise ValueError("at least one convention is required")
     shadow_depth = max(1, int(math.log2(config.max_order)))
-    _shadow_specs(2, shadow_depth)  # fail on the cap before enumerating anything
+    _shadow_targets(2, shadow_depth)  # fail on the cap before enumerating anything
     # Build the catalog and its facts up front, so a check's runtime is its
     # predicate time only.
     facts = FactsTable(config.max_order, conventions, config.dedupe)

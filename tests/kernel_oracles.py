@@ -13,8 +13,11 @@ order, GP adjacency, element orders) and, read at every (m/p)-th power,
 for FiniteGroup.prime_subgroup_incidence, the closure of a set under all
 products for groups._generating_set (and the same greedy set by np.unique
 frontiers, for the list it returns), the 2-D scatter of a relabelling for
-groups.validate_and_build, and a per-token parse for
-groups.parse_cayley_table. The kernels must agree with them on every input.
+groups.validate_and_build, a per-token parse for
+groups.parse_cayley_table, and each claim's census as a predicate over
+specs and its judge as a generator over one GroupFacts record, run group by
+group, for the masks of verify.CENSUS, verify.JUDGES and verify._claim. The
+kernels must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -24,14 +27,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from gpgraph.catalog import GroupSpec
 from gpgraph.graphs import SimpleGraph
 from gpgraph.groups import (
     MAX_GROUP_ORDER,
     CayleyTableError,
     FiniteGroup,
     NotClosed,
+    prime_factors,
     validate_and_build,
 )
+from gpgraph.verify import Finding, GroupFacts
 
 
 def _table_dtype(n: int) -> type:
@@ -300,3 +306,116 @@ def parse_cayley_table(text: str) -> FiniteGroup:
             raise NotClosed(len(rows), col, row[col], n)
         rows.append(row)
     return validate_and_build(np.array(rows))
+
+
+def _primes(spec: GroupSpec) -> set[int]:
+    return set(prime_factors(spec.order()))
+
+
+# Each claim's census as a predicate over one spec, and its targets.
+CENSUS = {
+    "T2.2": (lambda s: s.is_abelian_family, ()),
+    "T3.1": (lambda s: not s.is_abelian_family, ()),
+    "T3.4": (lambda s: len(_primes(s)) == 1, ()),
+    "L4.1": (lambda s: s.is_abelian_family and len(_primes(s)) >= 4, ("cyclic:210",)),
+    "L4.2": (lambda s: max(_primes(s)) >= 7, ("cyclic:14", "cyclic:21", "dihedral:7")),
+    "L4.3": (lambda s: s.is_abelian_family and _primes(s) in ({2, 5}, {3, 5}), ("cyclic:10", "cyclic:15")),
+    "T4.4": (lambda s: s.is_abelian_family, ()),
+    "T5.1": (lambda s: not s.is_abelian_family and _primes(s) in ({3}, {5}), ()),
+    "T5.2": (lambda s: not s.is_abelian_family and _primes(s) == {2}, ()),
+}
+
+
+def census(theorem: str, catalog: Sequence[GroupSpec], parse) -> list[GroupSpec]:
+    """The catalog specs that satisfy the claim's predicate, in order, then
+    each target (parsed by `parse`) that is not among them."""
+    pred, targets = CENSUS[theorem]
+    specs = [s for s in catalog if pred(s)]
+    return specs + [t for t in map(parse, targets) if t not in specs]
+
+
+def _iff(prop: str, observed: bool, expected: bool, reason_yes: str, reason_no: str):
+    if observed != expected:
+        reason = reason_yes if expected else reason_no
+        yield f"{prop}={observed}", f"{prop}={expected} ({reason})"
+
+
+def _judge_t34(f: GroupFacts):
+    if not f.components_complete:
+        yield "some GP component is not complete", "every component complete"
+    ncomps = len(f.component_sizes)
+    if ncomps != f.subgroups_of_order_p:
+        yield (f"{ncomps} GP components",
+               f"{f.subgroups_of_order_p} components (= subgroups of order p)")
+
+
+def _judge_t51(f: GroupFacts):
+    if not f.planar:
+        return
+    p = f.p
+    expected = "exponent p and (p^n-1)/(p-1) components, each K_{p-1}"
+    if f.exponent != p:
+        yield f"exponent {f.exponent} != {p}", expected
+    ncomps = len(f.component_sizes)
+    expected_count = (f.order - 1) // (p - 1)
+    if ncomps != expected_count:
+        yield f"{ncomps} components != (p^n-1)/(p-1) = {expected_count}", expected
+    if any(size != p - 1 for size in f.component_sizes):
+        yield f"some component size != {p - 1}", expected
+    if not f.components_complete:
+        yield "some component is not complete", expected
+
+
+def _planar_breaks(f: GroupFacts):
+    if f.planar:
+        yield "GP planar", "GP not planar"
+
+
+def _not_complete(f: GroupFacts):
+    if not f.complete:
+        yield "GP not complete", "GP complete (cyclic p-group)"
+
+
+# Each claim's judge: the (observed, expected) pair of each way one record
+# breaks it. T3.4 and T5.1 speak of p-groups only.
+JUDGES = {
+    "T2.2": lambda f: _iff("GP complete", f.complete, f.cyclic and f.p is not None,
+                           "cyclic of prime-power order", "not cyclic of prime-power order"),
+    "T3.1": lambda f: _iff("GP complete", f.complete, f.generalized_quaternion,
+                           "generalized quaternion", "not generalized quaternion"),
+    "T3.4": _judge_t34,
+    "L4.1": _planar_breaks,
+    "L4.2": _planar_breaks,
+    "L4.3": _planar_breaks,
+    "T4.4": lambda f: _iff("GP planar", f.planar, f.abelian_planar_family,
+                           "in the planar families", "outside the planar families"),
+    "T5.1": _judge_t51,
+    "T5.2": lambda f: _iff("GP planar", f.planar, f.d8, "isomorphic to D_8", "not isomorphic to D_8"),
+    "PruferShadow": _not_complete,
+}
+
+# (skip_vacuous, conventional) of each claim
+FLAGS = {"T3.4": (True, False), "L4.1": (True, True), "L4.2": (True, True), "L4.3": (True, True),
+         "T4.4": (True, True)}
+
+
+def claim_findings(theorem: str, groups: Iterable[tuple[str, GroupFacts, GroupFacts]]
+                   ) -> tuple[list[Finding], list[Finding], list[str]]:
+    """(counterexamples, discrepancies, vacuous groups) of the claim, judged
+    record by record over (group, record, punctured record) triples: a
+    group with no vertices is vacuous where the claim skips them, and a
+    break is a discrepancy where the claim is conventional and the
+    punctured record does not break it."""
+    judge = JUDGES[theorem]
+    skip_vacuous, conventional = FLAGS.get(theorem, (False, False))
+    counterexamples, discrepancies, vacuous = [], [], []
+    for group, f, punctured in groups:
+        if skip_vacuous and f.v == 0:
+            vacuous.append(group)
+            continue
+        breaks = [Finding(group, observed, expected) for observed, expected in judge(f)]
+        if breaks and conventional and not any(judge(punctured)):
+            discrepancies.extend(breaks)
+        else:
+            counterexamples.extend(breaks)
+    return counterexamples, discrepancies, vacuous

@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -355,6 +357,35 @@ class TestOrdersFirst:
             assert np.array_equal(g.prime_subgroup_incidence(), alone.prime_subgroup_incidence()), spec
             assert g.is_abelian == alone.is_abelian, spec
         assert specs == list(catalog_up_to(128, False))
+
+    def test_a_pass_folds_each_product_once_and_makes_each_leaf_once(self, monkeypatch):
+        # A product's orders are the outer lcm of its factors' orders, which
+        # the pass has read already: one np.lcm.outer per product and per
+        # leaf after an abelian group's first. At 96 that is 338 calls,
+        # where a fold over every leaf of both factors made 406. The builds
+        # of a pass share one leaf memo, so each of the 96 distinct cyclic
+        # leaves and 69 distinct inverting leaves is made once.
+        made = Counter()
+        for name in ("cyclic_leaf", "inverting_leaf"):
+            def counted(*args, real=getattr(catalog, name), name=name):
+                made[name, args] += 1
+                return real(*args)
+            monkeypatch.setattr(catalog, name, counted)
+        outer = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__self__", None) is np.lcm and arg.__name__ == "outer":
+                outer.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            for _, g in catalog_groups(96, dedupe=False):
+                g.orders
+        finally:
+            sys.setprofile(None)
+        assert len(outer) <= 341
+        assert set(made.values()) == {1}
+        assert Counter(name for name, _ in made) == {"cyclic_leaf": 96, "inverting_leaf": 69}
 
 
 class TestProductTable:

@@ -249,6 +249,12 @@ class TestValidateAndBuild:
                         read(text if read is parse_cayley_table else table)
                     assert exc.value.witness == (2, 4, first), (first, later, read.__name__)
 
+    def test_generating_set_refuses_a_table_whose_row_0_is_not_the_identity(self):
+        # In [[1, 0], [0, 1]], 0 * 1 = 0, so the generator 1 is never
+        # reached; the round must fail instead of adjoining 1 forever.
+        with pytest.raises(CayleyTableError, match="not the identity"):
+            _generating_set(np.array([[1, 0], [0, 1]]))
+
     def test_generating_set_matches_the_unique_frontiers(self):
         tables = [build(spec).table for spec in catalog_up_to(128, False)]
         tables += [validate_and_build(moved).table for moved, _ in random_relabellings()]

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from kernel_oracles import components_complete
@@ -16,7 +19,10 @@ from gpgraph.groups import is_prime, prime_factors
 from gpgraph.planarity import is_planar
 from gpgraph.powergraph import VertexConvention, generalized_power_graph, vertex_elements
 from gpgraph.verify import (
+    CENSUS,
     DEFAULT_CONVENTIONS,
+    JUDGES,
+    Columns,
     FactsTable,
     Finding,
     GroupFacts,
@@ -24,6 +30,7 @@ from gpgraph.verify import (
     VERDICT_COUNTEREXAMPLES,
     VERDICT_NOT_APPLICABLE,
     VerifyConfig,
+    _claim,
     _graph_facts,
     check_abelian_planarity_classification,
     check_completeness_abelian,
@@ -44,6 +51,16 @@ FULL = VertexConvention.FULL
 
 def facts(max_order, convention):
     return FactsTable(max_order, (convention,))
+
+
+def records(table):
+    """Every record of the table, by (spec, convention), in row order."""
+    return {(spec, c): table(spec, c) for spec in table._specs for c in table.conventions}
+
+
+def census(table, pred=lambda c: True, targets=()):
+    """The specs of table.rows(pred, targets), in row order."""
+    return [table._specs[row] for row in table.rows(pred, targets).tolist()]
 
 
 class TestIndividualChecks:
@@ -115,23 +132,51 @@ class TestIndividualChecks:
             check_prufer_shadow(facts(2, PUNCTURED), PUNCTURED, 2, 13)
 
 
+def one_row(spec, record: GroupFacts) -> dict:
+    """The columns of one hand-made record of the spec, one row each, as
+    FactsTable.columns reads them."""
+    primes = prime_factors(spec.order())
+    sizes = record.component_sizes
+    fields = dict(
+        abelian=spec.is_abelian_family, nprimes=len(primes), largest_prime=max(primes, default=1),
+        radical=math.prod(primes), order=record.order, cyclic=record.cyclic, p=record.p or 0,
+        exponent=record.exponent, generalized_quaternion=record.generalized_quaternion, d8=record.d8,
+        abelian_planar_family=record.abelian_planar_family,
+        subgroups_of_order_p=record.subgroups_of_order_p or 0, v=record.v, complete=record.complete,
+        components=len(sizes), components_complete=record.components_complete, planar=record.planar,
+        smallest_component=min(sizes, default=0), largest_component=max(sizes, default=0))
+    columns = {name: np.array([value]) for name, value in fields.items()}
+    columns.update(component_sizes=[list(sizes)], k5_witness=[record.k5_witness])
+    return columns
+
+
 class OneRecord:
     """A facts table that holds one hand-made record, so a claim can judge a
-    record that no catalog group yields."""
+    record that no catalog group yields. Its Punctured record is the same
+    one unless given."""
 
     max_order = 8
 
-    def __init__(self, spec: str, record: GroupFacts):
-        self.spec, self.record = parse_spec(spec), record
+    def __init__(self, spec: str, record: GroupFacts, punctured: GroupFacts | None = None):
+        self.spec = parse_spec(spec)
+        self.record = one_row(self.spec, record)
+        self.punctured = self.record if punctured is None else one_row(self.spec, punctured)
 
-    def census(self, pred, targets=()):
-        return [self.spec] if pred(self.spec) else []
+    def rows(self, pred, targets=()):
+        mask = pred(Columns(np.arange(1), None, self.record.__getitem__))
+        return np.flatnonzero(np.broadcast_to(mask, 1))
 
-    def primes(self, spec):
-        return frozenset(prime_factors(spec.order()))
+    def columns(self, rows, convention):
+        record = self.punctured if convention == PUNCTURED else self.record
 
-    def __call__(self, spec, convention):
-        return self.record
+        def read(name):
+            column = record[name]
+            return column[rows] if isinstance(column, np.ndarray) else [column[r] for r in rows.tolist()]
+
+        return Columns(rows, convention, read)
+
+    def names(self, rows):
+        return [self.spec.to_text()] * len(rows)
 
 
 # D8 under punctured: the rotation clique {r, r^2, r^3} and four reflections.
@@ -217,6 +262,108 @@ class TestClaimsOnHandMadeRecords:
         assert report.counterexamples == [Finding(
             "abelian:2,2", "GP complete=True", "GP complete=False (not cyclic of prime-power order)")]
         assert report.notes == ["'only if' direction broke for 1 group(s)"]
+
+
+# Heis(3) under punctured with every part of T5.1 and T3.4 broken: an
+# exponent of 9, twelve components (one of three vertices) where thirteen
+# K2s are due, and a component that is not a clique.
+BREAKS_ALL = replace(HEIS3_PUNCTURED, exponent=9, component_sizes=(3,) + (2,) * 11,
+                     components_complete=False)
+
+
+@st.composite
+def hand_made(draw):
+    """A GroupFacts record near the edge of every judge: counts, sizes and
+    exponents equal to what a claim expects or off by one, and every flag
+    either way."""
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    order = 12 if p is None else p ** draw(st.integers(1, 3))
+    due = 1 if p is None else (order - 1) // (p - 1)
+    ncomps = draw(st.sampled_from([0, due, due + 1]))
+    size = draw(st.sampled_from([1 if p is None else p - 1, 3]))
+    sizes = (draw(st.sampled_from([size, size + 1])),) + (size,) * (ncomps - 1) if ncomps else ()
+    flag = st.booleans()
+    return GroupFacts(
+        order=order, cyclic=draw(flag), p=p, exponent=draw(st.sampled_from([p or 6, (p or 6) ** 2])),
+        generalized_quaternion=draw(flag), d8=draw(flag), abelian_planar_family=draw(flag),
+        subgroups_of_order_p=None if p is None else draw(st.sampled_from([ncomps, ncomps + 1])),
+        v=draw(st.sampled_from([0, sum(sizes)])), complete=draw(flag), component_sizes=sizes,
+        components_complete=draw(flag), planar=draw(flag),
+        k5_witness=draw(st.sampled_from([None, (0, 1, 2, 3, 4)])))
+
+
+@pytest.fixture(scope="module")
+def table128():
+    table = FactsTable(128, tuple(VertexConvention))
+    table.fill()
+    return table
+
+
+def masked_findings(theorem, table, rows, convention):
+    """(counterexamples, discrepancies) of the claim's masked judge over the
+    rows, through the evaluator."""
+    skip_vacuous, conventional = oracle.FLAGS.get(theorem, (False, False))
+    report = _claim(theorem, table, table.columns(rows, convention), JUDGES[theorem],
+                    skip_vacuous=skip_vacuous, conventional=conventional)
+    return report.counterexamples, report.discrepancies
+
+
+class TestMaskedClaims:
+    """The census masks and the masked judges against the per-record
+    predicates and judges of kernel_oracles, which they replace."""
+
+    @pytest.mark.parametrize("max_order", [20, 256])
+    def test_masked_census_matches_the_predicates(self, max_order):
+        # At 20 every target is off the catalog; at 256 all but none are on it.
+        table = FactsTable(max_order, DEFAULT_CONVENTIONS)
+        catalog = census(table)
+        assert catalog == [s for s in catalog_up_to(max_order) if s.order() >= 2]
+        for theorem, (mask, targets) in CENSUS.items():
+            assert census(table, mask, targets) == oracle.census(theorem, catalog, parse_spec), theorem
+        assert set(CENSUS) == set(oracle.CENSUS)
+
+    @pytest.mark.parametrize("convention", list(VertexConvention))
+    def test_masked_judges_match_on_the_catalog(self, table128, convention):
+        # Every judge on every catalog record, not only its census; T3.4 and
+        # T5.1 speak of p-groups, so they judge those alone.
+        specs = census(table128)
+        rows = table128.rows(lambda s: True)
+        groups = [(s.to_text(), table128(s, convention), table128(s, PUNCTURED)) for s in specs]
+        found = 0
+        for theorem in JUDGES:
+            at = [i for i, s in enumerate(specs)
+                  if theorem not in ("T3.4", "T5.1") or len(prime_factors(s.order())) == 1]
+            expected = oracle.claim_findings(theorem, [groups[i] for i in at])[:2]
+            assert masked_findings(theorem, table128, rows[at], convention) == expected, theorem
+            found += sum(map(len, expected))
+        assert found > 0
+
+    def test_the_examples_reach_every_break(self):
+        def findings(theorem, punctured=BREAKS_ALL):
+            return oracle.claim_findings(theorem, [("heisenberg:3", BREAKS_ALL, punctured)])
+
+        assert [f.observed for f in findings("T5.1")[0]] == [
+            "exponent 9 != 3", "12 components != (p^n-1)/(p-1) = 13", "some component size != 2",
+            "some component is not complete"]
+        assert [f.observed for f in findings("T3.4")[0]] == [
+            "some GP component is not complete", "12 GP components"]
+        # planar under Punctured too: a shared break is a counterexample
+        assert [len(x) for x in findings("L4.2")[:2]] == [1, 0]
+        assert [len(x) for x in findings("L4.2", replace(BREAKS_ALL, planar=False))[:2]] == [0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_made(), st.one_of(st.none(), hand_made()))
+    @example(BREAKS_ALL, None)
+    @example(BREAKS_ALL, replace(BREAKS_ALL, planar=False))
+    @example(replace(BREAKS_ALL, v=0), None)
+    def test_masked_judges_match_on_hand_made_records(self, record, punctured):
+        for theorem in JUDGES:
+            if record.p is None and theorem in ("T3.4", "T5.1"):
+                continue
+            table = OneRecord("heisenberg:3", record, punctured)
+            expected = oracle.claim_findings(
+                theorem, [("heisenberg:3", record, record if punctured is None else punctured)])
+            assert masked_findings(theorem, table, np.arange(1), STRICT) == expected[:2], theorem
 
 
 class TestIncidenceFacts:
@@ -366,11 +513,14 @@ class TestIncidenceFacts:
 
 def read_blocks(blocks):
     """_graph_facts on (rows, n) blocks laid one after another, each block's
-    rows padded with -1 to the widest."""
+    rows padded with -1 to the widest, as a dict of fields per block."""
     width = max([0, *(rows.shape[1] for rows, _ in blocks)])
     rows = [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows, _ in blocks]
-    return _graph_facts(np.concatenate(rows) if rows else np.empty((0, 0), dtype=int),
-                        [len(r) for r in rows], [n for _, n in blocks])
+    columns = _graph_facts(np.concatenate(rows) if rows else np.empty((0, 0), dtype=int),
+                           [len(r) for r in rows], [n for _, n in blocks])
+    columns = {name: c if isinstance(c, list) else c.tolist() for name, c in columns.items()}
+    columns["component_sizes"] = list(map(tuple, columns["component_sizes"]))
+    return [{name: c[b] for name, c in columns.items()} for b in range(len(blocks))]
 
 
 def edge_ids(v, edges):
@@ -451,7 +601,7 @@ class TestRunAll:
         real = verify.check_completeness_abelian
 
         def spy(table, *args, **kwargs):
-            facts_at_first_check.append(len(table._facts))
+            facts_at_first_check.append(len(table._specs) * len(table.conventions))
             return real(table, *args, **kwargs)
 
         monkeypatch.setattr(verify, "check_completeness_abelian", spy)
@@ -580,11 +730,16 @@ class TestRunAll:
         # The count comes from the element-order histogram, h[p] / (p - 1);
         # subgroups_of_order_p lists the subgroups themselves.
         table = FactsTable(128, (PUNCTURED,))
-        for spec in table.census(lambda s: True):
+        rows = table.rows(lambda c: True)
+        spec_columns = table.columns(rows, None)
+        for i, spec in enumerate(census(table)):
             group = build(spec)
             record = table(spec, PUNCTURED)
-            assert table.primes(spec) == set(prime_factors(group.n))
-            if len(table.primes(spec)) == 1:
+            primes = prime_factors(group.n)
+            nprimes = int(spec_columns.nprimes[i])
+            assert (nprimes, int(spec_columns.largest_prime[i]), int(spec_columns.radical[i])) == (
+                len(primes), max(primes), math.prod(primes))
+            if nprimes == 1:
                 assert record.subgroups_of_order_p == len(group.subgroups_of_order_p(record.p))
             else:
                 assert record.subgroups_of_order_p is None
@@ -599,7 +754,7 @@ class TestRunAll:
         # vertex holders.
         table = FactsTable(256, tuple(VertexConvention))
         table.fill()
-        specs = table.census(lambda s: True, ("cyclic:210",))
+        specs = census(table, targets=("cyclic:210",))
         # cyclic:210, L4.1's target, is a catalog group at this bound
         assert specs == [s for s in catalog_up_to(256) if s.order() >= 2]
         assert parse_spec("cyclic:210") in specs
@@ -638,8 +793,8 @@ class TestRunAll:
         monkeypatch.setattr(verify, "FACTS_BATCH_ROWS", 1)
         per_record = FactsTable(64, tuple(VertexConvention))
         per_record.fill()
-        assert per_record._facts == one_batch._facts
-        assert list(per_record._facts) == list(one_batch._facts)
+        assert records(per_record) == records(one_batch)
+        assert list(records(per_record)) == list(records(one_batch))
 
     def test_batches_cut_inside_the_catalog_give_the_same_records(self, monkeypatch):
         # Batches of 97 or more elements end after other groups than
@@ -651,7 +806,7 @@ class TestRunAll:
         monkeypatch.setattr(verify, "FACTS_BATCH_ROWS", 97)
         cut = FactsTable(128, tuple(VertexConvention))
         cut.fill()
-        assert cut._facts == one_batch._facts
+        assert records(cut) == records(one_batch)
 
     def test_a_fill_peaks_within_its_batch_bound(self):
         # A batch holds FACTS_BATCH_ROWS elements' arrays and its groups
